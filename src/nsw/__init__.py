@@ -13,7 +13,6 @@ from .portfolio import (
     MomentEstimate,
     ParcelWeights,
     estimate_moments,
-    higher_moment_diagnostic,
     log_returns,
     objective_P,
     optimize_parcel,
@@ -21,8 +20,8 @@ from .portfolio import (
 from .sde_fit import HermiteBasis, SdeModel, eval_diffusion, eval_drift, fit_model, hermite_eval, make_basis
 from .signals import Action, Signal, SignalConfig, SignalEngine, decide
 from .stationary import StationaryDensity, density_convolution, ks_quasistationarity, stationary_density
-from .timeseries import PriceSeries, SamplePath, load_bars, make_ou_price_series, simulate_sde, write_bars
-from .wavelets import WaveletCoeffSeries, WaveletFilter, coeff_increment, make_wavelet, transform
+from .timeseries import PriceSeries, load_bars, make_ou_price_series, simulate_sde, write_bars
+from .wavelets import WaveletCoeffSeries, WaveletFilter, make_wavelet, transform
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,6 @@ __all__ = [
     "ParcelWeights",
     "PriceSeries",
     "RunConfig",
-    "SamplePath",
     "SdeModel",
     "Signal",
     "SignalConfig",
@@ -44,7 +42,6 @@ __all__ = [
     "StationaryDensity",
     "WaveletCoeffSeries",
     "WaveletFilter",
-    "coeff_increment",
     "compare_strategies",
     "decide",
     "density_convolution",
@@ -53,7 +50,6 @@ __all__ = [
     "eval_drift",
     "fit_model",
     "hermite_eval",
-    "higher_moment_diagnostic",
     "indicator_signal",
     "ks_quasistationarity",
     "load_bars",

@@ -28,7 +28,7 @@ from .backtest import (
 )
 from .config import RunConfig, apply_overrides, format_config, load_config
 from .errors import NswError, UsageError
-from .signals import SignalConfig, SignalEngine, write_signals
+from .signals import SignalEngine, write_signals
 from .timeseries import load_bars, make_ou_price_series, write_bars
 from .wavelets import make_wavelet
 
@@ -38,26 +38,6 @@ log = logging.getLogger("nsw.cli")
 def _resolve_config(config_path, overrides) -> RunConfig:
     cfg = load_config(config_path) if config_path else RunConfig()
     return apply_overrides(cfg, overrides or ())
-
-
-def _engine(cfg: RunConfig) -> SignalEngine:
-    return SignalEngine(
-        cfg=SignalConfig(
-            alpha1=cfg.alpha1,
-            alpha2=cfg.alpha2,
-            calib_len=cfg.calib_len,
-            shift_len=cfg.shift_len,
-            density_mode=cfg.density_mode,
-            invert_sign=cfg.invert_sign,
-        ),
-        wavelet=make_wavelet(cfg.wavelet, cfg.wavelet_order or None),
-        levels=cfg.levels,
-        degree=cfg.degree,
-        ks_k=cfg.ks_k,
-        grid_span=cfg.grid_span,
-        n_grid=cfg.n_grid,
-        refit_stride=cfg.refit_stride,
-    )
 
 
 def _write_manifest(out: Path, command: str, cfg: RunConfig, inputs, outputs) -> None:
@@ -148,7 +128,7 @@ def backtest(config_path, overrides, out, data_path):
     cfg = _resolve_config(config_path, overrides)
     out_dir = _prepare_out(out, "backtest")
     series = load_bars(data_path, gap_policy=cfg.gap_policy)
-    trace = _engine(cfg).run(series)
+    trace = SignalEngine(cfg).run(series)
     report = run_backtest(
         TraceSource(trace),
         series,
@@ -177,7 +157,7 @@ def parcel(config_path, overrides, out, data_paths):
     series_list = [load_bars(p, gap_policy=cfg.gap_policy) for p in data_paths]
     horizon = cfg.resolved_horizon(make_wavelet(cfg.wavelet, cfg.wavelet_order or None))
     report = run_parcel_backtest(
-        [_engine(cfg) for _ in series_list],
+        [SignalEngine(cfg) for _ in series_list],
         series_list,
         theta=cfg.theta,
         rebalance_len=cfg.rebalance_len,
@@ -215,7 +195,7 @@ def compare(config_path, overrides, out, data_paths, show_reference):
     cfg = _resolve_config(config_path, overrides)
     out_dir = _prepare_out(out, "compare")
     series_list = [load_bars(p, gap_policy=cfg.gap_policy) for p in data_paths]
-    table = compare_strategies(series_list, lambda: _engine(cfg), cost_bps=cfg.cost_bps)
+    table = compare_strategies(series_list, lambda: SignalEngine(cfg), cost_bps=cfg.cost_bps)
     text = table.to_text(show_reference=show_reference)
     click.echo(text)
     (out_dir / "comparison.txt").write_text(text + "\n")

@@ -11,28 +11,14 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .signals import SignalConfig
 
 
-@dataclass
-class RunConfig:
-    # wavelet bank
-    wavelet: str = "haar"
-    wavelet_order: int = 0
-    levels: int = 2  # number of coefficient modes (J)
-    invert_sign: bool = False
-    # SDE fit
-    degree: int = 3  # max Hermite total degree (K)
-    calib_len: int = 64  # rolling fit window T0, 32..64
-    refit_stride: int = 1
-    # stationary density / gate
-    shift_len: int = 64  # stationarity displacement T
-    density_mode: str = "plain"  # plain | convolution
-    ks_k: float | None = None  # override for the Kolmogorov constant
-    grid_span: float = 5.0
-    n_grid: int = 1024
-    # trade rules
-    alpha1: float = 0.05
-    alpha2: float = 0.05
+@dataclass(frozen=True)
+class RunConfig(SignalConfig):
+    """The engine's SignalConfig plus the run, data and parcel fields."""
+
+    shift_len: int | None = 64  # the protocol's displacement T, set explicitly
     # parcel
     theta: float = 0.25
     rebalance_len: int = 256  # T1
@@ -49,20 +35,19 @@ class RunConfig:
     cost_bps: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha1 < 0.5 or not 0.0 < self.alpha2 < 0.5:
-            raise ConfigError(f"alpha levels must be in (0, 0.5): {self.alpha1}, {self.alpha2}")
+        super().__post_init__()
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must be in [0, 1], got {self.theta}")
-        if self.calib_len < 32:
-            raise ConfigError(f"calib_len must be >= 32, got {self.calib_len}")
-        if self.levels < 1 or self.degree < 1:
-            raise ConfigError("levels and degree must be >= 1")
-        if self.density_mode not in ("plain", "convolution"):
-            raise ConfigError(f"density_mode must be plain|convolution, got {self.density_mode!r}")
         if self.gap_policy not in ("reject", "forward_fill"):
             raise ConfigError(f"gap_policy must be reject|forward_fill, got {self.gap_policy!r}")
         if self.rebalance_len < 2 or self.n_bars < 2:
             raise ConfigError("rebalance_len and n_bars must be >= 2")
+        if self.horizon is not None and self.horizon < 1:
+            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if not self.bar_interval > 0.0:
+            raise ConfigError(f"bar_interval must be positive, got {self.bar_interval}")
+        if not self.cost_bps >= 0.0:
+            raise ConfigError(f"cost_bps must be >= 0, got {self.cost_bps}")
 
     def resolved_horizon(self, filt) -> int:
         """tau0: explicit value, else the coarsest dilated support of the filter."""
@@ -95,24 +80,28 @@ def _coerce(name, raw):
     return text
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse ``key = value`` lines; ``#`` starts a comment; unknown keys are rejected."""
+def _parse_lines(lines, base: RunConfig | None, label: str) -> RunConfig:
     values = dataclasses.asdict(base) if base else {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+            raise ConfigError(f"{label} {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in _FIELDS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{label} {lineno}: unknown key {key!r}")
         try:
             values[key] = _coerce(key, raw)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+            raise ConfigError(f"{label} {lineno}: bad value for {key}: {exc}") from exc
     return RunConfig(**values)
+
+
+def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+    """Parse ``key = value`` lines; ``#`` starts a comment; unknown keys are rejected."""
+    return _parse_lines(text.splitlines(), base, "line")
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
@@ -125,20 +114,8 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
 
 
 def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
-    """Apply CLI ``key=value`` overrides on top of a parsed config."""
-    values = dataclasses.asdict(cfg)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            values[key] = _coerce(key, raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
-    return RunConfig(**values)
+    """Apply CLI ``key=value`` overrides on top of a parsed config, one per line."""
+    return _parse_lines(overrides, cfg, "override")
 
 
 def format_config(cfg: RunConfig) -> str:

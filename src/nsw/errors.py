@@ -59,10 +59,6 @@ class SeriesTooShort(NswError):
     pass
 
 
-class OutOfRange(NswError):
-    pass
-
-
 # -- model fitting ------------------------------------------------------------
 
 class WindowTooShort(NswError):
@@ -121,5 +117,5 @@ class MisalignedSeries(NswError):
     pass
 
 
-class ConfigError(UsageError):
+class ConfigError(UsageError, ValueError):
     pass

@@ -9,7 +9,6 @@ gradient ascent from the equal-weight start.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -251,53 +250,3 @@ def _degenerate_parcel(m: MomentEstimate, theta: float) -> ParcelResult:
         converged=True,
     )
 
-
-@dataclass(frozen=True)
-class CumulantDiagnostic:
-    """Normalized third/fourth cross-cumulant ratios |k_{i..j}| / sqrt(prod lam_ii^2).
-
-    Purely informational: large ratios flag non-Gaussian return streams, but
-    nothing downstream gates on them.
-    """
-
-    third: dict
-    fourth: dict
-
-    @property
-    def max_third(self) -> float:
-        return max(abs(v) for v in self.third.values())
-
-    @property
-    def max_fourth(self) -> float:
-        return max(abs(v) for v in self.fourth.values())
-
-
-def higher_moment_diagnostic(returns) -> CumulantDiagnostic:
-    """Third- and fourth-order cross-cumulant ratios of the return streams."""
-    streams = [np.asarray(r, dtype=np.float64) for r in returns]
-    n = min(len(r) for r in streams)
-    if n < 100:
-        raise TooShort(f"need at least 100 samples, got {n}")
-    data = np.stack([r[-n:] for r in streams])
-    mean = data.mean(axis=1)
-    centered = data - mean[:, None]
-    var = (centered**2).mean(axis=1)
-    if np.any(var <= 0):
-        raise DegenerateWindow("zero-variance stream")
-    mm = len(streams)
-    cov = (centered @ centered.T) / n
-
-    third = {}
-    for idx in itertools.combinations_with_replacement(range(mm), 3):
-        i, j, k = idx
-        kappa = float((centered[i] * centered[j] * centered[k]).mean())
-        third[idx] = kappa / math.sqrt(var[i] ** 2 * var[j] ** 2 * var[k] ** 2)
-    fourth = {}
-    for idx in itertools.combinations_with_replacement(range(mm), 4):
-        i, j, k, l = idx
-        m4 = float((centered[i] * centered[j] * centered[k] * centered[l]).mean())
-        kappa = m4 - cov[i, j] * cov[k, l] - cov[i, k] * cov[j, l] - cov[i, l] * cov[j, k]
-        fourth[idx] = kappa / math.sqrt(var[i] ** 2 * var[j] ** 2 * var[k] ** 2 * var[l] ** 2)
-    diag = CumulantDiagnostic(third=third, fourth=fourth)
-    log.info("cumulant diagnostic: max third %.4g, max fourth %.4g", diag.max_third, diag.max_fourth)
-    return diag

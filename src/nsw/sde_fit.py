@@ -208,17 +208,3 @@ def drift_polynomial(model: SdeModel, mode=1) -> np.ndarray:
     composed = poly_hat(np.polynomial.Polynomial([-mu / sigma, 1.0 / sigma]))
     return composed.coef
 
-
-def format_model(model: SdeModel) -> str:
-    """Human-readable dump: basis spec, standardization, both coefficient sets."""
-    lines = [
-        f"dims={model.dims} degree={model.basis.degree} terms={model.basis.n_terms}",
-        f"dt={model.dt} calib_len={model.calib_len} diffusion_floor={model.diffusion_floor!r}",
-        "mean " + " ".join(repr(float(v)) for v in model.basis.mean),
-        "std  " + " ".join(repr(float(v)) for v in model.basis.std),
-    ]
-    for j in range(model.dims):
-        lines.append(f"drift[{j}] " + " ".join(f"{t}:{c!r}" for t, c in zip(model.basis.terms, model.drift_coeffs[j])))
-    for j in range(model.dims):
-        lines.append(f"diff2[{j}] " + " ".join(f"{t}:{c!r}" for t, c in zip(model.basis.terms, model.diff_coeffs[j])))
-    return "\n".join(lines)

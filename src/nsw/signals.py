@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWindow, GridMismatch, NonIntegrable, NotWarmedUp
+from .errors import ConfigError, DegenerateWindow, GridMismatch, NonIntegrable, NonPositivePrice, NotWarmedUp
 from .sde_fit import fit_model
 from .stationary import density_convolution, ks_quasistationarity, stationary_density
 from .timeseries import PriceSeries
-from .wavelets import WaveletFilter, make_wavelet
+from .wavelets import coeff_row, make_wavelet, mode_taps
 
 
 class Action(str, enum.Enum):
@@ -43,29 +44,47 @@ class Signal:
 
 @dataclass(frozen=True)
 class SignalConfig:
-    """Trade-rule parameters.
+    """Every parameter the signal engine reads.
 
     calib_len is the rolling fit window T0 (32-64 bars); shift_len is the
     displacement T used by the stationarity comparison and defaults to
     calib_len when left as None.
     """
 
+    # wavelet bank
+    wavelet: str = "haar"
+    wavelet_order: int = 0
+    levels: int = 2  # number of coefficient modes (J)
+    invert_sign: bool = False
+    # SDE fit
+    degree: int = 3  # max Hermite total degree (K)
+    calib_len: int = 64  # rolling fit window T0, 32..64
+    refit_stride: int = 1
+    # stationary density / gate
+    shift_len: int | None = None  # stationarity displacement T
+    density_mode: str = "plain"  # plain | convolution
+    ks_k: float | None = None  # override for the Kolmogorov constant
+    grid_span: float = 5.0
+    n_grid: int = 1024
+    # trade rules
     alpha1: float = 0.05
     alpha2: float = 0.05
-    calib_len: int = 64
-    shift_len: int | None = None
-    density_mode: str = "plain"
-    invert_sign: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.alpha1 < 0.5:
-            raise ValueError(f"alpha1 must be in (0, 0.5), got {self.alpha1}")
-        if not 0.0 < self.alpha2 < 0.5:
-            raise ValueError(f"alpha2 must be in (0, 0.5), got {self.alpha2}")
+        if not 0.0 < self.alpha1 < 0.5 or not 0.0 < self.alpha2 < 0.5:
+            raise ConfigError(f"alpha levels must be in (0, 0.5): {self.alpha1}, {self.alpha2}")
         if self.calib_len < 32:
-            raise ValueError(f"calib_len must be >= 32, got {self.calib_len}")
+            raise ConfigError(f"calib_len must be >= 32, got {self.calib_len}")
+        if self.levels < 1 or self.degree < 1:
+            raise ConfigError("levels and degree must be >= 1")
         if self.density_mode not in ("plain", "convolution"):
-            raise ValueError(f"density_mode must be plain|convolution, got {self.density_mode!r}")
+            raise ConfigError(f"density_mode must be plain|convolution, got {self.density_mode!r}")
+        if self.shift_len is not None and self.shift_len < 1:
+            raise ConfigError(f"shift_len must be >= 1, got {self.shift_len}")
+        if self.refit_stride < 1:
+            raise ConfigError(f"refit_stride must be >= 1, got {self.refit_stride}")
+        if self.n_grid < 2:
+            raise ConfigError(f"n_grid must be >= 2, got {self.n_grid}")
 
     @property
     def displacement(self) -> int:
@@ -101,6 +120,33 @@ class SignalTrace:
         return self.signals[i] if 0 <= i < len(self.signals) else None
 
 
+class _Trailing:
+    """The newest ``keep`` rows of a per-bar series in one contiguous array.
+
+    Rows are written in place; when the array is full, the newest keep - 1
+    rows move to its front. Every trailing slice is therefore a view, and the
+    memory stays fixed however many bars are pushed.
+    """
+
+    def __init__(self, keep: int, width: tuple = ()):
+        self._buf = np.empty((2 * keep, *width))
+        self._keep = keep
+        self._end = 0  # one past the newest row
+
+    def push(self, row) -> None:
+        if self._end == len(self._buf):
+            k = self._keep - 1
+            self._buf[:k] = self._buf[self._end - k : self._end]
+            self._end = k
+        self._buf[self._end] = row
+        self._end += 1
+
+    def window(self, n: int, back: int = 0) -> np.ndarray:
+        """Up to ``n`` rows ending ``back`` rows before the newest one."""
+        stop = self._end - back
+        return self._buf[max(0, stop - n) : stop]
+
+
 class SignalEngine:
     """Strictly causal per-instrument pipeline.
 
@@ -109,36 +155,24 @@ class SignalEngine:
     density synthesized and compared against the density computed shift_len
     bars earlier, and the trade rule evaluated. Bars whose window cannot be
     modeled (zero variance) or whose fitted drift is not confining
-    (non-normalizable density) are held with gated=True.
+    (non-normalizable density) are held with gated=True. Only the newest
+    bars that a decision reads are kept, so a live feed runs in fixed memory.
     """
 
-    def __init__(
-        self,
-        cfg: SignalConfig = SignalConfig(),
-        wavelet: WaveletFilter | str = "haar",
-        levels: int = 2,
-        degree: int = 3,
-        ks_k: float | None = None,
-        grid_span: float = 5.0,
-        n_grid: int = 1024,
-        refit_stride: int = 1,
-        dt: float = 1.0,
-    ):
+    def __init__(self, cfg: SignalConfig = SignalConfig()):
         self.cfg = cfg
-        self.filter = make_wavelet(wavelet) if isinstance(wavelet, str) else wavelet
-        self.levels = levels
-        self.degree = degree
-        self.ks_k = ks_k
-        self.grid_span = grid_span
-        self.n_grid = n_grid
-        self.refit_stride = max(1, refit_stride)
-        self.dt = dt
-
-        self._support = self.filter.support_at(levels)
-        self._prices: list[float] = []
-        self._coeffs: list[np.ndarray] = []  # one (levels,) row per bar, NaN while unsupported
-        self._densities: dict[int, object] = {}  # bar index -> mode-1 density or None
-        self._last_fit_bar = -1
+        self.filter = make_wavelet(cfg.wavelet, cfg.wavelet_order or None)
+        self._taps = mode_taps(self.filter, cfg.levels)
+        self._sign = -1.0 if cfg.invert_sign else 1.0
+        self._support = self.filter.support_at(cfg.levels)
+        self._prices = _Trailing(self._support)
+        # one (levels,) row per bar, NaN while unsupported; enough rows for
+        # the current and the displaced fit window
+        self._coeffs = _Trailing(cfg.calib_len + cfg.displacement + 1, (cfg.levels,))
+        self._fits: dict[int, object] = {}  # frontier bar -> exact density or None, until its displaced lookup
+        self._last_fit_bar = -cfg.refit_stride
+        self._last_fit = None
+        self.n_bars = 0
         self.degenerate_bars = 0
 
     @property
@@ -148,53 +182,43 @@ class SignalEngine:
         return self._support + self.cfg.calib_len + self.cfg.displacement - 1
 
     @property
-    def n_bars(self) -> int:
-        return len(self._prices)
-
-    @property
     def ready(self) -> bool:
         return self.n_bars >= self.min_history
 
     def extend(self, price: float) -> None:
         """Append one bar without deciding (warm-up feeding)."""
-        self._prices.append(float(price))
-        self._coeffs.append(self._coeff_row())
+        price = float(price)
+        if not 0.0 < price < math.inf:
+            raise NonPositivePrice(self.n_bars + 1, f"price {price}")
+        self._prices.push(price)
+        self._coeffs.push(coeff_row(self._prices.window(self._support), self._taps, self._sign))
+        self.n_bars += 1
 
-    def _coeff_row(self) -> np.ndarray:
-        t = len(self._prices) - 1
-        row = np.full(self.levels, np.nan)
-        sign = -1.0 if self.cfg.invert_sign else 1.0
-        for m in range(1, self.levels + 1):
-            taps = self.filter.dilated(self.levels - m + 1)
-            s = len(taps)
-            if t >= s - 1:
-                window = np.asarray(self._prices[t - s + 1 : t + 1])
-                row[m - 1] = sign * float(taps @ window)
-        return row
+    def _window(self, t: int) -> np.ndarray:
+        """Coefficient rows of the fit window ending at bar t."""
+        return self._coeffs.window(self.cfg.calib_len, self.n_bars - 1 - t)
 
     def _density_at(self, t: int, allow_reuse: bool = False):
-        """Mode-1 density for the fit window ending at bar t (cached); None
-        when the window is degenerate or the density non-normalizable.
+        """Mode-1 density for the fit window ending at bar t; None when the
+        window is degenerate or the density non-normalizable.
 
-        With refit_stride > 1 the frontier bar may reuse the most recent
-        fitted density instead of refitting (``allow_reuse``); displaced
-        lookups always get the exact historical fit."""
-        if t in self._densities:
-            return self._densities[t]
-        if allow_reuse and 0 <= self._last_fit_bar and t - self._last_fit_bar < self.refit_stride:
-            dens = self._densities.get(self._last_fit_bar)
-        else:
-            window = np.asarray(self._coeffs[t - self.cfg.calib_len + 1 : t + 1])
-            try:
-                model = fit_model(window, degree=self.degree, dt=self.dt)
-                dens = stationary_density(model, mode=1, span=self.grid_span, n_grid=self.n_grid)
-            except (DegenerateWindow, NonIntegrable):
-                dens = None
-            if allow_reuse:
-                self._last_fit_bar = t
-        self._densities[t] = dens
-        stale = t - self.cfg.displacement - 2  # nothing older is ever looked up again
-        self._densities.pop(stale, None)
+        A frontier lookup (``allow_reuse``) keeps its exact fit for the
+        displaced lookup shift_len bars later. With refit_stride > 1 it may
+        instead reuse the most recent frontier fit; a reused density is never
+        kept under t, so a lookup without reuse always gets the exact fit of
+        bar t's own window."""
+        if allow_reuse and t - self._last_fit_bar < self.cfg.refit_stride:
+            return self._last_fit
+        if t in self._fits:
+            return self._fits.pop(t)  # a kept fit has exactly one displaced lookup
+        try:
+            model = fit_model(self._window(t), degree=self.cfg.degree, dt=1.0)
+            dens = stationary_density(model, mode=1, span=self.cfg.grid_span, n_grid=self.cfg.n_grid)
+        except (DegenerateWindow, NonIntegrable):
+            dens = None
+        if allow_reuse:
+            self._fits[t] = self._last_fit = dens
+            self._last_fit_bar = t
         return dens
 
     def step(self, price: float) -> Signal:
@@ -207,17 +231,15 @@ class SignalEngine:
         return self._decide_bar(t)
 
     def _decide_bar(self, t: int) -> Signal:
-        y1_now = self._coeffs[t][0]
-        y1_prev = self._coeffs[t - 1][0]
-        dy1 = float(y1_now - y1_prev)
+        window = self._window(t)
+        dy1 = float(window[-1, 0] - window[-2, 0])
         d_now = self._density_at(t, allow_reuse=True)
         d_shift = self._density_at(t - self.cfg.displacement)
         if d_now is None or d_shift is None:
             self.degenerate_bars += 1
             return Signal(Action.HOLD, 0.5, dy1, gated=True)
-        sample_points = np.asarray(self._coeffs[t - self.cfg.calib_len + 1 : t + 1])[:, 0]
         stat, ks_pass = ks_quasistationarity(
-            d_now, d_shift, sample_points, alpha2=self.cfg.alpha2, k_override=self.ks_k
+            d_now, d_shift, window[:, 0], alpha2=self.cfg.alpha2, k_override=self.cfg.ks_k
         )
         if self.cfg.density_mode == "convolution":
             try:

@@ -10,7 +10,6 @@ logic only runs while the two are statistically indistinguishable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -145,11 +144,3 @@ def ks_quasistationarity(
     k = ks_threshold_constant(alpha2) if k_override is None else float(k_override)
     return stat, bool(stat < k / math.sqrt(n))
 
-
-def write_density(d: StationaryDensity, path) -> None:
-    """Dump for plotting, one row per grid node: ``y,pdf,cdf``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["y", "pdf", "cdf"])
-        for y, p, c in zip(d.grid, d.pdf, d.cdf):
-            w.writerow([repr(float(y)), repr(float(p)), repr(float(c))])

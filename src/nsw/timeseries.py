@@ -29,7 +29,7 @@ DEFAULT_BAR_INTERVAL = 60.0
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Uniformly spaced, strictly positive price bars for one instrument.
+    """Uniformly spaced, strictly positive, finite price bars for one instrument.
 
     ``timestamps`` are epoch seconds, strictly increasing with spacing equal
     to ``bar_interval``. Arrays are frozen after construction so instances can
@@ -48,7 +48,7 @@ class PriceSeries:
             raise ParseError(0, "timestamp/price columns have mismatched shapes")
         if len(ts) < 2:
             raise ParseError(len(ts), "need at least 2 bars")
-        bad = np.nonzero(px <= 0)[0]
+        bad = np.nonzero(~((px > 0) & (px < math.inf)))[0]
         if bad.size:
             raise NonPositivePrice(int(bad[0]) + 1, f"price {px[bad[0]]}")
         steps = np.diff(ts)
@@ -77,34 +77,6 @@ class PriceSeries:
         return replace(self, prices=self.prices * factor)
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """Realization of an Ito diffusion on a uniform grid of step ``dt``.
-
-    ``values`` has shape (n_steps + 1, dims); regeneration with the same seed
-    is bit-identical.
-    """
-
-    values: np.ndarray
-    dt: float
-    seed: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim == 1:
-            v = v[:, None]
-        if len(v) < 2:
-            raise InvalidStep("path must contain at least 2 points")
-        if self.dt <= 0:
-            raise InvalidStep(f"dt must be positive, got {self.dt}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
-
-
 def load_bars(path, columns=None, symbol=None, gap_policy="reject") -> PriceSeries:
     """Read a delimited bar file (header row, ``timestamp,price`` columns).
 
@@ -130,7 +102,7 @@ def load_bars(path, columns=None, symbol=None, gap_policy="reject") -> PriceSeri
                 p = float(rec[colmap["price"]])
             except (TypeError, ValueError) as exc:
                 raise ParseError(i, str(exc)) from exc
-            if p <= 0:
+            if not 0 < p < math.inf:
                 raise NonPositivePrice(i, f"price {p}")
             if ts and t <= ts[-1]:
                 raise NonMonotonicTimestamp(i, f"timestamp {t} after {ts[-1]}")
@@ -167,12 +139,13 @@ def write_bars(series: PriceSeries, path) -> None:
             w.writerow([int(t), repr(float(p))])
 
 
-def simulate_sde(drift, diffusion, y0, dt, n_steps, seed) -> SamplePath:
+def simulate_sde(drift, diffusion, y0, dt, n_steps, seed) -> np.ndarray:
     """Euler-Maruyama integration of dY = F(Y) dt + G(Y) dW (diagonal noise).
 
     ``drift`` and ``diffusion`` map an (dims,) state to (dims,) values;
-    scalars broadcast. Gaussian variates come from NumPy's PCG64 generator
-    seeded with ``seed``, so identical inputs reproduce the path bit-exactly.
+    scalars broadcast. Returns the path, shape (n_steps + 1, dims). Gaussian
+    variates come from NumPy's PCG64 generator seeded with ``seed``, so
+    identical inputs reproduce the path bit-exactly.
     """
     if dt <= 0:
         raise InvalidStep(f"dt must be positive, got {dt}")
@@ -186,13 +159,12 @@ def simulate_sde(drift, diffusion, y0, dt, n_steps, seed) -> SamplePath:
     out = np.empty((n_steps + 1, dims))
     out[0] = y
     for k in range(n_steps):
-        f = np.broadcast_to(np.asarray(drift(y), dtype=np.float64), (dims,))
-        g = np.broadcast_to(np.asarray(diffusion(y), dtype=np.float64), (dims,))
+        g = diffusion(y)
         if np.any(g < 0):
             raise NegativeDiffusion(f"diffusion returned {g} at step {k}")
-        y = y + f * dt + g * sq_dt * noise[k]
-        out[k + 1] = y
-    return SamplePath(values=out, dt=float(dt), seed=int(seed))
+        y = y + drift(y) * dt + g * sq_dt * noise[k]
+        out[k + 1] = y  # a drift or diffusion of the wrong shape fails to broadcast here
+    return out
 
 
 def make_ou_price_series(
@@ -211,8 +183,7 @@ def make_ou_price_series(
     log p(t) = log(base_price) + trend*t + x(t) with dx = -rate*x dt + vol dW,
     one model time unit per bar.
     """
-    path = simulate_sde(lambda y: -rate * y, lambda y: vol, [0.0], 1.0, n_bars - 1, seed)
-    x = path.values[:, 0]
+    x = simulate_sde(lambda y: -rate * y, lambda y: vol, [0.0], 1.0, n_bars - 1, seed)[:, 0]
     t_idx = np.arange(n_bars)
     prices = base_price * np.exp(trend * t_idx + x)
     timestamps = start_time + t_idx * int(round(bar_interval))

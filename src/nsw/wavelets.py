@@ -10,14 +10,13 @@ prices have just declined.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfRange, SeriesTooShort, UnsupportedFamily
+from .errors import SeriesTooShort, UnsupportedFamily
 from .timeseries import PriceSeries
 
 FAMILIES = ("haar", "daubechies", "battle_lemarie")
@@ -76,19 +75,6 @@ class WaveletCoeffSeries:
 
     def __len__(self):
         return len(self.coeffs)
-
-    def mode(self, mode: int) -> np.ndarray:
-        """Values of one mode, 1-based; mode 1 = lowest frequency."""
-        if not 1 <= mode <= self.levels:
-            raise OutOfRange(f"mode {mode} not in 1..{self.levels}")
-        return self.coeffs[:, mode - 1]
-
-    def window(self, end: int, length: int) -> np.ndarray:
-        """Trailing slice of coefficient rows ending at bar ``end`` inclusive."""
-        start = end - length + 1
-        if start < self.valid_from or end >= len(self):
-            raise OutOfRange(f"window [{start}, {end}] outside valid range")
-        return self.coeffs[start : end + 1]
 
 
 def _haar_taps():
@@ -194,46 +180,39 @@ def make_wavelet(family, order=None) -> WaveletFilter:
     raise UnsupportedFamily(f"unknown wavelet family {family!r}")
 
 
-def transform(series, filt: WaveletFilter, levels: int, invert_sign=False) -> WaveletCoeffSeries:
-    """Sliding coefficient vectors for ``levels`` dyadic scales.
+def mode_taps(filt: WaveletFilter, levels: int) -> list:
+    """Dilated taps per mode: mode m (index m-1) uses dilation level
+    ``levels - m + 1``, so mode 1 is the coarsest retained scale."""
+    return [filt.dilated(levels - j) for j in range(levels)]
 
-    Mode m (1-based, column m-1) uses dilation level ``levels - m + 1``, so
-    mode 1 is the coarsest retained scale. Each coefficient is the inner
-    product of the dilated taps with the most recent samples ending at that
-    bar, which keeps the transform strictly causal.
+
+def coeff_row(prices, taps_by_mode, sign=1.0) -> np.ndarray:
+    """Coefficient vector Y(t) of the newest bar in ``prices``.
+
+    Each mode is the inner product of its dilated taps with the most recent
+    samples, so the row is strictly causal; a mode whose support is longer
+    than the history is NaN.
     """
+    n = len(prices)
+    row = np.full(len(taps_by_mode), np.nan)
+    for j, taps in enumerate(taps_by_mode):
+        s = len(taps)
+        if n >= s:
+            row[j] = sign * float(taps @ prices[n - s :])  # taps[0] hits the oldest sample
+    return row
+
+
+def transform(series, filt: WaveletFilter, levels: int, invert_sign=False) -> WaveletCoeffSeries:
+    """Sliding coefficient vectors for ``levels`` dyadic scales: ``coeff_row``
+    at every bar from the first one the coarsest support covers."""
     x = series.prices if isinstance(series, PriceSeries) else np.asarray(series, dtype=np.float64)
     n = len(x)
     support = filt.support_at(levels)
     if n < support:
         raise SeriesTooShort(f"need at least {support} bars for {levels} levels, got {n}")
-    coeffs = np.full((n, levels), np.nan)
-    valid_from = support - 1
+    taps = mode_taps(filt, levels)
     sign = -1.0 if invert_sign else 1.0
-    for m in range(1, levels + 1):
-        level = levels - m + 1
-        taps = filt.dilated(level)
-        s = len(taps)
-        vals = sign * np.correlate(x, taps, mode="valid")  # taps[0] hits the oldest sample
-        coeffs[s - 1 :, m - 1] = vals
-    coeffs[:valid_from] = np.nan
-    return WaveletCoeffSeries(levels=levels, coeffs=coeffs, valid_from=valid_from)
-
-
-def coeff_increment(coeffs: WaveletCoeffSeries, mode: int, t: int) -> float:
-    """dY_mode(t) = Y_mode(t) - Y_mode(t-1); defined for t > valid_from."""
-    if not 1 <= mode <= coeffs.levels:
-        raise OutOfRange(f"mode {mode} not in 1..{coeffs.levels}")
-    if not coeffs.valid_from < t < len(coeffs):
-        raise OutOfRange(f"t={t} outside ({coeffs.valid_from}, {len(coeffs) - 1}]")
-    col = coeffs.coeffs[:, mode - 1]
-    return float(col[t] - col[t - 1])
-
-
-def write_coeffs(coeffs: WaveletCoeffSeries, path) -> None:
-    """Diagnostic dump, one row per bar: ``t,Y1,...,YJ``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"Y{j}" for j in range(1, coeffs.levels + 1)])
-        for t in range(len(coeffs)):
-            w.writerow([t] + [repr(float(v)) for v in coeffs.coeffs[t]])
+    coeffs = np.full((n, levels), np.nan)
+    for t in range(support - 1, n):
+        coeffs[t] = coeff_row(x[: t + 1], taps, sign)
+    return WaveletCoeffSeries(levels=levels, coeffs=coeffs, valid_from=support - 1)

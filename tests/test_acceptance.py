@@ -35,7 +35,7 @@ def _report(num, ok, detail):
 def test_criterion_1_ou_recovery():
     t0 = time.monotonic()
     path = simulate_sde(lambda y: -y, lambda y: 0.5, [0.0], 0.01, 100_000, seed=20090101)
-    model = fit_model(path.values, degree=3, dt=0.01)
+    model = fit_model(path, degree=3, dt=0.01)
     std = model.basis.std[0]
     lam = model.drift_coeffs[0]
     linear = lam[1] / std  # He1 coefficient mapped back to raw coordinates
@@ -77,7 +77,7 @@ def test_criterion_3_ks_gate_calibration():
     stats = []
     for seed in range(1000):
         path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], dt, burn + 2 * n + gap, seed=seed)
-        w = path.values[:, 0]
+        w = path[:, 0]
         w1, w2 = w[burn : burn + n], w[burn + n + gap : burn + 2 * n + gap]
         try:
             d1 = stationary_density(fit_model(w1[:, None], degree=1, dt=dt))
@@ -211,9 +211,9 @@ def test_criterion_7_backtest_accounting():
     product_err = abs(report.final_z - expected)
 
     full_series = make_ou_price_series(400, seed=9, rate=0.05, vol=0.02)
-    eng_cfg = SignalConfig(calib_len=32, shift_len=8)
-    full = SignalEngine(eng_cfg, n_grid=256).run(full_series)
-    pre = SignalEngine(eng_cfg, n_grid=256).run(full_series.prefix(300))
+    eng_cfg = SignalConfig(calib_len=32, shift_len=8, n_grid=256)
+    full = SignalEngine(eng_cfg).run(full_series)
+    pre = SignalEngine(eng_cfg).run(full_series.prefix(300))
     replay_ok = full.signals[: len(pre.signals)] == pre.signals
     ok = product_err < 1e-12 and replay_ok
     _report(7, ok, f"three-round-trip product error {product_err:.2e} < 1e-12, prefix replay bit-identical")

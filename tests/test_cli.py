@@ -69,6 +69,13 @@ class TestBacktestCmd:
         res = runner.invoke(main, ["backtest", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
+    def test_nan_price_exit_2(self, runner, tmp_path):
+        bars = tmp_path / "nan.csv"
+        bars.write_text("timestamp,price\n0,1.0\n60,nan\n120,1.0\n")
+        res = runner.invoke(main, ["backtest", "--data", str(bars), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "row 2" in res.output
+
     def test_unknown_config_key_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 3\n")

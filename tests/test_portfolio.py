@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from nsw.errors import DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPSD, TooShort, WindowTooShort
+from nsw.errors import NegativeVariance, NonPositiveEquity, NotPSD, TooShort, WindowTooShort
 from nsw.portfolio import (
     MomentEstimate,
     ParcelWeights,
     estimate_moments,
-    higher_moment_diagnostic,
     log_returns,
     objective_P,
     optimize_parcel,
@@ -272,26 +271,3 @@ class TestParcelWeights:
     def test_rejects_oversum(self):
         with pytest.raises(ValueError):
             ParcelWeights(np.array([0.7, 0.7]))
-
-
-class TestHigherMoments:
-    def test_gaussian_ratios_small(self):
-        rng = np.random.default_rng(11)
-        streams = rng.normal(size=(2, 1_000_000))
-        diag = higher_moment_diagnostic(streams)
-        assert diag.max_third < 0.01
-        assert diag.max_fourth < 0.01
-
-    def test_exponential_skew_detected(self):
-        rng = np.random.default_rng(12)
-        stream = rng.exponential(scale=1.0, size=200_000)
-        diag = higher_moment_diagnostic([stream])
-        assert diag.max_third > 0.1
-
-    def test_constant_stream_degenerate(self):
-        with pytest.raises(DegenerateWindow):
-            higher_moment_diagnostic([np.ones(500)])
-
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            higher_moment_diagnostic([np.ones(50)])

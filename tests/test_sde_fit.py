@@ -11,7 +11,6 @@ from nsw.sde_fit import (
     eval_diffusion,
     eval_drift,
     fit_model,
-    format_model,
     hermite_eval,
     make_basis,
 )
@@ -54,7 +53,7 @@ class TestHermiteEval:
 class TestFitModel:
     def test_ou_recovery(self):
         path = simulate_sde(lambda y: -y, lambda y: 0.5, [0.0], 0.01, 100_000, seed=17)
-        m = fit_model(path.values, degree=1, dt=0.01)
+        m = fit_model(path, degree=1, dt=0.01)
         lam1 = m.drift_coeffs[0, 1]
         std = m.basis.std[0]
         assert abs(lam1 + std) / std < 0.10  # He1 coefficient ~ -std in standardized coordinates
@@ -73,14 +72,14 @@ class TestFitModel:
 
     def test_double_well_sign_pattern(self):
         path = simulate_sde(lambda y: y - y**3, lambda y: 0.5, [1.0], 0.01, 200_000, seed=23)
-        m = fit_model(path.values, degree=3, dt=0.01)
+        m = fit_model(path, degree=3, dt=0.01)
         poly = drift_polynomial(m)  # raw-coordinate power series
         assert poly[1] > 0  # linear term positive
         assert poly[3] < 0  # cubic term negative
 
     def test_residual_orthogonality(self):
         path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], 0.05, 5_000, seed=2)
-        w = path.values
+        w = path
         m = fit_model(w, degree=3, dt=0.05)
         design = hermite_eval(m.basis, w[:-1])
         resid = np.diff(w, axis=0) / 0.05 - design @ m.drift_coeffs.T
@@ -99,7 +98,7 @@ class TestFitModel:
     def test_self_consistency(self):
         # fit, simulate the fitted model, refit: coefficients within 15%
         path = simulate_sde(lambda y: -y, lambda y: 0.8, [0.0], 0.02, 60_000, seed=31)
-        m1 = fit_model(path.values, degree=1, dt=0.02)
+        m1 = fit_model(path, degree=1, dt=0.02)
 
         def drift(y):
             return eval_drift(m1, y)
@@ -108,7 +107,7 @@ class TestFitModel:
             return eval_diffusion(m1, y)
 
         path2 = simulate_sde(drift, diff, [0.0], 0.02, 60_000, seed=32)
-        m2 = fit_model(path2.values, degree=1, dt=0.02)
+        m2 = fit_model(path2, degree=1, dt=0.02)
         a1 = m1.drift_coeffs[0, 1] / m1.basis.std[0]
         a2 = m2.drift_coeffs[0, 1] / m2.basis.std[0]
         assert abs(a1 - a2) / abs(a1) < 0.15
@@ -124,7 +123,7 @@ class TestFitModel:
 
     def test_drift_near_zero_at_mean(self):
         path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], 0.05, 20_000, seed=5)
-        w = path.values
+        w = path
         m = fit_model(w, degree=3, dt=0.05)
         design = hermite_eval(m.basis, w[:-1])
         resid = np.diff(w, axis=0)[:, 0] / 0.05 - design @ m.drift_coeffs[0]
@@ -156,9 +155,3 @@ class TestEval:
                      diff_coeffs=np.array([[-2.0, 1.0, 0.5, -0.3]]),
                      dt=1.0, calib_len=64, diffusion_floor=1e-3)
         assert eval_diffusion(m, np.array([y]))[0] >= 1e-3
-
-    def test_format_model_round_trip_fields(self):
-        path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], 0.05, 500, seed=5)
-        m = fit_model(path.values, degree=2, dt=0.05)
-        text = format_model(m)
-        assert "drift[0]" in text and "diff2[0]" in text and "dims=1" in text

@@ -1,11 +1,17 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsw.errors import NotWarmedUp
+from nsw.errors import DegenerateWindow, NonIntegrable, NotWarmedUp
+from nsw.sde_fit import fit_model
 from nsw.signals import Action, Signal, SignalConfig, SignalEngine, decide, write_signals
+from nsw.stationary import stationary_density
 from nsw.timeseries import make_ou_price_series
+from nsw.wavelets import make_wavelet, transform
 
 from conftest import series_from_prices
 
@@ -83,8 +89,7 @@ class TestSignalTypes:
 
 
 def small_engine(**kw):
-    cfg = kw.pop("cfg", SignalConfig(calib_len=32, shift_len=8))
-    return SignalEngine(cfg=cfg, n_grid=256, **kw)
+    return SignalEngine(SignalConfig(**{"calib_len": 32, "shift_len": 8, "n_grid": 256, **kw}))
 
 
 class TestEngine:
@@ -139,17 +144,69 @@ class TestEngine:
 
     def test_convolution_mode_runs(self):
         series = make_ou_price_series(300, seed=2, rate=0.05, vol=0.02)
-        cfg = SignalConfig(calib_len=32, shift_len=8, density_mode="convolution")
-        trace = small_engine(cfg=cfg).run(series)
+        trace = small_engine(density_mode="convolution").run(series)
         assert len(trace.signals) > 0
         for s in trace.signals:
             assert 0.0 <= s.p_s <= 1.0
 
     def test_refit_stride_reuses_density(self):
-        series = make_ou_price_series(300, seed=2, rate=0.05, vol=0.02)
-        t1 = small_engine().run(series)
-        t4 = small_engine(refit_stride=4).run(series)
-        assert len(t1.signals) == len(t4.signals)
+        # frontier bars reuse the latest fit, but every displaced lookup must
+        # get the exact fit of its own window, never a reused one
+        series = make_ou_price_series(600, seed=2, rate=0.05, vol=0.02)
+        eng = small_engine(refit_stride=4)
+        displaced = []
+        lookup = eng._density_at
+
+        def spy(t, allow_reuse=False):
+            dens = lookup(t, allow_reuse)
+            if not allow_reuse:
+                displaced.append((t, dens))
+            return dens
+
+        eng._density_at = spy
+        trace = eng.run(series)
+        assert len(trace.signals) == len(small_engine().run(series).signals) == len(displaced)
+        coeffs = transform(series, make_wavelet("haar"), 2).coeffs
+        for t, dens in displaced:
+            try:
+                fresh = stationary_density(fit_model(coeffs[t - 31 : t + 1], degree=3), mode=1, n_grid=256)
+            except (DegenerateWindow, NonIntegrable):
+                fresh = None
+            if fresh is None:
+                assert dens is None, t
+            else:
+                assert dens is not None and dens.p_s == fresh.p_s and np.array_equal(dens.pdf, fresh.pdf), t
+
+    @pytest.mark.parametrize("invert_sign", [False, True])
+    @pytest.mark.parametrize("wavelet", ["haar", "db2", "db3", "bl1", "bl2", "bl3"])
+    def test_rows_equal_transform(self, wavelet, invert_sign):
+        series = make_ou_price_series(1200, seed=3, rate=0.05, vol=0.02)
+        eng = SignalEngine(SignalConfig(wavelet=wavelet, invert_sign=invert_sign))
+        rows = []
+        for price in series.prices:
+            eng.extend(price)
+            rows.append(eng._coeffs.window(1)[0].copy())
+        co = transform(series, make_wavelet(wavelet), 2, invert_sign=invert_sign)
+        assert np.array_equal(np.array(rows)[co.valid_from :], co.coeffs[co.valid_from :])
+
+    def test_history_memory_bounded(self):
+        # retained heap after 2 000 and 20 000 fed bars must match
+        prices = 100.0 + np.sin(np.arange(20_000) / 7.0)
+
+        def retained(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                eng = SignalEngine(SignalConfig())
+                for price in prices[:n]:
+                    eng.extend(price)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        short, long = retained(2_000), retained(20_000)
+        assert long - short < 4096, (short, long)
 
     def test_write_signals(self, tmp_path):
         series = series_from_prices(np.full(60, 12.0))

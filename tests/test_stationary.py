@@ -11,7 +11,6 @@ from nsw.stationary import (
     ks_quasistationarity,
     ks_threshold_constant,
     stationary_density,
-    write_density,
 )
 from nsw.timeseries import simulate_sde
 
@@ -67,20 +66,12 @@ class TestStationaryDensity:
 
     def test_fitted_model_density(self):
         path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], 0.05, 40_000, seed=13)
-        m = fit_model(path.values, degree=1, dt=0.05)
+        m = fit_model(path, degree=1, dt=0.05)
         d = stationary_density(m)
         # true stationary std is sqrt(1/2)
         mean = np.trapezoid(d.grid * d.pdf, d.grid)
         var = np.trapezoid((d.grid - mean) ** 2 * d.pdf, d.grid)
         assert abs(math.sqrt(var) - math.sqrt(0.5)) < 0.05
-
-    def test_write_density(self, tmp_path):
-        m = analytic_model_1d([0.0, -1.0], [1.0])
-        d = stationary_density(m, n_grid=64)
-        path = tmp_path / "d.csv"
-        write_density(d, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "y,pdf,cdf"
 
 
 class TestConvolution:
@@ -179,7 +170,7 @@ class TestKsGate:
 def _gate_trial(seed, k=None, dt=1.8, degree=1):
     n, burn, gap = 64, 100, 16
     path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], dt, burn + 2 * n + gap, seed=seed)
-    w = path.values[:, 0]
+    w = path[:, 0]
     w1 = w[burn : burn + n]
     w2 = w[burn + n + gap : burn + 2 * n + gap]
     try:

@@ -11,6 +11,7 @@ from nsw.errors import (
     NonPositivePrice,
     NonUniformSpacing,
 )
+from nsw.signals import SignalConfig, SignalEngine
 from nsw.timeseries import PriceSeries, load_bars, make_ou_price_series, simulate_sde, write_bars
 
 from conftest import series_from_prices
@@ -82,40 +83,62 @@ class TestPriceSeries:
         assert np.array_equal(s.prefix(3).prices, [1.0, 2.0, 3.0])
 
 
+def _via_price_series(tmp_path, bad):
+    series_from_prices([1.0, bad, 2.0])
+
+
+def _via_load_bars(tmp_path, bad):
+    load_bars(_write(tmp_path, f"timestamp,price\n0,1.0\n60,{bad}\n120,2.0\n"))
+
+
+def _via_engine(tmp_path, bad):
+    engine = SignalEngine(SignalConfig())
+    engine.extend(1.0)
+    engine.extend(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("entry", [_via_price_series, _via_load_bars, _via_engine])
+def test_non_finite_price_rejected(tmp_path, entry, bad):
+    with pytest.raises(NonPositivePrice) as exc:
+        entry(tmp_path, bad)
+    assert exc.value.row == 2
+
+
 class TestSimulateSde:
     def test_deterministic_decay(self):
         path = simulate_sde(lambda y: -y, lambda y: 0.0, [1.0], 0.1, 1, seed=0)
-        assert path.values[1, 0] == pytest.approx(0.9, abs=0.0)
+        assert path[1, 0] == pytest.approx(0.9, abs=0.0)
 
     def test_seed_determinism(self):
         a = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], 0.01, 500, seed=42)
         b = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], 0.01, 500, seed=42)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=20, deadline=None)
     def test_seed_determinism_property(self, seed):
         a = simulate_sde(lambda y: 0.3 - y, lambda y: 0.7, [0.2], 0.05, 50, seed=seed)
         b = simulate_sde(lambda y: 0.3 - y, lambda y: 0.7, [0.2], 0.05, 50, seed=seed)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_zero_diffusion_matches_explicit_euler(self):
         path = simulate_sde(lambda y: np.sin(y) - y, lambda y: 0.0, [0.7], 0.02, 300, seed=1)
         y = np.array([0.7])
         for k in range(300):
             y = y + (np.sin(y) - y) * 0.02
-            assert abs(path.values[k + 1, 0] - y[0]) < 1e-12
+            assert abs(path[k + 1, 0] - y[0]) < 1e-12
 
     def test_ou_stationary_variance(self):
         # dY = -Y dt + 1 dW has stationary variance 1/2
         path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], 0.01, 1_000_000, seed=7)
-        v = path.values[10_000:, 0].var()
+        v = path[10_000:, 0].var()
         assert abs(v - 0.5) / 0.5 < 0.05
 
     def test_ou_lag1_autocorrelation(self):
         dt = 0.05
         path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], dt, 1_000_000, seed=3)
-        x = path.values[10_000:, 0]
+        x = path[10_000:, 0]
         x = x - x.mean()
         rho = (x[1:] @ x[:-1]) / (x @ x)
         assert abs(rho - np.exp(-dt)) / np.exp(-dt) < 0.02
@@ -132,4 +155,10 @@ class TestSimulateSde:
 
     def test_multidimensional(self):
         path = simulate_sde(lambda y: -y, lambda y: np.array([1.0, 2.0]), [0.0, 0.0], 0.01, 100, seed=9)
-        assert path.values.shape == (101, 2)
+        assert path.shape == (101, 2)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError):
+            simulate_sde(lambda y: np.zeros(3), lambda y: 1.0, [0.0, 0.0], 0.01, 5, seed=0)
+        with pytest.raises(ValueError):
+            simulate_sde(lambda y: -y, lambda y: np.ones(2), [0.0], 0.01, 5, seed=0)

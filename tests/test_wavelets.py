@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsw.errors import OutOfRange, SeriesTooShort, UnsupportedFamily
-from nsw.wavelets import coeff_increment, make_wavelet, transform, write_coeffs
+from nsw.errors import SeriesTooShort, UnsupportedFamily
+from nsw.signals import SignalConfig, SignalEngine
+from nsw.wavelets import make_wavelet, transform
+
+from conftest import series_from_prices
 
 ALL_SPECS = [("haar", None), ("daubechies", 2), ("daubechies", 3),
              ("battle_lemarie", 1), ("battle_lemarie", 2), ("battle_lemarie", 3)]
@@ -126,38 +129,28 @@ class TestTransform:
 
 
 class TestIncrements:
-    def _coeffs(self):
-        x = np.cumsum(np.random.default_rng(6).normal(size=60)) + 40
-        return transform(x, make_wavelet("haar"), 2)
+    """dY_1(t) = Y_1(t) - Y_1(t-1), the increment the trade rule reads, as the
+    engine reports it on each decided bar."""
+
+    def _decided(self, x):
+        engine = SignalEngine(SignalConfig(calib_len=32, shift_len=8, n_grid=256))
+        return engine.run(series_from_prices(x))
 
     def test_constant_increment_zero(self):
-        co = transform(np.full(20, 5.0), make_wavelet("haar"), 1)
-        assert coeff_increment(co, 1, co.valid_from + 2) == 0.0
+        trace = self._decided(np.full(60, 5.0))
+        assert trace.signals and all(s.dy1 == 0.0 for s in trace.signals)
 
     def test_simple_difference(self):
-        co = self._coeffs()
-        t = co.valid_from + 3
-        expected = co.coeffs[t, 0] - co.coeffs[t - 1, 0]
-        assert coeff_increment(co, 1, t) == pytest.approx(expected, abs=0.0)
+        x = np.cumsum(np.random.default_rng(6).normal(size=80)) + 40
+        co = transform(x, make_wavelet("haar"), 2).coeffs
+        trace = self._decided(x)
+        for i, s in enumerate(trace.signals):
+            t = trace.start + i
+            assert s.dy1 == co[t, 0] - co[t - 1, 0]
 
     def test_telescoping_sum(self):
-        co = self._coeffs()
-        total = sum(coeff_increment(co, 2, t) for t in range(co.valid_from + 1, len(co)))
-        assert total == pytest.approx(co.coeffs[-1, 1] - co.coeffs[co.valid_from, 1], abs=1e-10)
-
-    def test_out_of_range(self):
-        co = self._coeffs()
-        with pytest.raises(OutOfRange):
-            coeff_increment(co, 1, co.valid_from)
-        with pytest.raises(OutOfRange):
-            coeff_increment(co, 3, co.valid_from + 1)
-        with pytest.raises(OutOfRange):
-            coeff_increment(co, 1, len(co))
-
-    def test_write_coeffs(self, tmp_path):
-        co = self._coeffs()
-        path = tmp_path / "c.csv"
-        write_coeffs(co, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,Y1,Y2"
-        assert len(lines) == len(co) + 1
+        x = np.cumsum(np.random.default_rng(6).normal(size=80)) + 40
+        co = transform(x, make_wavelet("haar"), 2).coeffs
+        trace = self._decided(x)
+        total = sum(s.dy1 for s in trace.signals)
+        assert total == pytest.approx(co[-1, 0] - co[trace.start - 1, 0], abs=1e-10)
