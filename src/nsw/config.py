@@ -18,7 +18,6 @@ from .signals import SignalConfig
 class RunConfig(SignalConfig):
     """The engine's SignalConfig plus the run, data and parcel fields."""
 
-    shift_len: int | None = 64  # the protocol's displacement T, set explicitly
     # parcel
     theta: float = 0.25
     rebalance_len: int = 256  # T1
@@ -44,8 +43,8 @@ class RunConfig(SignalConfig):
             raise ConfigError("rebalance_len and n_bars must be >= 2")
         if self.horizon is not None and self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if not self.bar_interval > 0.0:
-            raise ConfigError(f"bar_interval must be positive, got {self.bar_interval}")
+        if not (self.bar_interval > 0.0 and float(self.bar_interval).is_integer()):  # timestamps are whole seconds
+            raise ConfigError(f"bar_interval must be a positive whole number of seconds, got {self.bar_interval}")
         if not self.cost_bps >= 0.0:
             raise ConfigError(f"cost_bps must be >= 0, got {self.cost_bps}")
 

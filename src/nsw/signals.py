@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWindow, GridMismatch, NonIntegrable, NonPositivePrice, NotWarmedUp
+from .errors import (ConfigError, DegenerateWindow, GridMismatch, NonIntegrable, NonPositivePrice, NotWarmedUp,
+                     UnsupportedFamily)
 from .sde_fit import fit_model
 from .stationary import density_convolution, ks_quasistationarity, stationary_density
 from .timeseries import PriceSeries
@@ -46,9 +47,9 @@ class Signal:
 class SignalConfig:
     """Every parameter the signal engine reads.
 
-    calib_len is the rolling fit window T0 (32-64 bars); shift_len is the
-    displacement T used by the stationarity comparison and defaults to
-    calib_len when left as None.
+    calib_len is the rolling fit window T0 (32-64 bars, and two rows per
+    Hermite term of the fit at least); shift_len is the displacement T used
+    by the stationarity comparison.
     """
 
     # wavelet bank
@@ -59,9 +60,8 @@ class SignalConfig:
     # SDE fit
     degree: int = 3  # max Hermite total degree (K)
     calib_len: int = 64  # rolling fit window T0, 32..64
-    refit_stride: int = 1
     # stationary density / gate
-    shift_len: int | None = None  # stationarity displacement T
+    shift_len: int = 64  # stationarity displacement T
     density_mode: str = "plain"  # plain | convolution
     ks_k: float | None = None  # override for the Kolmogorov constant
     grid_span: float = 5.0
@@ -73,22 +73,22 @@ class SignalConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha1 < 0.5 or not 0.0 < self.alpha2 < 0.5:
             raise ConfigError(f"alpha levels must be in (0, 0.5): {self.alpha1}, {self.alpha2}")
-        if self.calib_len < 32:
-            raise ConfigError(f"calib_len must be >= 32, got {self.calib_len}")
         if self.levels < 1 or self.degree < 1:
             raise ConfigError("levels and degree must be >= 1")
+        min_calib = max(32, 2 * math.comb(self.levels + self.degree, self.degree))
+        if self.calib_len < min_calib:
+            raise ConfigError(f"calib_len must be >= {min_calib} with levels={self.levels}, degree={self.degree}, "
+                              f"got {self.calib_len}")
         if self.density_mode not in ("plain", "convolution"):
             raise ConfigError(f"density_mode must be plain|convolution, got {self.density_mode!r}")
-        if self.shift_len is not None and self.shift_len < 1:
+        if self.shift_len < 1:
             raise ConfigError(f"shift_len must be >= 1, got {self.shift_len}")
-        if self.refit_stride < 1:
-            raise ConfigError(f"refit_stride must be >= 1, got {self.refit_stride}")
         if self.n_grid < 2:
             raise ConfigError(f"n_grid must be >= 2, got {self.n_grid}")
-
-    @property
-    def displacement(self) -> int:
-        return self.calib_len if self.shift_len is None else self.shift_len
+        try:
+            make_wavelet(self.wavelet, self.wavelet_order or None)
+        except UnsupportedFamily as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def decide(dy1: float, p_s: float, ks_pass: bool, cfg: SignalConfig) -> Signal:
@@ -168,10 +168,10 @@ class SignalEngine:
         self._prices = _Trailing(self._support)
         # one (levels,) row per bar, NaN while unsupported; enough rows for
         # the current and the displaced fit window
-        self._coeffs = _Trailing(cfg.calib_len + cfg.displacement + 1, (cfg.levels,))
-        self._fits: dict[int, object] = {}  # frontier bar -> exact density or None, until its displaced lookup
-        self._last_fit_bar = -cfg.refit_stride
-        self._last_fit = None
+        self._coeffs = _Trailing(cfg.calib_len + cfg.shift_len + 1, (cfg.levels,))
+        # (bar, density or None) in slot bar % (shift_len + 1): the newest
+        # shift_len + 1 densities, enough to reach each decision's displaced one
+        self._densities = [(-1, None)] * (cfg.shift_len + 1)
         self.n_bars = 0
         self.degenerate_bars = 0
 
@@ -179,7 +179,7 @@ class SignalEngine:
     def min_history(self) -> int:
         """Bars needed before the first decision: coarsest wavelet support,
         a full fit window, and the displaced fit window."""
-        return self._support + self.cfg.calib_len + self.cfg.displacement - 1
+        return self._support + self.cfg.calib_len + self.cfg.shift_len - 1
 
     @property
     def ready(self) -> bool:
@@ -198,27 +198,22 @@ class SignalEngine:
         """Coefficient rows of the fit window ending at bar t."""
         return self._coeffs.window(self.cfg.calib_len, self.n_bars - 1 - t)
 
-    def _density_at(self, t: int, allow_reuse: bool = False):
+    def _density_at(self, t: int):
         """Mode-1 density for the fit window ending at bar t; None when the
         window is degenerate or the density non-normalizable.
 
-        A frontier lookup (``allow_reuse``) keeps its exact fit for the
-        displaced lookup shift_len bars later. With refit_stride > 1 it may
-        instead reuse the most recent frontier fit; a reused density is never
-        kept under t, so a lookup without reuse always gets the exact fit of
-        bar t's own window."""
-        if allow_reuse and t - self._last_fit_bar < self.cfg.refit_stride:
-            return self._last_fit
-        if t in self._fits:
-            return self._fits.pop(t)  # a kept fit has exactly one displaced lookup
-        try:
-            model = fit_model(self._window(t), degree=self.cfg.degree, dt=1.0)
-            dens = stationary_density(model, mode=1, span=self.cfg.grid_span, n_grid=self.cfg.n_grid)
-        except (DegenerateWindow, NonIntegrable):
-            dens = None
-        if allow_reuse:
-            self._fits[t] = self._last_fit = dens
-            self._last_fit_bar = t
+        Bar t's slot keeps the result until bar t + shift_len + 1 reuses it,
+        so the density fitted while deciding bar t serves as the displaced
+        density shift_len bars later."""
+        slot = t % len(self._densities)
+        bar, dens = self._densities[slot]
+        if bar != t:
+            try:
+                model = fit_model(self._window(t), degree=self.cfg.degree, dt=1.0)
+                dens = stationary_density(model, mode=1, span=self.cfg.grid_span, n_grid=self.cfg.n_grid)
+            except (DegenerateWindow, NonIntegrable):
+                dens = None
+            self._densities[slot] = (t, dens)
         return dens
 
     def step(self, price: float) -> Signal:
@@ -233,8 +228,8 @@ class SignalEngine:
     def _decide_bar(self, t: int) -> Signal:
         window = self._window(t)
         dy1 = float(window[-1, 0] - window[-2, 0])
-        d_now = self._density_at(t, allow_reuse=True)
-        d_shift = self._density_at(t - self.cfg.displacement)
+        d_now = self._density_at(t)
+        d_shift = self._density_at(t - self.cfg.shift_len)
         if d_now is None or d_shift is None:
             self.degenerate_bars += 1
             return Signal(Action.HOLD, 0.5, dy1, gated=True)

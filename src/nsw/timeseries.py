@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvalidStep,
     MissingFile,
     NegativeDiffusion,
@@ -77,12 +78,14 @@ class PriceSeries:
         return replace(self, prices=self.prices * factor)
 
 
-def load_bars(path, columns=None, symbol=None, gap_policy="reject") -> PriceSeries:
+def load_bars(path, columns=None, symbol=None, gap_policy="reject", bar_interval=None) -> PriceSeries:
     """Read a delimited bar file (header row, ``timestamp,price`` columns).
 
     ``columns`` remaps the header names; ``gap_policy`` is ``reject`` (default)
     or ``forward_fill`` which re-inserts missing bars at the last seen price.
-    Row numbers in errors are 1-based data rows (header excluded).
+    The bar spacing is the smallest timestamp step in the file; a given
+    ``bar_interval`` that differs from it raises ConfigError. Row numbers in
+    errors are 1-based data rows (header excluded).
     """
     colmap = {"timestamp": "timestamp", "price": "price"}
     if columns:
@@ -110,7 +113,9 @@ def load_bars(path, columns=None, symbol=None, gap_policy="reject") -> PriceSeri
             px.append(p)
     if len(ts) < 2:
         raise ParseError(len(ts), "need at least 2 bars")
-    interval = ts[1] - ts[0]
+    interval = min(b - a for a, b in zip(ts, ts[1:]))
+    if bar_interval is not None and interval != bar_interval:
+        raise ConfigError(f"{path}: bars are {interval}s apart, bar_interval is {bar_interval:g}s")
     if gap_policy == "forward_fill":
         ts, px = _forward_fill(ts, px, interval)
     elif gap_policy != "reject":

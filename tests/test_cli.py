@@ -174,3 +174,24 @@ class TestConfigFile:
         cfg.write_text("theta = 1.5\n")
         res = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("override", ["levels=4", "wavelet=morlet"])
+    def test_unusable_engine_config_exit_2(self, runner, tmp_path, override):
+        # rejected before any data is read or written
+        bars = tmp_path / "c.csv"
+        bars.write_text("timestamp,price\n0,1.0\n60,1.0\n")
+        for command in (["backtest", "--data", str(bars)], ["synth"]):
+            out = tmp_path / command[0]
+            res = runner.invoke(main, command + ["--out", str(out), "--set", override])
+            assert res.exit_code == 2, command
+            assert not out.exists()
+
+
+class TestBarInterval:
+    @pytest.mark.parametrize("command", ["backtest", "parcel", "compare"])
+    def test_spacing_must_match_bar_interval(self, runner, tmp_path, command):
+        bars = tmp_path / "b.csv"
+        write_bars(make_ou_price_series(300, seed=1, bar_interval=30.0), bars)
+        res = runner.invoke(main, [command, "--data", str(bars), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "bar_interval" in res.output

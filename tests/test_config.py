@@ -5,26 +5,41 @@ from nsw.errors import ConfigError
 from nsw.signals import SignalConfig, SignalEngine
 
 
+def _assert_rejected(values):
+    with pytest.raises(ConfigError):
+        RunConfig(**values)
+    with pytest.raises(ConfigError):
+        apply_overrides(RunConfig(), [f"{field}={value}" for field, value in values.items()])
+
+
 @pytest.mark.parametrize("field,value", [
     ("n_grid", 1),
     ("shift_len", 0),
-    ("refit_stride", 0),
     ("cost_bps", -1.0),
     ("horizon", 0),
     ("bar_interval", 0.0),
+    ("bar_interval", 90.4),  # bar files carry whole-second timestamps
+    ("levels", 4),  # 35 Hermite terms need calib_len >= 70
+    ("wavelet", "morlet"),
+    ("wavelet", "daubechies"),  # no order given
 ])
 def test_invalid_value_rejected(field, value):
-    with pytest.raises(ConfigError):
-        RunConfig(**{field: value})
-    with pytest.raises(ConfigError):
-        apply_overrides(RunConfig(), [f"{field}={value}"])
+    _assert_rejected({field: value})
+
+
+@pytest.mark.parametrize("values", [
+    # fit windows shorter than 2 * comb(levels + degree, degree) rows
+    {"levels": 3, "calib_len": 32},
+    {"degree": 5, "calib_len": 40},
+])
+def test_invalid_combination_rejected(values):
+    _assert_rejected(values)
 
 
 def test_run_config_is_the_engine_config():
     assert isinstance(RunConfig(), SignalConfig)
-    # the CLI keeps its explicit displacement; a bare engine config defaults to calib_len
-    assert SignalEngine(RunConfig()).cfg.displacement == 64
-    assert SignalConfig(calib_len=48).displacement == 48
+    # one shift_len default, 64, for the engine and the CLI alike
+    assert SignalEngine(RunConfig()).cfg.shift_len == SignalConfig(calib_len=48).shift_len == 64
 
 
 def test_overrides_share_the_file_parser():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsw import signals
 from nsw.errors import DegenerateWindow, NonIntegrable, NotWarmedUp
 from nsw.sde_fit import fit_model
 from nsw.signals import Action, Signal, SignalConfig, SignalEngine, decide, write_signals
-from nsw.stationary import stationary_density
+from nsw.stationary import ks_quasistationarity, stationary_density
 from nsw.timeseries import make_ou_price_series
 from nsw.wavelets import make_wavelet, transform
 
@@ -83,9 +84,9 @@ class TestSignalTypes:
         with pytest.raises(ValueError):
             SignalConfig(density_mode="fancy")
 
-    def test_displacement_defaults_to_calib_len(self):
-        assert SignalConfig().displacement == 64
-        assert SignalConfig(shift_len=16).displacement == 16
+    def test_shift_len_defaults_to_64(self):
+        assert SignalConfig().shift_len == SignalConfig(calib_len=32).shift_len == 64
+        assert SignalEngine(SignalConfig(shift_len=16)).min_history == 8 + 64 + 16 - 1
 
 
 def small_engine(**kw):
@@ -149,33 +150,64 @@ class TestEngine:
         for s in trace.signals:
             assert 0.0 <= s.p_s <= 1.0
 
-    def test_refit_stride_reuses_density(self):
-        # frontier bars reuse the latest fit, but every displaced lookup must
-        # get the exact fit of its own window, never a reused one
+    def test_each_window_fitted_once(self, monkeypatch):
+        # one fit per decided bar plus the first shift_len displaced windows,
+        # and every displaced density is the exact fit of its own window
         series = make_ou_price_series(600, seed=2, rate=0.05, vol=0.02)
-        eng = small_engine(refit_stride=4)
-        displaced = []
-        lookup = eng._density_at
+        eng = small_engine()
+        fits, compared = [0], {}
 
-        def spy(t, allow_reuse=False):
-            dens = lookup(t, allow_reuse)
-            if not allow_reuse:
-                displaced.append((t, dens))
-            return dens
+        def counting_fit(*args, **kw):
+            fits[0] += 1
+            return fit_model(*args, **kw)
 
-        eng._density_at = spy
+        def recording_ks(d_now, d_shift, *args, **kw):
+            compared[eng.n_bars - 1] = d_shift
+            return ks_quasistationarity(d_now, d_shift, *args, **kw)
+
+        monkeypatch.setattr(signals, "fit_model", counting_fit)
+        monkeypatch.setattr(signals, "ks_quasistationarity", recording_ks)
         trace = eng.run(series)
-        assert len(trace.signals) == len(small_engine().run(series).signals) == len(displaced)
+        assert fits[0] == len(trace.signals) + 8
+
         coeffs = transform(series, make_wavelet("haar"), 2).coeffs
-        for t, dens in displaced:
+
+        def fresh(t):
             try:
-                fresh = stationary_density(fit_model(coeffs[t - 31 : t + 1], degree=3), mode=1, n_grid=256)
+                return stationary_density(fit_model(coeffs[t - 31 : t + 1], degree=3), mode=1, n_grid=256)
             except (DegenerateWindow, NonIntegrable):
-                fresh = None
-            if fresh is None:
-                assert dens is None, t
-            else:
-                assert dens is not None and dens.p_s == fresh.p_s and np.array_equal(dens.pdf, fresh.pdf), t
+                return None
+
+        decided = range(trace.start, trace.start + len(trace.signals))
+        densities = {t: fresh(t) for t in range(trace.start - 8, decided[-1] + 1)}
+        assert sorted(compared) == [t for t in decided if densities[t] is not None and densities[t - 8] is not None]
+        for t, dens in compared.items():
+            assert dens.p_s == densities[t - 8].p_s and np.array_equal(dens.pdf, densities[t - 8].pdf), t
+
+    def test_alternating_feed_memory_bounded(self):
+        # deciding every other bar with an odd shift_len leaves each decided
+        # bar's density without a displaced lookup; none of them may pile up
+        # (a degree-1 fit keeps nearly every window's density normalizable)
+        prices = make_ou_price_series(6_000, seed=4, rate=0.05, vol=0.02).prices
+        eng = small_engine(shift_len=17, degree=1, n_grid=64)
+
+        def feed(first, last):
+            for n in range(first, last + 1):
+                if eng.ready and n % 2:
+                    eng.step(prices[n - 1])
+                else:
+                    eng.extend(prices[n - 1])
+
+        feed(1, 2_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            feed(2_001, 6_000)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024, retained  # 18 densities: ~50 kB; every unclaimed fit: ~4.4 MB
 
     @pytest.mark.parametrize("invert_sign", [False, True])
     @pytest.mark.parametrize("wavelet", ["haar", "db2", "db3", "bl1", "bl2", "bl3"])

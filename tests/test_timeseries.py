@@ -58,6 +58,17 @@ class TestLoadBars:
         assert len(s) == 5
         assert list(s.prices[1:4]) == [1.1, 1.1, 1.1]
 
+    def test_spacing_is_smallest_step(self, tmp_path):
+        # the first gap is not the bar spacing
+        p = _write(tmp_path, "timestamp,price\n0,1.0\n120,1.1\n180,1.2\n240,1.3\n")
+        s = load_bars(p, gap_policy="forward_fill")
+        assert s.bar_interval == 60.0
+        assert list(s.timestamps) == [0, 60, 120, 180, 240]
+        assert list(s.prices) == [1.0, 1.0, 1.1, 1.2, 1.3]
+        with pytest.raises(NonUniformSpacing) as exc:
+            load_bars(p)
+        assert exc.value.row == 2
+
     def test_round_trip_synthetic_file(self, tmp_path):
         series = make_ou_price_series(1000, seed=5, symbol="RT")
         p = tmp_path / "rt.csv"
