@@ -16,6 +16,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -27,6 +28,7 @@ log = logging.getLogger(__name__)
 COND_WARN_THRESHOLD = 1e8
 
 
+@lru_cache(maxsize=64)
 def _term_list(dims, degree):
     terms = [t for t in itertools.product(range(degree + 1), repeat=dims) if sum(t) <= degree]
     terms.sort(key=lambda t: (sum(t), t))
@@ -76,6 +78,13 @@ def _hermite_table(x, degree):
     return table
 
 
+def _design(z, terms) -> np.ndarray:
+    """Every basis term at standardized points ``z`` (..., dims) -> (..., n_terms)."""
+    table = _hermite_table(z, max(map(sum, terms)))  # (..., dims, degree+1)
+    # term i's factors: He_{terms[i][d]} of dimension d, multiplied in order of d
+    return table[..., np.arange(z.shape[-1]), np.array(terms)].prod(axis=-1)
+
+
 def hermite_eval(basis: HermiteBasis, y) -> np.ndarray:
     """Evaluate every basis term at ``y`` (one point (dims,) or a batch (n, dims)).
 
@@ -83,18 +92,8 @@ def hermite_eval(basis: HermiteBasis, y) -> np.ndarray:
     products are formed.
     """
     y = np.asarray(y, dtype=np.float64)
-    single = y.ndim == 1
-    pts = np.atleast_2d(y)
-    z = (pts - basis.mean) / basis.std
-    table = _hermite_table(z, basis.degree)  # (n, dims, degree+1)
-    out = np.empty((len(pts), basis.n_terms))
-    for i, term in enumerate(basis.terms):
-        col = np.ones(len(pts))
-        for d, k in enumerate(term):
-            if k:
-                col = col * table[:, d, k]
-        out[:, i] = col
-    return out[0] if single else out
+    out = _design((np.atleast_2d(y) - basis.mean) / basis.std, basis.terms)
+    return out[0] if y.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -123,51 +122,115 @@ class SdeModel:
         return self.basis.dims
 
 
-def fit_model(window, degree=3, dt=1.0, diffusion_floor=None) -> SdeModel:
-    """Fit an SdeModel to a (T, dims) window of coefficient vectors.
+# why fit_windows could not fit a window, by FitStack.status code (0 = fitted)
+_FIT_FAILURES = (None, "window contains non-finite values", "zero variance over the window",
+                "non-finite drift or diffusion coefficients")
+
+
+@dataclass(frozen=True)
+class FitStack:
+    """Fits of B windows of one shape; index i of each array belongs to window i.
+
+    ``drift``/``diff`` are (B, dims, n_terms): row i is window i's
+    ``drift_coeffs``/``diff_coeffs``. ``status[i]`` is 0 for a fitted window
+    and a failure code otherwise (1 non-finite values, 2 a zero-variance
+    dimension, 3 non-finite coefficients); the arrays of a window that was
+    not fitted hold finite placeholders.
+    """
+
+    terms: tuple
+    degree: int
+    mean: np.ndarray  # (B, dims)
+    std: np.ndarray  # (B, dims)
+    drift: np.ndarray
+    diff: np.ndarray
+    floor: np.ndarray  # (B,) diffusion floors
+    status: np.ndarray  # (B,)
+    dt: float
+    calib_len: int
+
+    @classmethod
+    def from_model(cls, model: SdeModel) -> "FitStack":
+        """The one-row stack of an existing model."""
+        b = model.basis
+        return cls(b.terms, b.degree, b.mean[None], b.std[None], model.drift_coeffs[None], model.diff_coeffs[None],
+                   np.array([model.diffusion_floor]), np.zeros(1, dtype=int), model.dt, model.calib_len)
+
+    def model(self, i: int) -> SdeModel:
+        """Window i as an SdeModel; DegenerateWindow when it was not fitted."""
+        if self.status[i]:
+            raise DegenerateWindow(_FIT_FAILURES[self.status[i]])
+        dims = self.mean.shape[1]
+        return SdeModel(
+            basis=HermiteBasis(dims=dims, degree=self.degree, terms=self.terms, mean=self.mean[i], std=self.std[i]),
+            drift_coeffs=self.drift[i],
+            diff_coeffs=self.diff[i],
+            dt=self.dt,
+            calib_len=self.calib_len,
+            diffusion_floor=float(self.floor[i]),
+        )
+
+
+def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
+    """Fit every window of a (B, T, dims) stack of coefficient vectors.
 
     Drift system: regress (Y(t+1) - Y(t))/dt on the basis evaluated at Y(t).
     Diffusion system: regress (increment residual)^2 / dt on the same basis;
     G is the square root of the fitted value floored at diffusion_floor^2.
-    Both solves use SVD least squares, so rank-deficient windows get the
-    minimum-norm solution (a condition-number warning is logged past 1e8).
+    Both systems of all B windows are solved through one stacked SVD with
+    lstsq's cutoff (singular values up to eps*max(M, N)*s_max count as zero),
+    so rank-deficient windows get the minimum-norm solution; a warning is
+    logged for every window of rank < n_terms or condition number past 1e8.
+    Each window's result is the same whatever stack it is fitted in.
     """
+    w = np.ascontiguousarray(windows, dtype=np.float64)
+    b, n, dims = w.shape
+    terms = _term_list(dims, degree)
+    if n < 2 * len(terms):
+        raise WindowTooShort(f"window of {n} rows cannot identify {len(terms)} terms (need >= {2 * len(terms)})")
+    finite = np.isfinite(w).reshape(b, -1).all(axis=1)
+    if not finite.all():
+        w = np.where(finite[:, None, None], w, 0.0)
+    mean = w.sum(axis=1) / n
+    dev = w - mean[:, None]
+    std = np.sqrt((dev * dev).sum(axis=1) / n)
+    status = np.where(finite, 2 * (std <= 0).any(axis=1), 1)
+
+    design = _design(dev[:, :-1] / np.where(status[:, None] == 0, std, 1.0)[:, None], terms)  # (B, M, N)
+    dy = np.diff(w, axis=1)
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sv > np.finfo(np.float64).eps * max(n - 1, len(terms)) * sv[:, :1]
+    inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+
+    def solve(rhs):
+        return vt.mT @ (inv_sv[..., None] * (u.mT @ rhs))  # (B, N, dims)
+
+    lam = solve(dy / dt)
+    resid = dy - (design @ lam) * dt
+    q = solve(resid**2 / dt)
+
+    rank = keep.sum(axis=1)
+    for i in np.flatnonzero((status == 0) & ((rank < len(terms)) | (sv[:, 0] > COND_WARN_THRESHOLD * sv[:, -1]))):
+        cond = sv[i, 0] / sv[i, -1] if sv[i, -1] > 0 else math.inf
+        log.warning("ill-conditioned drift system: rank %d/%d, cond %.3g", rank[i], len(terms), cond)
+
+    solved = np.isfinite(lam).reshape(b, -1).all(axis=1) & np.isfinite(q).reshape(b, -1).all(axis=1)
+    status[(status == 0) & ~solved] = 3
+    if diffusion_floor is None:
+        floor = np.maximum(1e-6 * dy.reshape(b, -1).std(axis=1), 1e-12)
+    else:
+        floor = np.full(b, float(diffusion_floor))
+    return FitStack(terms, degree, mean, std, lam.transpose(0, 2, 1), q.transpose(0, 2, 1), floor, status, float(dt), n)
+
+
+def fit_model(window, degree=3, dt=1.0, diffusion_floor=None) -> SdeModel:
+    """Fit an SdeModel to a (T, dims) window of coefficient vectors: the
+    one-window case of ``fit_windows``. Raises DegenerateWindow for a window
+    with non-finite values or a zero-variance dimension."""
     w = np.asarray(window, dtype=np.float64)
     if w.ndim == 1:
         w = w[:, None]
-    n, dims = w.shape
-    if not np.all(np.isfinite(w)):
-        raise DegenerateWindow("window contains non-finite values")
-    mean = w.mean(axis=0)
-    std = w.std(axis=0)
-    if np.any(std <= 0):
-        j = int(np.nonzero(std <= 0)[0][0])
-        raise DegenerateWindow(f"dimension {j} has zero variance over the window")
-    basis = make_basis(dims, degree, mean, std)
-    if n < 2 * basis.n_terms:
-        raise WindowTooShort(f"window of {n} rows cannot identify {basis.n_terms} terms (need >= {2 * basis.n_terms})")
-
-    design = hermite_eval(basis, w[:-1])
-    dy = np.diff(w, axis=0)
-
-    lam, _, rank, sv = np.linalg.lstsq(design, dy / dt, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if rank < basis.n_terms or cond > COND_WARN_THRESHOLD:
-        log.warning("ill-conditioned drift system: rank %d/%d, cond %.3g", rank, basis.n_terms, cond)
-
-    resid = dy - (design @ lam) * dt
-    q, _, _, _ = np.linalg.lstsq(design, resid**2 / dt, rcond=None)
-
-    if diffusion_floor is None:
-        diffusion_floor = max(1e-6 * float(dy.std()), 1e-12)
-    return SdeModel(
-        basis=basis,
-        drift_coeffs=lam.T,
-        diff_coeffs=q.T,
-        dt=float(dt),
-        calib_len=n,
-        diffusion_floor=float(diffusion_floor),
-    )
+    return fit_windows(w[None], degree=degree, dt=dt, diffusion_floor=diffusion_floor).model(0)
 
 
 def eval_drift(model: SdeModel, y) -> np.ndarray:
@@ -183,25 +246,30 @@ def eval_diffusion(model: SdeModel, y) -> np.ndarray:
     return np.sqrt(np.maximum(g2, model.diffusion_floor**2))
 
 
-def mode_series(model: SdeModel, coeffs, mode: int) -> np.ndarray:
-    """Collapse a per-dimension coefficient row to a 1-D Hermite series in one
-    mode, the other modes held at their standardization means (hat-y = 0)."""
-    basis = model.basis
-    he_at_0 = _hermite_table(np.float64(0.0), basis.degree)
-    out = np.zeros(basis.degree + 1)
-    for term, c in zip(basis.terms, coeffs):
-        factor = 1.0
-        for d, k in enumerate(term):
-            if d != mode - 1:
-                factor *= he_at_0[k]
-        out[term[mode - 1]] += factor * c
+@lru_cache(maxsize=64)
+def _collapse(terms, mode):
+    """(n_terms, degree + 1) map from per-term coefficients to a 1-D Hermite
+    series in ``mode``, the other modes held at hat-y = 0."""
+    degree = max(map(sum, terms))
+    he_at_0 = _hermite_table(np.float64(0.0), degree)
+    out = np.zeros((len(terms), degree + 1))
+    for i, term in enumerate(terms):
+        out[i, term[mode - 1]] = math.prod(he_at_0[k] for d, k in enumerate(term) if d != mode - 1)
+    out.setflags(write=False)
     return out
+
+
+def mode_series(terms, coeffs, mode: int) -> np.ndarray:
+    """Collapse per-term coefficients (..., n_terms) over ``terms`` to 1-D
+    Hermite series (..., degree + 1) in one mode, the other modes held at
+    their standardization means (hat-y = 0)."""
+    return (np.asarray(coeffs)[..., None] * _collapse(tuple(terms), mode)).sum(axis=-2)
 
 
 def drift_polynomial(model: SdeModel, mode=1) -> np.ndarray:
     """Power-series coefficients (ascending) of the drift along one mode in
     raw coordinates, other modes at their means. Diagnostic helper."""
-    he = mode_series(model, model.drift_coeffs[mode - 1], mode)
+    he = mode_series(model.basis.terms, model.drift_coeffs[mode - 1], mode)
     poly_hat = np.polynomial.Polynomial(hermite_e.herme2poly(he))
     mu = model.basis.mean[mode - 1]
     sigma = model.basis.std[mode - 1]

@@ -16,13 +16,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigError, DegenerateWindow, GridMismatch, NonIntegrable, NonPositivePrice, NotWarmedUp,
                      UnsupportedFamily)
-from .sde_fit import fit_model
-from .stationary import density_convolution, ks_quasistationarity, stationary_density
+from .sde_fit import fit_model, fit_windows
+from .stationary import density_convolution, ks_quasistationarity, stationary_densities, stationary_density
 from .timeseries import PriceSeries
-from .wavelets import coeff_row, make_wavelet, mode_taps
+from .wavelets import coeff_row, make_wavelet, mode_taps, transform
+
+# run() fits and synthesizes its windows in chunks of about this many density
+# grid nodes (16 windows at n_grid=1024): enough to amortize the per-call cost
+# of the stacked kernels, small enough that peak memory stays flat
+_CHUNK_CELLS = 16 * 1024
 
 
 class Action(str, enum.Enum):
@@ -141,6 +147,11 @@ class _Trailing:
         self._buf[self._end] = row
         self._end += 1
 
+    def push_all(self, rows) -> None:
+        """Push ``rows`` in order; only the newest ``keep`` can stay, so only they are written."""
+        for row in rows[-self._keep :]:
+            self.push(row)
+
     def window(self, n: int, back: int = 0) -> np.ndarray:
         """Up to ``n`` rows ending ``back`` rows before the newest one."""
         stop = self._end - back
@@ -218,18 +229,20 @@ class SignalEngine:
 
     def step(self, price: float) -> Signal:
         """Push one bar and decide it. Raises NotWarmedUp until enough bars
-        have been fed for the full pipeline (including the displaced fit)."""
+        have been fed for the full pipeline (including the displaced fit).
+
+        The live path: each bar's window is fitted on its own through
+        ``fit_model`` and ``stationary_density``."""
         self.extend(price)
         t = self.n_bars - 1
         if not self.ready:
             raise NotWarmedUp(f"have {self.n_bars} bars, need {self.min_history}")
-        return self._decide_bar(t)
-
-    def _decide_bar(self, t: int) -> Signal:
-        window = self._window(t)
-        dy1 = float(window[-1, 0] - window[-2, 0])
         d_now = self._density_at(t)
-        d_shift = self._density_at(t - self.cfg.shift_len)
+        return self._decide_bar(self._window(t), d_now, self._density_at(t - self.cfg.shift_len))
+
+    def _decide_bar(self, window, d_now, d_shift) -> Signal:
+        """Gate and trade rule for the bar whose fit window is ``window``."""
+        dy1 = float(window[-1, 0] - window[-2, 0])
         if d_now is None or d_shift is None:
             self.degenerate_bars += 1
             return Signal(Action.HOLD, 0.5, dy1, gated=True)
@@ -248,15 +261,49 @@ class SignalEngine:
         return decide(dy1, p_s, ks_pass, self.cfg)
 
     def run(self, series: PriceSeries) -> SignalTrace:
-        """Drive a whole series: warm up on the prefix, decide every later bar."""
+        """Drive a whole series: warm up on the prefix, decide every later bar.
+
+        The engine takes the series' first ``n_bars`` bars as the ones it has
+        already been fed. The batch path: every window the decisions need is
+        cut from one ``transform`` of the series and fitted and synthesized
+        in fixed-size chunks by ``fit_windows`` and ``stationary_densities``.
+        Signals, ``degenerate_bars`` and the engine state left behind equal
+        those of feeding the same bars through ``extend`` and ``step``, so a
+        live feed can go on with ``step`` afterwards."""
         prices = series.prices
         warm_end = min(self.min_history - 1, len(prices))
         while self.n_bars < warm_end:
             self.extend(prices[self.n_bars])
         trace = SignalTrace(start=self.n_bars)
-        while self.n_bars < len(prices):
-            trace.signals.append(self.step(prices[self.n_bars]))
+        if self.n_bars < len(prices):
+            self._decide_all(prices, trace.signals)
         return trace
+
+    def _decide_all(self, prices, signals: list) -> None:
+        """Decide bars n_bars .. len(prices) - 1 of a warm engine in chunks."""
+        cfg = self.cfg
+        first, ring = self.n_bars, len(self._densities)
+        rows = transform(prices, self.filter, cfg.levels, cfg.invert_sign).coeffs
+        # the windows step() would fit: the displaced ones the ring does not
+        # hold yet, then one per decided bar
+        n = len(prices)
+        displaced = range(first - cfg.shift_len, min(first, n - cfg.shift_len))
+        bars = [t for t in displaced if self._densities[t % ring][0] != t] + list(range(first, n))
+        windows = sliding_window_view(rows, cfg.calib_len, axis=0)  # [t - calib_len + 1]: window ending at bar t
+        chunk = max(1, _CHUNK_CELLS // cfg.n_grid)
+        for lo in range(0, len(bars), chunk):
+            part = bars[lo : lo + chunk]
+            fits = fit_windows(windows[np.array(part) - (cfg.calib_len - 1)].transpose(0, 2, 1), degree=cfg.degree)
+            dens = stationary_densities(fits, mode=1, span=cfg.grid_span, n_grid=cfg.n_grid)
+            for i, t in enumerate(part):
+                d_now = dens.density(i)
+                self._densities[t % ring] = (t, d_now)
+                if t >= first:
+                    d_shift = self._densities[(t - cfg.shift_len) % ring][1]
+                    signals.append(self._decide_bar(rows[t - cfg.calib_len + 1 : t + 1], d_now, d_shift))
+        self._prices.push_all(prices[first:])
+        self._coeffs.push_all(rows[first:])
+        self.n_bars = n
 
 
 def write_signals(trace: SignalTrace, path) -> None:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
 from .errors import GridMismatch, NonIntegrable, TooFewPoints
-from .sde_fit import SdeModel, mode_series
+from .sde_fit import FitStack, SdeModel, _hermite_table, mode_series
 
 DEFAULT_SPAN = 5.0
 DEFAULT_GRID = 1024
@@ -52,46 +52,128 @@ class StationaryDensity:
         return np.interp(points, self.grid, self.cdf)
 
 
+@dataclass(frozen=True)
+class DensityStack:
+    """B gridded densities: row i of ``grid``/``pdf``/``cdf`` and ``p_s[i]``
+    belong to window i, unless ``failures[i]`` says why it has none."""
+
+    grid: np.ndarray
+    pdf: np.ndarray
+    cdf: np.ndarray
+    p_s: np.ndarray
+    failures: list
+
+    def density(self, i: int):
+        """Row i as a StationaryDensity, or None when it failed."""
+        if self.failures[i]:
+            return None
+        return StationaryDensity(grid=self.grid[i], pdf=self.pdf[i], cdf=self.cdf[i], p_s=float(self.p_s[i]))
+
+    def only(self) -> StationaryDensity:
+        """The density of a one-row stack; NonIntegrable when it failed."""
+        if self.failures[0]:
+            raise NonIntegrable(self.failures[0])
+        return self.density(0)
+
+
+def _trapezoids(y, dx):
+    """Trapezoid areas 0.5 * (y[j] + y[j + 1]) * dx[j] along every row."""
+    out = np.add(y[:, 1:], y[:, :-1])
+    out *= 0.5
+    out *= dx
+    return out
+
+
+def _finalize_rows(grid, dx, raw_pdf, failures) -> DensityStack:
+    """Normalize each row of ``raw_pdf`` (B, n) on its row of ``grid``
+    (spacings ``dx``) and integrate its CDF and ``p_s`` by the trapezoid rule.
+    A row without positive finite mass is recorded in ``failures`` and made
+    flat. ``raw_pdf`` is normalized in place."""
+    inc = _trapezoids(raw_pdf, dx)
+    total = inc.sum(axis=1)
+    bad = ~((total > 0.0) & (total < math.inf))
+    if bad.any():
+        for i in np.flatnonzero(bad):
+            failures[i] = failures[i] or "density has no positive finite mass on the grid"
+        raw_pdf[bad] = 1.0
+        inc = _trapezoids(raw_pdf, dx)
+        total = inc.sum(axis=1)
+    cdf = np.empty_like(raw_pdf)
+    cdf[:, 0] = 0.0
+    np.cumsum(inc, axis=1, out=cdf[:, 1:])
+    cdf /= cdf[:, -1:]
+    # np.interp(0.0, grid[i], cdf[i]) for every row, clamped to [0, 1] off the grid
+    j = np.count_nonzero(grid[:, 1:-1] <= 0.0, axis=1)
+    rows = np.arange(len(grid))
+    x0, f0 = grid[rows, j], cdf[rows, j]
+    p_s = np.minimum(np.maximum((cdf[rows, j + 1] - f0) / dx[rows, j] * -x0 + f0, 0.0), 1.0)
+    raw_pdf /= total[:, None]
+    return DensityStack(grid=grid, pdf=raw_pdf, cdf=cdf, p_s=p_s, failures=failures)
+
+
 def _finalize(grid, raw_pdf) -> StationaryDensity:
-    total = np.trapezoid(raw_pdf, grid)
-    if not np.isfinite(total) or total <= 0:
-        raise NonIntegrable("density has no positive finite mass on the grid")
-    pdf = raw_pdf / total
-    inc = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(inc)])
-    cdf /= cdf[-1]
-    p_s = float(np.interp(0.0, grid, cdf))
-    return StationaryDensity(grid=grid, pdf=pdf, cdf=cdf, p_s=p_s)
+    """One normalized density from an unnormalized one on a 1-D grid."""
+    grid = np.asarray(grid, dtype=np.float64)[None]
+    return _finalize_rows(grid, np.diff(grid, axis=1), np.array(raw_pdf, dtype=np.float64)[None], [None]).only()
+
+
+@lru_cache(maxsize=16)
+def _grid_table(span, n_grid, degree):
+    """He_0..He_degree on linspace(-span, span, n_grid) as (degree + 1, n_grid),
+    shared by every row."""
+    table = np.ascontiguousarray(_hermite_table(np.linspace(-span, span, n_grid), degree).T)
+    table.setflags(write=False)
+    return table
+
+
+def stationary_densities(fits: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAULT_GRID) -> DensityStack:
+    """Quadrature densities for one mode of every fit in a stack.
+
+    Each grid covers mean +/- span*std of the mode's calibration sample. If
+    more than 1% of the mass lands in the outer 5% of the span on either side
+    the drift is not confining at this scale and the row fails; widening the
+    grid only helps when the underlying density really decays. Drift and G^2
+    are evaluated from one He_k table on linspace(-span, span), shared by all
+    rows; the grids themselves are linspace between each row's own end points
+    (mu + sigma * linspace(-span, span) rounds differently, and the
+    convolution density resamples on the grid's width). Each row's result is
+    the same whatever stack it is computed in.
+    """
+    m = mode - 1
+    fitted = fits.status == 0
+    failures = [None if ok else "window not fitted" for ok in fitted]
+    mu = np.where(fitted, fits.mean[:, m], 0.0)
+    sigma = np.where(fitted, fits.std[:, m], 1.0)
+    # C order (linspace with axis=1 returns a transposed view): row sums then
+    # run over each row alone, the same in any stack
+    grid = np.ascontiguousarray(np.linspace(mu - span * sigma, mu + span * sigma, n_grid, axis=1))
+    dx = grid[:, 1:] - grid[:, :-1]
+    # (B, 2, n_grid): drift and G^2 of every row along the mode
+    on_grid = mode_series(fits.terms, np.stack([fits.drift[:, m], fits.diff[:, m]], axis=1), mode) @ _grid_table(
+        span, n_grid, fits.degree)
+    integrand = on_grid[:, 0]
+    integrand *= 2.0
+    integrand /= np.maximum(on_grid[:, 1], (fits.floor**2)[:, None], out=on_grid[:, 1])
+    w = np.empty_like(grid)
+    w[:, 0] = 0.0
+    np.cumsum(_trapezoids(integrand, dx), axis=1, out=w[:, 1:])
+    del on_grid, integrand  # freed before _finalize_rows allocates: peak memory per chunk
+    w -= w.max(axis=1, keepdims=True)
+    dens = _finalize_rows(grid, dx, np.exp(w, out=w), failures)
+    # mass over the outer edge nodes on either side, from the CDF
+    edge = max(2, int(round(_EDGE_FRACTION * n_grid)))
+    edge_mass = np.maximum(dens.cdf[:, edge - 1], 1.0 - dens.cdf[:, -edge])
+    for i in np.flatnonzero(edge_mass > _EDGE_MASS_LIMIT):
+        dens.failures[i] = dens.failures[i] or (f"boundary mass {edge_mass[i]:.3g} exceeds {_EDGE_MASS_LIMIT}; "
+                                                "drift not confining on this grid")
+    return dens
 
 
 def stationary_density(model: SdeModel, mode=1, span=DEFAULT_SPAN, n_grid=DEFAULT_GRID) -> StationaryDensity:
-    """Quadrature density for one mode of a fitted model.
-
-    The grid covers mean +/- span*std of the mode's calibration sample. If
-    more than 1% of the mass lands in the outer 5% of the span on either side
-    the drift is not confining at this scale and NonIntegrable is raised;
-    widening the grid only helps when the underlying density really decays.
-    """
-    mu = float(model.basis.mean[mode - 1])
-    sigma = float(model.basis.std[mode - 1])
-    grid = np.linspace(mu - span * sigma, mu + span * sigma, n_grid)
-    z = (grid - mu) / sigma
-    drift = hermite_e.hermeval(z, mode_series(model, model.drift_coeffs[mode - 1], mode))
-    g2 = hermite_e.hermeval(z, mode_series(model, model.diff_coeffs[mode - 1], mode))
-    g2 = np.maximum(g2, model.diffusion_floor**2)
-    integrand = 2.0 * drift / g2
-    steps = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(grid)
-    w = np.concatenate([[0.0], np.cumsum(steps)])
-    pdf = np.exp(w - w.max())
-    dens = _finalize(grid, pdf)
-    edge = max(2, int(round(_EDGE_FRACTION * n_grid)))
-    lo_mass = float(np.trapezoid(dens.pdf[:edge], grid[:edge]))
-    hi_mass = float(np.trapezoid(dens.pdf[-edge:], grid[-edge:]))
-    if lo_mass > _EDGE_MASS_LIMIT or hi_mass > _EDGE_MASS_LIMIT:
-        raise NonIntegrable(
-            f"boundary mass {max(lo_mass, hi_mass):.3g} exceeds {_EDGE_MASS_LIMIT}; drift not confining on this grid"
-        )
-    return dens
+    """Quadrature density for one mode of a fitted model: the one-row case of
+    ``stationary_densities``. Raises NonIntegrable when the model's drift is
+    not confining on the grid."""
+    return stationary_densities(FitStack.from_model(model), mode=mode, span=span, n_grid=n_grid).only()
 
 
 def density_convolution(d_now: StationaryDensity, d_shifted: StationaryDensity) -> StationaryDensity:

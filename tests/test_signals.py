@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from nsw import signals
 from nsw.errors import DegenerateWindow, NonIntegrable, NotWarmedUp
-from nsw.sde_fit import fit_model
-from nsw.signals import Action, Signal, SignalConfig, SignalEngine, decide, write_signals
+from nsw.sde_fit import fit_model, fit_windows
+from nsw.signals import Action, Signal, SignalConfig, SignalEngine, SignalTrace, decide, write_signals
 from nsw.stationary import ks_quasistationarity, stationary_density
 from nsw.timeseries import make_ou_price_series
 from nsw.wavelets import make_wavelet, transform
@@ -89,6 +89,52 @@ class TestSignalTypes:
         assert SignalEngine(SignalConfig(shift_len=16)).min_history == 8 + 64 + 16 - 1
 
 
+def stream(eng, prices) -> SignalTrace:
+    """The trace ``eng.run`` must return, fed through extend and step."""
+    start = min(eng.min_history - 1, len(prices))
+    out = [eng.step(p) if eng.n_bars >= eng.min_history - 1 else eng.extend(p) for p in prices]
+    return SignalTrace(start, [s for s in out if s is not None])
+
+
+def assert_same_state(a, b):
+    """Engines a and b hold the same bars, rings and counters."""
+    assert (a.n_bars, a.degenerate_bars) == (b.n_bars, b.degenerate_bars)
+    assert np.array_equal(a._prices.window(a._support), b._prices.window(b._support))
+    rows = a.cfg.calib_len + a.cfg.shift_len + 1
+    assert np.array_equal(a._coeffs.window(rows), b._coeffs.window(rows), equal_nan=True)
+    assert [bar for bar, _ in a._densities] == [bar for bar, _ in b._densities]
+    for (bar, da), (_, db) in zip(a._densities, b._densities):
+        assert (da is None) == (db is None), bar
+        assert da is None or (da.p_s == db.p_s and np.array_equal(da.pdf, db.pdf)), bar
+
+
+# windows per run() chunk at the default 1024-node grid
+CHUNK = signals._CHUNK_CELLS // 1024
+
+
+@st.composite
+def batch_cases(draw):
+    """A small engine config and a series: the edge lengths (shorter than
+    the wavelet support, min_history - 1, min_history) or one whose windows
+    straddle several run() chunks, sometimes with a flat stretch that leaves
+    windows rank-deficient or of zero variance."""
+    cfg = SignalConfig(
+        calib_len=32,
+        shift_len=draw(st.integers(1, 12)),
+        wavelet=draw(st.sampled_from(["haar", "db2"])),
+        degree=draw(st.integers(1, 3)),
+        density_mode=draw(st.sampled_from(["plain", "convolution"])),
+    )
+    eng = SignalEngine(cfg)
+    edges = [2, eng.filter.support_at(cfg.levels) - 1, eng.min_history - 1, eng.min_history]
+    n = draw(st.sampled_from(edges) | st.integers(eng.min_history + 1, eng.min_history + 3 * CHUNK))
+    prices = make_ou_price_series(n, seed=draw(st.integers(0, 10_000)), rate=0.05, vol=0.02).prices.copy()
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, n - 1))
+        prices[lo : lo + draw(st.integers(1, 80))] = prices[lo]
+    return cfg, series_from_prices(prices)
+
+
 def small_engine(**kw):
     return SignalEngine(SignalConfig(**{"calib_len": 32, "shift_len": 8, "n_grid": 256, **kw}))
 
@@ -127,6 +173,19 @@ class TestEngine:
         overlap = 300 - full.start
         assert full.signals[:overlap] == prefix.signals
 
+    @given(rate=st.floats(0.002, 0.2), vol=st.floats(0.002, 0.05), seed=st.integers(0, 10_000),
+           n=st.integers(48, 48 + 3 * CHUNK), cut=st.integers(2, 48 + 3 * CHUNK))
+    @settings(max_examples=20, deadline=None)
+    def test_causality_prefix_property(self, rate, vol, seed, n, cut):
+        # a prefix's decisions are the full run's, bit for bit, wherever the
+        # last run() chunk ends
+        cfg = SignalConfig(calib_len=32, shift_len=8)
+        series = make_ou_price_series(n, seed=seed, rate=rate, vol=vol)
+        full = SignalEngine(cfg).run(series)
+        prefix = SignalEngine(cfg).run(series.prefix(min(cut, n)))
+        assert prefix.start == min(full.start, min(cut, n))
+        assert full.signals[: len(prefix.signals)] == prefix.signals
+
     def test_price_scale_invariance_dyadic(self):
         series = make_ou_price_series(360, seed=14, rate=0.05, vol=0.02)
         a = small_engine().run(series)
@@ -151,24 +210,25 @@ class TestEngine:
             assert 0.0 <= s.p_s <= 1.0
 
     def test_each_window_fitted_once(self, monkeypatch):
-        # one fit per decided bar plus the first shift_len displaced windows,
-        # and every displaced density is the exact fit of its own window
+        # run() fits one window per decided bar plus the first shift_len
+        # displaced windows, and every displaced density is the exact fit of
+        # its own window
         series = make_ou_price_series(600, seed=2, rate=0.05, vol=0.02)
         eng = small_engine()
-        fits, compared = [0], {}
+        fitted, compared = [0], []
 
-        def counting_fit(*args, **kw):
-            fits[0] += 1
-            return fit_model(*args, **kw)
+        def counting_fit(windows, *args, **kw):
+            fitted[0] += len(windows)
+            return fit_windows(windows, *args, **kw)
 
         def recording_ks(d_now, d_shift, *args, **kw):
-            compared[eng.n_bars - 1] = d_shift
+            compared.append(d_shift)
             return ks_quasistationarity(d_now, d_shift, *args, **kw)
 
-        monkeypatch.setattr(signals, "fit_model", counting_fit)
+        monkeypatch.setattr(signals, "fit_windows", counting_fit)
         monkeypatch.setattr(signals, "ks_quasistationarity", recording_ks)
         trace = eng.run(series)
-        assert fits[0] == len(trace.signals) + 8
+        assert fitted[0] == len(trace.signals) + 8
 
         coeffs = transform(series, make_wavelet("haar"), 2).coeffs
 
@@ -180,9 +240,44 @@ class TestEngine:
 
         decided = range(trace.start, trace.start + len(trace.signals))
         densities = {t: fresh(t) for t in range(trace.start - 8, decided[-1] + 1)}
-        assert sorted(compared) == [t for t in decided if densities[t] is not None and densities[t - 8] is not None]
-        for t, dens in compared.items():
+        tested = [t for t in decided if densities[t] is not None and densities[t - 8] is not None]
+        assert len(compared) == len(tested)
+        for t, dens in zip(tested, compared):
             assert dens.p_s == densities[t - 8].p_s and np.array_equal(dens.pdf, densities[t - 8].pdf), t
+
+    @given(case=batch_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_run_equals_stream(self, case):
+        cfg, series = case
+        batch, live = SignalEngine(cfg), SignalEngine(cfg)
+        trace = batch.run(series)
+        expected = stream(live, series.prices)
+        assert trace.start == expected.start
+        assert trace.signals == expected.signals  # kind, gated, p_s and dy1, exactly
+        assert_same_state(batch, live)
+
+    @pytest.mark.parametrize("density_mode", ["plain", "convolution"])
+    def test_run_then_step_continues_stream(self, density_mode):
+        cfg = SignalConfig(calib_len=32, shift_len=8, density_mode=density_mode)
+        series = make_ou_price_series(300, seed=5, rate=0.05, vol=0.02)
+        live = SignalEngine(cfg)
+        expected = stream(live, series.prices)
+
+        eng = SignalEngine(cfg)
+        head = eng.run(series.prefix(150))
+        tail = [eng.step(price) for price in series.prices[150:]]
+        assert head.start == expected.start
+        assert head.signals + tail == expected.signals
+        assert_same_state(eng, live)
+
+        # a second run() goes on from bar 150, so its chunks start elsewhere
+        # and the displaced densities come from the ring
+        eng = SignalEngine(cfg)
+        eng.run(series.prefix(150))
+        rest = eng.run(series)
+        assert rest.start == 150
+        assert rest.signals == expected.signals[150 - expected.start :]
+        assert_same_state(eng, live)
 
     def test_alternating_feed_memory_bounded(self):
         # deciding every other bar with an odd shift_len leaves each decided

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from nsw.errors import GridMismatch, NonIntegrable, TooFewPoints
-from nsw.sde_fit import fit_model
+from nsw.errors import DegenerateWindow, GridMismatch, NonIntegrable, TooFewPoints
+from nsw.sde_fit import fit_model, fit_windows
 from nsw.stationary import (
     _finalize,
     density_convolution,
     ks_quasistationarity,
     ks_threshold_constant,
+    stationary_densities,
     stationary_density,
 )
 from nsw.timeseries import simulate_sde
@@ -72,6 +74,35 @@ class TestStationaryDensity:
         mean = np.trapezoid(d.grid * d.pdf, d.grid)
         var = np.trapezoid((d.grid - mean) ** 2 * d.pdf, d.grid)
         assert abs(math.sqrt(var) - math.sqrt(0.5)) < 0.05
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_stack_rows_equal_single_windows(dims):
+    # fit_model and stationary_density are the one-window case of the stacked
+    # kernels: every row of a stack carries exactly the single window's numbers,
+    # and a degenerate window fails alone
+    path = simulate_sde(lambda y: -y, lambda y: 1.0, np.zeros(dims), 0.2, 400, seed=dims)
+    windows = sliding_window_view(path, 40, axis=0).transpose(0, 2, 1)[::9]
+    windows = np.concatenate([windows, np.ones((1, 40, dims)), np.full((1, 40, dims), np.nan)])
+    fits = fit_windows(windows, degree=2)
+    stack = stationary_densities(fits, n_grid=512)
+    assert list(fits.status[-2:]) == [2, 1]
+    for i, window in enumerate(windows):
+        try:
+            model = fit_model(window, degree=2)
+        except DegenerateWindow:
+            assert fits.status[i] != 0 and stack.density(i) is None
+            continue
+        assert np.array_equal(model.drift_coeffs, fits.drift[i]) and np.array_equal(model.diff_coeffs, fits.diff[i])
+        try:
+            single = stationary_density(model, n_grid=512)
+        except NonIntegrable:
+            assert stack.density(i) is None
+            continue
+        row = stack.density(i)
+        assert row.p_s == single.p_s
+        assert np.array_equal(row.grid, single.grid) and np.array_equal(row.pdf, single.pdf)
+        assert np.array_equal(row.cdf, single.cdf)
 
 
 class TestConvolution:
