@@ -101,25 +101,32 @@ def run_backtest(
     prices = series.prices
     n = len(prices)
     fee = 1.0 - cost_bps / 1e4
-    equity = np.ones(n)
+    # only the trace's signals for bars 0 .. n - 1 act or count
+    first = max(0, -trace.start)
+    signals = trace.signals[first : max(first, n - trace.start)]
+    moves = [(t, s.kind) for t, s in enumerate(signals, trace.start + first) if s.kind is not Action.HOLD]
+    equity = np.empty(n)
     trades = []
     flat_z = 1.0
     entry = None  # price at which the open position was bought
-    for t in range(n):
-        sig = trace.at(t)
-        if sig is not None:
-            if sig.kind is Action.BUY and entry is None:
-                entry = prices[t]
-                flat_z *= fee
-                trades.append(Trade(t, Action.BUY, float(prices[t])))
-            elif sig.kind is Action.SELL and entry is not None:
-                flat_z *= (prices[t] / entry) * fee
-                entry = None
-                trades.append(Trade(t, Action.SELL, float(prices[t])))
-        equity[t] = flat_z if entry is None else flat_z * prices[t] / entry
+    since = 0  # first bar whose equity is not written yet
+    for t, kind in moves:
+        if kind is Action.BUY and entry is None:
+            equity[since:t] = flat_z
+            entry = prices[t]
+            flat_z *= fee
+        elif kind is Action.SELL and entry is not None:
+            equity[since:t] = flat_z * prices[since:t] / entry
+            flat_z *= (prices[t] / entry) * fee
+            entry = None
+        else:
+            continue  # a buy while long or a sell while flat
+        trades.append(Trade(t, kind, float(prices[t])))
+        since = t
+    equity[since:] = flat_z if entry is None else flat_z * prices[since:] / entry
     # a gated bar is excluded from decision making, so it does not count as
     # an opportunity when measuring how often the strategy acts
-    eligible = sum(1 for s in trace.signals if not s.gated)
+    eligible = sum(not s.gated for s in signals)
     name = strategy_name or getattr(source, "name", type(source).__name__)
     report = BacktestReport(
         symbol=series.symbol,

@@ -1,12 +1,17 @@
 """Classical indicator strategies for profitability comparisons.
 
-Price Channel, Bollinger Bands, MACD and RSI in their textbook forms:
-channel breakouts against the prior-window extremes, band touches against a
-rolling mean +/- width * population std (window includes the current bar),
-EMA-crossover MACD (EMAs seeded with the first price), and Wilder-smoothed
-RSI with threshold crossings. Parameters are tuned by exhaustive in-sample
-grid search on final profitability, which deliberately hands the baselines a
-hindsight advantage the causal model never gets.
+Price Channel, Bollinger Bands, MACD and RSI in their textbook forms, all
+with strict comparisons: pc buys a price above the high of the previous
+``lookback`` bars (current bar excluded) and sells one below their low; bb
+buys below mean - width * std and sells above mean + width * std of the last
+``lookback`` bars (current bar included, population std); macd (EMAs seeded
+with their first value) buys on the bar it rises above its signal line and
+sells on the bar it falls below; Wilder RSI buys on the bar it rises through
+``lower`` and sells on the bar it falls through ``upper``. Bands, channels and
+signals are whole-series array operations; the EMA and RSI recurrences run
+bar by bar. Parameters are tuned by exhaustive in-sample grid search on final
+profitability, which deliberately hands the baselines a hindsight advantage
+the causal model never gets.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyGrid, NotWarmedUp, UsageError
 from .signals import Action, Signal, SignalTrace
@@ -86,30 +92,27 @@ def bollinger(prices, lookback: int, width: float):
     The window includes the current bar; std is the population std.
     """
     p = np.asarray(prices, dtype=np.float64)
-    n = len(p)
-    mean = np.full(n, np.nan)
-    lower = np.full(n, np.nan)
-    upper = np.full(n, np.nan)
-    for t in range(lookback - 1, n):
-        w = p[t - lookback + 1 : t + 1]
-        mu = w.mean()
-        sd = w.std()
-        mean[t] = mu
-        lower[t] = mu - width * sd
-        upper[t] = mu + width * sd
+    mean, lower, upper = np.full((3, len(p)), np.nan)
+    if len(p) >= lookback:
+        # a contiguous copy makes each row reduce as its 1-D window would, so
+        # bands are bit-equal to w.mean() and w.std() whatever loop order
+        # numpy would pick for the view's overlapping strides
+        w = np.ascontiguousarray(sliding_window_view(p, lookback))
+        mu, sd = w.mean(axis=1), w.std(axis=1)
+        mean[lookback - 1 :] = mu
+        lower[lookback - 1 :] = mu - width * sd
+        upper[lookback - 1 :] = mu + width * sd
     return mean, lower, upper
 
 
 def channel_extremes(prices, lookback: int):
     """(prior_high, prior_low) over the previous ``lookback`` bars, current excluded."""
     p = np.asarray(prices, dtype=np.float64)
-    n = len(p)
-    hi = np.full(n, np.nan)
-    lo = np.full(n, np.nan)
-    for t in range(lookback, n):
-        w = p[t - lookback : t]
-        hi[t] = w.max()
-        lo[t] = w.min()
+    hi, lo = np.full((2, len(p)), np.nan)
+    if len(p) > lookback:
+        w = sliding_window_view(p[:-1], lookback)  # row k holds bars k .. k + lookback - 1
+        hi[lookback:] = w.max(axis=1)
+        lo[lookback:] = w.min(axis=1)
     return hi, lo
 
 
@@ -146,51 +149,45 @@ def _rsi_from_averages(avg_gain, avg_loss):
     return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
 
 
+# _signal_array codes index these; one shared, immutable Signal per action
+_ACTIONS = (Action.HOLD, Action.BUY, Action.SELL)
+_SIGNALS = tuple(Signal(kind, math.nan, math.nan) for kind in _ACTIONS)
+
+
 def indicator_signal(cfg: IndicatorConfig, series: PriceSeries, t: int) -> Action:
     """Signal of one indicator at bar ``t`` (uses bars <= t only)."""
     if t < cfg.warmup or t >= len(series):
         raise NotWarmedUp(f"{cfg.kind} needs t >= {cfg.warmup}, got {t}")
-    return _signal_array(cfg, series.prices[: t + 1])[t]
+    return _ACTIONS[_signal_array(cfg, series.prices[: t + 1])[t]]
 
 
-def _signal_array(cfg: IndicatorConfig, prices) -> list:
-    """Signals for every bar of ``prices``; HOLD before warmup. Computing the
-    whole array at once keeps the per-series tuner O(n) per config."""
+def _signal_array(cfg: IndicatorConfig, prices) -> np.ndarray:
+    """Action code of every bar (0 hold, 1 buy, 2 sell) under the module's
+    rules; bars before ``cfg.warmup`` hold. A NaN indicator value, as where a
+    band or channel is not yet defined, compares false and holds."""
     p = np.asarray(prices, dtype=np.float64)
-    n = len(p)
-    out = [Action.HOLD] * n
     if cfg.kind == "pc":
-        (lookback,) = cfg.params
-        hi, lo = channel_extremes(p, lookback)
-        for t in range(lookback, n):
-            if p[t] > hi[t]:
-                out[t] = Action.BUY
-            elif p[t] < lo[t]:
-                out[t] = Action.SELL
+        hi, lo = channel_extremes(p, cfg.params[0])
+        buy, sell = p > hi, p < lo
     elif cfg.kind == "bb":
-        lookback, width = cfg.params
-        _, lower, upper = bollinger(p, lookback, width)
-        for t in range(lookback - 1, n):
-            if p[t] < lower[t]:
-                out[t] = Action.BUY
-            elif p[t] > upper[t]:
-                out[t] = Action.SELL
+        _, lower, upper = bollinger(p, *cfg.params)
+        buy, sell = p < lower, p > upper
     elif cfg.kind == "macd":
-        fast, slow, signal = cfg.params
-        macd, sig = macd_lines(p, fast, slow, signal)
-        for t in range(slow + signal, n):
-            if macd[t - 1] <= sig[t - 1] and macd[t] > sig[t]:
-                out[t] = Action.BUY
-            elif macd[t - 1] >= sig[t - 1] and macd[t] < sig[t]:
-                out[t] = Action.SELL
+        macd, sig = macd_lines(p, *cfg.params)
+        buy, sell = _crossed(macd <= sig, macd > sig), _crossed(macd >= sig, macd < sig)
     else:  # rsi
-        lookback, lower_thr, upper_thr = cfg.params
+        lookback, lower, upper = cfg.params
         rsi = rsi_values(p, lookback)
-        for t in range(lookback + 1, n):
-            if rsi[t - 1] <= lower_thr and rsi[t] > lower_thr:
-                out[t] = Action.BUY
-            elif rsi[t - 1] >= upper_thr and rsi[t] < upper_thr:
-                out[t] = Action.SELL
+        buy, sell = _crossed(rsi <= lower, rsi > lower), _crossed(rsi >= upper, rsi < upper)
+    codes = np.where(buy, 1, np.where(sell, 2, 0))
+    codes[: cfg.warmup] = 0
+    return codes
+
+
+def _crossed(before, after) -> np.ndarray:
+    """True at bar t when ``before`` held at t - 1 and ``after`` holds at t."""
+    out = np.zeros(len(after), dtype=bool)
+    out[1:] = before[:-1] & after[1:]
     return out
 
 
@@ -205,10 +202,9 @@ class IndicatorStrategy:
         return self.cfg.kind.upper()
 
     def run(self, series: PriceSeries) -> SignalTrace:
-        kinds = _signal_array(self.cfg, series.prices)
         start = min(self.cfg.warmup, len(series))
-        signals = [Signal(kind, math.nan, math.nan) for kind in kinds[start:]]
-        return SignalTrace(start=start, signals=signals)
+        codes = _signal_array(self.cfg, series.prices)[start:]
+        return SignalTrace(start=start, signals=[_SIGNALS[c] for c in codes.tolist()])
 
 
 def tune_baseline(grid, series: PriceSeries, cost_bps=0.0) -> IndicatorConfig:

@@ -121,10 +121,6 @@ class SignalTrace:
     start: int
     signals: list = field(default_factory=list)
 
-    def at(self, t: int):
-        i = t - self.start
-        return self.signals[i] if 0 <= i < len(self.signals) else None
-
 
 class _Trailing:
     """The newest ``keep`` rows of a per-bar series in one contiguous array.

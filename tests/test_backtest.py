@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from nsw.backtest import (
     DECISION_FRACTION_BAND,
     TraceSource,
+    Trade,
     compare_strategies,
     run_backtest,
     run_parcel_backtest,
@@ -44,6 +46,43 @@ def equity_oracle(prices, moves, start=0):
             entry = None
         z[t] = flat if entry is None else flat * prices[t] / entry
     return z
+
+
+def per_bar_equity(trace, prices, cost_bps=0.0):
+    """The per-bar accounting loop run_backtest replaced: (equity, trades).
+
+    Every bar looks up its own signal, so equity is written one bar at a time.
+    """
+    fee = 1.0 - cost_bps / 1e4
+    equity = np.ones(len(prices))
+    trades = []
+    flat_z, entry = 1.0, None
+    for t in range(len(prices)):
+        i = t - trace.start
+        sig = trace.signals[i] if 0 <= i < len(trace.signals) else None
+        if sig is not None:
+            if sig.kind is Action.BUY and entry is None:
+                entry = prices[t]
+                flat_z *= fee
+                trades.append(Trade(t, Action.BUY, float(prices[t])))
+            elif sig.kind is Action.SELL and entry is not None:
+                flat_z *= (prices[t] / entry) * fee
+                entry = None
+                trades.append(Trade(t, Action.SELL, float(prices[t])))
+        equity[t] = flat_z if entry is None else flat_z * prices[t] / entry
+    return equity, trades
+
+
+@st.composite
+def accounting_cases(draw):
+    """Positive prices, a trace from bar ``start`` > 0 that may run past the
+    series end, with gated holds among its signals, and a positive cost."""
+    prices = draw(st.lists(st.floats(0.5, 2.0), min_size=2, max_size=40))
+    start = draw(st.integers(1, len(prices) + 1))
+    kinds = draw(st.lists(st.sampled_from(["buy", "sell", "hold", "gated"]), max_size=len(prices) + 10))
+    signals = [Signal(Action.HOLD if k == "gated" else Action(k), 0.5, 0.0, gated=k == "gated") for k in kinds]
+    cost_bps = draw(st.floats(0.01, 50.0))
+    return np.array(prices), SignalTrace(start=start, signals=signals), cost_bps
 
 
 class TestRunBacktest:
@@ -100,7 +139,31 @@ class TestRunBacktest:
         moves = {t: Action(m) for t, m in enumerate(moves_raw) if m != "hold"}
         report = run_backtest(scripted(series, moves), series)
         oracle = equity_oracle(prices, moves)
-        assert np.allclose(report.equity, oracle, rtol=1e-12, atol=0)
+        assert np.array_equal(report.equity, oracle)
+
+    @given(case=accounting_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_equity_equals_per_bar_loop(self, case):
+        prices, trace, cost_bps = case
+        series = series_from_prices(prices)
+        report = run_backtest(TraceSource(trace), series, cost_bps=cost_bps)
+        equity, trades = per_bar_equity(trace, prices, cost_bps)
+        assert np.array_equal(report.equity, equity)
+        assert report.trades == tuple(trades)
+        assert report.eligible_bars == sum(not s.gated for s in trace.signals[: max(0, len(prices) - trace.start)])
+        # Z is the product of the round-trip returns (an open position marked
+        # at the last price) times one fee per fill; the loop multiplies in
+        # another order, hence the relative tolerance
+        buys, sells = trades[::2], trades[1::2]
+        exits = [tr.price for tr in sells] + [prices[-1]] * (len(buys) - len(sells))
+        legs = [x / b.price for b, x in zip(buys, exits)]
+        fee = 1.0 - cost_bps / 1e4
+        assert report.final_z == pytest.approx(math.prod(legs) * fee ** len(trades), rel=1e-12, abs=0)
+
+    def test_eligible_bars_stop_at_series_end(self):
+        series = series_from_prices([1.0, 1.1, 1.2, 1.3])
+        trace = SignalTrace(start=0, signals=[Signal(Action.HOLD, 0.5, 0.0)] * 10)
+        assert run_backtest(TraceSource(trace), series).eligible_bars == 4
 
     def test_replay_determinism(self):
         series = series_from_prices([1.0, 1.3, 0.9, 1.4, 1.2])

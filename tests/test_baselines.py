@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsw.backtest import run_backtest
 from nsw.baselines import (
+    KINDS,
     IndicatorConfig,
     IndicatorStrategy,
     bollinger,
@@ -55,6 +58,148 @@ def _ref_rsi_value(ag, al):
     if al == 0.0:
         return 100.0
     return 100.0 - 100.0 / (1.0 + ag / al)
+
+
+def loop_bollinger(prices, lookback, width):
+    """The per-bar band loop bollinger replaced."""
+    p = np.asarray(prices, dtype=np.float64)
+    mean, lower, upper = (np.full(len(p), np.nan) for _ in range(3))
+    for t in range(lookback - 1, len(p)):
+        w = p[t - lookback + 1 : t + 1]
+        mu, sd = w.mean(), w.std()
+        mean[t], lower[t], upper[t] = mu, mu - width * sd, mu + width * sd
+    return mean, lower, upper
+
+
+def loop_channel_extremes(prices, lookback):
+    """The per-bar channel loop channel_extremes replaced."""
+    p = np.asarray(prices, dtype=np.float64)
+    hi, lo = np.full(len(p), np.nan), np.full(len(p), np.nan)
+    for t in range(lookback, len(p)):
+        hi[t], lo[t] = p[t - lookback : t].max(), p[t - lookback : t].min()
+    return hi, lo
+
+
+def loop_actions(cfg, prices):
+    """The per-bar signal loop the indicator strategies replaced: one Action per bar."""
+    p = np.asarray(prices, dtype=np.float64)
+    n = len(p)
+    out = [Action.HOLD] * n
+    if cfg.kind == "pc":
+        (lookback,) = cfg.params
+        hi, lo = loop_channel_extremes(p, lookback)
+        for t in range(lookback, n):
+            if p[t] > hi[t]:
+                out[t] = Action.BUY
+            elif p[t] < lo[t]:
+                out[t] = Action.SELL
+    elif cfg.kind == "bb":
+        lookback, width = cfg.params
+        _, lower, upper = loop_bollinger(p, lookback, width)
+        for t in range(lookback - 1, n):
+            if p[t] < lower[t]:
+                out[t] = Action.BUY
+            elif p[t] > upper[t]:
+                out[t] = Action.SELL
+    elif cfg.kind == "macd":
+        fast, slow, signal = cfg.params
+        macd, sig = macd_lines(p, fast, slow, signal)
+        for t in range(slow + signal, n):
+            if macd[t - 1] <= sig[t - 1] and macd[t] > sig[t]:
+                out[t] = Action.BUY
+            elif macd[t - 1] >= sig[t - 1] and macd[t] < sig[t]:
+                out[t] = Action.SELL
+    else:
+        lookback, lower_thr, upper_thr = cfg.params
+        rsi = rsi_values(p, lookback)
+        for t in range(lookback + 1, n):
+            if rsi[t - 1] <= lower_thr and rsi[t] > lower_thr:
+                out[t] = Action.BUY
+            elif rsi[t - 1] >= upper_thr and rsi[t] < upper_thr:
+                out[t] = Action.SELL
+    return out
+
+
+@st.composite
+def price_paths(draw, max_bars=160):
+    """OU or random-walk log prices, sometimes with a flat stretch, often
+    shorter than the indicator windows."""
+    n = draw(st.integers(2, max_bars))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = draw(st.sampled_from([0.0, 0.01, 0.2]))  # 0: random walk
+    vol = draw(st.sampled_from([1e-4, 0.01, 0.05]))
+    x = np.zeros(n)
+    for t in range(1, n):
+        x[t] = (1.0 - rate) * x[t - 1] + vol * rng.standard_normal()
+    prices = 100.0 * np.exp(x)
+    if draw(st.booleans()):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(a, n))
+        prices[a:b] = prices[a]
+    return prices
+
+
+@st.composite
+def indicator_configs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "pc":
+        params = (draw(st.integers(2, 45)),)
+    elif kind == "bb":
+        params = (draw(st.integers(2, 45)), draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5])))
+    elif kind == "macd":
+        fast = draw(st.integers(2, 12))
+        params = (fast, draw(st.integers(fast + 1, 36)), draw(st.integers(2, 10)))
+    else:
+        upper = draw(st.sampled_from([50.0, 60.0, 70.0, 80.0]))  # 50: flat prices sit on it
+        lower = draw(st.sampled_from([v for v in (20.0, 30.0, 40.0, 50.0) if v < upper]))
+        params = (draw(st.integers(2, 25)), lower, upper)
+    return IndicatorConfig(kind, params)
+
+
+class TestAgainstLoops:
+    @given(prices=price_paths(), lookback=st.integers(2, 45), width=st.floats(0.1, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_bands_equal_loops(self, prices, lookback, width):
+        for got, want in zip(bollinger(prices, lookback, width), loop_bollinger(prices, lookback, width)):
+            assert np.array_equal(got, want, equal_nan=True)
+        for got, want in zip(channel_extremes(prices, lookback), loop_channel_extremes(prices, lookback)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @given(prices=price_paths(), cfg=indicator_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_signals_equal_loops(self, prices, cfg):
+        trace = IndicatorStrategy(cfg).run(series_from_prices(prices))
+        assert trace.start == min(cfg.warmup, len(prices))
+        assert [s.kind for s in trace.signals] == loop_actions(cfg, prices)[trace.start :]
+
+    @pytest.mark.parametrize("cfg, step, action", [
+        (IndicatorConfig("macd", (5, 10, 4)), 0.01, Action.BUY),
+        (IndicatorConfig("macd", (5, 10, 4)), -0.01, Action.SELL),
+        (IndicatorConfig("rsi", (5, 50.0, 70.0)), 0.01, Action.BUY),
+        (IndicatorConfig("rsi", (5, 30.0, 50.0)), -0.01, Action.SELL),
+    ])
+    def test_crossing_from_a_tie(self, cfg, step, action):
+        # flat prices hold MACD on its signal line (both 0) and RSI at 50; the
+        # first move then crosses, since only the new side is strict
+        prices = 100.0 * np.exp(np.concatenate([np.zeros(40), step * np.arange(1, 11)]))
+        trace = IndicatorStrategy(cfg).run(series_from_prices(prices))
+        kinds = [s.kind for s in trace.signals]
+        assert kinds == loop_actions(cfg, prices)[trace.start :]
+        assert kinds[40 - trace.start] is action
+
+    @given(prices=price_paths(), cfg=indicator_configs(), cut=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_causality_prefix_property(self, prices, cfg, cut):
+        k = max(2, round(cut * len(prices)))
+        full = IndicatorStrategy(cfg).run(series_from_prices(prices))
+        pre = IndicatorStrategy(cfg).run(series_from_prices(prices[:k]))
+        assert full.signals[: len(pre.signals)] == pre.signals
+        if cfg.kind == "pc" and k > cfg.params[0]:
+            # the channel at bar k - 1 ignores that bar: an outlier there breaks out
+            spiked = np.append(prices[: k - 1], 1e6)
+            hi, lo = channel_extremes(spiked, cfg.params[0])
+            assert (hi[-1], lo[-1]) == tuple(v[k - 1] for v in channel_extremes(prices, cfg.params[0]))
+            assert IndicatorStrategy(cfg).run(series_from_prices(spiked)).signals[-1].kind is Action.BUY
 
 
 class TestIndicatorValues:
