@@ -17,9 +17,9 @@ from .portfolio import (
     objective_P,
     optimize_parcel,
 )
-from .sde_fit import HermiteBasis, SdeModel, eval_diffusion, eval_drift, fit_model, hermite_eval, make_basis
+from .sde_fit import FitStack, eval_diffusion, eval_drift, fit_model
 from .signals import Action, Signal, SignalConfig, SignalEngine, decide
-from .stationary import StationaryDensity, density_convolution, ks_quasistationarity, stationary_density
+from .stationary import DensityStack, density_convolution, ks_quasistationarity, stationary_density
 from .timeseries import PriceSeries, load_bars, make_ou_price_series, simulate_sde, write_bars
 from .wavelets import WaveletCoeffSeries, WaveletFilter, make_wavelet, transform
 
@@ -28,18 +28,17 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "BacktestReport",
-    "HermiteBasis",
+    "DensityStack",
+    "FitStack",
     "IndicatorConfig",
     "IndicatorStrategy",
     "MomentEstimate",
     "ParcelWeights",
     "PriceSeries",
     "RunConfig",
-    "SdeModel",
     "Signal",
     "SignalConfig",
     "SignalEngine",
-    "StationaryDensity",
     "WaveletCoeffSeries",
     "WaveletFilter",
     "compare_strategies",
@@ -49,13 +48,11 @@ __all__ = [
     "eval_diffusion",
     "eval_drift",
     "fit_model",
-    "hermite_eval",
     "indicator_signal",
     "ks_quasistationarity",
     "load_bars",
     "load_config",
     "log_returns",
-    "make_basis",
     "make_ou_price_series",
     "make_wavelet",
     "objective_P",

@@ -70,13 +70,14 @@ class IndicatorConfig:
 
 def ema(values, span: int) -> np.ndarray:
     """Exponential moving average, alpha = 2/(span+1), seeded with the first value."""
-    x = np.asarray(values, dtype=np.float64)
+    x = np.asarray(values, dtype=np.float64).tolist()  # Python floats: the recurrence runs per bar
     alpha = 2.0 / (span + 1.0)
-    out = np.empty_like(x)
-    out[0] = x[0]
-    for i in range(1, len(x)):
-        out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
-    return out
+    acc = x[0]
+    out = [acc]
+    for v in x[1:]:
+        acc = alpha * v + (1.0 - alpha) * acc
+        out.append(acc)
+    return np.array(out)
 
 
 def macd_lines(prices, fast: int, slow: int, signal: int):
@@ -131,13 +132,15 @@ def rsi_values(prices, lookback: int) -> np.ndarray:
     delta = np.diff(p)
     gain = np.clip(delta, 0.0, None)
     loss = np.clip(-delta, 0.0, None)
-    avg_gain = gain[:lookback].mean()
-    avg_loss = loss[:lookback].mean()
-    out[lookback] = _rsi_from_averages(avg_gain, avg_loss)
-    for t in range(lookback + 1, n):
-        avg_gain = (avg_gain * (lookback - 1) + gain[t - 1]) / lookback
-        avg_loss = (avg_loss * (lookback - 1) + loss[t - 1]) / lookback
-        out[t] = _rsi_from_averages(avg_gain, avg_loss)
+    avg_gain = float(gain[:lookback].mean())
+    avg_loss = float(loss[:lookback].mean())
+    rsi = [_rsi_from_averages(avg_gain, avg_loss)]
+    # Python floats: the smoothing runs per bar, over the changes into bars lookback + 1 .. n - 1
+    for g, l in zip(gain[lookback:].tolist(), loss[lookback:].tolist()):
+        avg_gain = (avg_gain * (lookback - 1) + g) / lookback
+        avg_loss = (avg_loss * (lookback - 1) + l) / lookback
+        rsi.append(_rsi_from_averages(avg_gain, avg_loss))
+    out[lookback:] = rsi
     return out
 
 

@@ -35,37 +35,6 @@ def _term_list(dims, degree):
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Products of He_k over all multi-indices with total degree <= degree."""
-
-    dims: int
-    degree: int
-    terms: tuple
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        std = np.asarray(self.std, dtype=np.float64)
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-
-def make_basis(dims, degree, mean=None, std=None) -> HermiteBasis:
-    mean = np.zeros(dims) if mean is None else np.asarray(mean, dtype=np.float64)
-    std = np.ones(dims) if std is None else np.asarray(std, dtype=np.float64)
-    terms = _term_list(dims, degree)
-    assert len(terms) == math.comb(dims + degree, degree)
-    return HermiteBasis(dims=dims, degree=degree, terms=terms, mean=mean, std=std)
-
-
 def _hermite_table(x, degree):
     """He_0..He_degree at every point of ``x`` (last axis indexes the order)."""
     x = np.asarray(x, dtype=np.float64)
@@ -85,43 +54,6 @@ def _design(z, terms) -> np.ndarray:
     return table[..., np.arange(z.shape[-1]), np.array(terms)].prod(axis=-1)
 
 
-def hermite_eval(basis: HermiteBasis, y) -> np.ndarray:
-    """Evaluate every basis term at ``y`` (one point (dims,) or a batch (n, dims)).
-
-    Points are standardized with the basis mean/std before the polynomial
-    products are formed.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    out = _design((np.atleast_2d(y) - basis.mean) / basis.std, basis.terms)
-    return out[0] if y.ndim == 1 else out
-
-
-@dataclass(frozen=True)
-class SdeModel:
-    """Fitted expansion: rows of ``drift_coeffs``/``diff_coeffs`` are the
-    per-dimension coefficient vectors over ``basis.terms``; ``diff_coeffs``
-    expands G^2, and evaluation floors it at ``diffusion_floor**2``."""
-
-    basis: HermiteBasis
-    drift_coeffs: np.ndarray
-    diff_coeffs: np.ndarray
-    dt: float
-    calib_len: int
-    diffusion_floor: float
-
-    def __post_init__(self):
-        for name in ("drift_coeffs", "diff_coeffs"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise DegenerateWindow(f"non-finite {name}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def dims(self) -> int:
-        return self.basis.dims
-
-
 # why fit_windows could not fit a window, by FitStack.status code (0 = fitted)
 _FIT_FAILURES = (None, "window contains non-finite values", "zero variance over the window",
                 "non-finite drift or diffusion coefficients")
@@ -131,11 +63,14 @@ _FIT_FAILURES = (None, "window contains non-finite values", "zero variance over 
 class FitStack:
     """Fits of B windows of one shape; index i of each array belongs to window i.
 
-    ``drift``/``diff`` are (B, dims, n_terms): row i is window i's
-    ``drift_coeffs``/``diff_coeffs``. ``status[i]`` is 0 for a fitted window
-    and a failure code otherwise (1 non-finite values, 2 a zero-variance
-    dimension, 3 non-finite coefficients); the arrays of a window that was
-    not fitted hold finite placeholders.
+    ``drift``/``diff`` are (B, dims, n_terms): row i holds window i's
+    per-dimension coefficient vectors over ``terms`` for F and G^2, in
+    coordinates standardized by ``mean[i]``/``std[i]``; G^2 is floored at
+    ``floor[i]**2`` wherever it is evaluated. ``status[i]`` is 0 for a fitted
+    window and a failure code otherwise (1 non-finite values, 2 a
+    zero-variance dimension, 3 non-finite coefficients); the arrays of a
+    window that was not fitted hold finite placeholders. A single window's
+    fit is a one-row stack.
     """
 
     terms: tuple
@@ -148,27 +83,6 @@ class FitStack:
     status: np.ndarray  # (B,)
     dt: float
     calib_len: int
-
-    @classmethod
-    def from_model(cls, model: SdeModel) -> "FitStack":
-        """The one-row stack of an existing model."""
-        b = model.basis
-        return cls(b.terms, b.degree, b.mean[None], b.std[None], model.drift_coeffs[None], model.diff_coeffs[None],
-                   np.array([model.diffusion_floor]), np.zeros(1, dtype=int), model.dt, model.calib_len)
-
-    def model(self, i: int) -> SdeModel:
-        """Window i as an SdeModel; DegenerateWindow when it was not fitted."""
-        if self.status[i]:
-            raise DegenerateWindow(_FIT_FAILURES[self.status[i]])
-        dims = self.mean.shape[1]
-        return SdeModel(
-            basis=HermiteBasis(dims=dims, degree=self.degree, terms=self.terms, mean=self.mean[i], std=self.std[i]),
-            drift_coeffs=self.drift[i],
-            diff_coeffs=self.diff[i],
-            dt=self.dt,
-            calib_len=self.calib_len,
-            diffusion_floor=float(self.floor[i]),
-        )
 
 
 def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
@@ -223,27 +137,30 @@ def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
     return FitStack(terms, degree, mean, std, lam.transpose(0, 2, 1), q.transpose(0, 2, 1), floor, status, float(dt), n)
 
 
-def fit_model(window, degree=3, dt=1.0, diffusion_floor=None) -> SdeModel:
-    """Fit an SdeModel to a (T, dims) window of coefficient vectors: the
-    one-window case of ``fit_windows``. Raises DegenerateWindow for a window
-    with non-finite values or a zero-variance dimension."""
+def fit_model(window, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
+    """Fit one (T, dims) window of coefficient vectors: the one-row stack of
+    ``fit_windows``. Raises DegenerateWindow when the window was not fitted."""
     w = np.asarray(window, dtype=np.float64)
     if w.ndim == 1:
         w = w[:, None]
-    return fit_windows(w[None], degree=degree, dt=dt, diffusion_floor=diffusion_floor).model(0)
+    fit = fit_windows(w[None], degree=degree, dt=dt, diffusion_floor=diffusion_floor)
+    if fit.status[0]:
+        raise DegenerateWindow(_FIT_FAILURES[fit.status[0]])
+    return fit
 
 
-def eval_drift(model: SdeModel, y) -> np.ndarray:
-    """F(y); one point in, (dims,) out; a batch (n, dims) in, (n, dims) out."""
-    h = hermite_eval(model.basis, y)
-    return h @ model.drift_coeffs.T
+def eval_drift(fit: FitStack, y) -> np.ndarray:
+    """F(y) of a one-row stack; one point (dims,) in, (dims,) out; a batch
+    (n, dims) in, (n, dims) out."""
+    z = (np.asarray(y, dtype=np.float64) - fit.mean[0]) / fit.std[0]
+    return _design(z, fit.terms) @ fit.drift[0].T
 
 
-def eval_diffusion(model: SdeModel, y) -> np.ndarray:
-    """Diagonal G(y) >= diffusion_floor, same shape conventions as eval_drift."""
-    h = hermite_eval(model.basis, y)
-    g2 = h @ model.diff_coeffs.T
-    return np.sqrt(np.maximum(g2, model.diffusion_floor**2))
+def eval_diffusion(fit: FitStack, y) -> np.ndarray:
+    """Diagonal G(y) >= the row's floor, same shape conventions as eval_drift."""
+    z = (np.asarray(y, dtype=np.float64) - fit.mean[0]) / fit.std[0]
+    g2 = _design(z, fit.terms) @ fit.diff[0].T
+    return np.sqrt(np.maximum(g2, fit.floor[0] ** 2))
 
 
 @lru_cache(maxsize=64)
@@ -266,13 +183,13 @@ def mode_series(terms, coeffs, mode: int) -> np.ndarray:
     return (np.asarray(coeffs)[..., None] * _collapse(tuple(terms), mode)).sum(axis=-2)
 
 
-def drift_polynomial(model: SdeModel, mode=1) -> np.ndarray:
-    """Power-series coefficients (ascending) of the drift along one mode in
-    raw coordinates, other modes at their means. Diagnostic helper."""
-    he = mode_series(model.basis.terms, model.drift_coeffs[mode - 1], mode)
+def drift_polynomial(fit: FitStack, mode=1) -> np.ndarray:
+    """Power-series coefficients (ascending) of a one-row stack's drift along
+    one mode in raw coordinates, other modes at their means. Diagnostic helper."""
+    he = mode_series(fit.terms, fit.drift[0, mode - 1], mode)
     poly_hat = np.polynomial.Polynomial(hermite_e.herme2poly(he))
-    mu = model.basis.mean[mode - 1]
-    sigma = model.basis.std[mode - 1]
+    mu = fit.mean[0, mode - 1]
+    sigma = fit.std[0, mode - 1]
     composed = poly_hat(np.polynomial.Polynomial([-mu / sigma, 1.0 / sigma]))
     return composed.coef
 

@@ -91,6 +91,10 @@ class SignalConfig:
             raise ConfigError(f"shift_len must be >= 1, got {self.shift_len}")
         if self.n_grid < 2:
             raise ConfigError(f"n_grid must be >= 2, got {self.n_grid}")
+        if not 0.0 < self.grid_span < math.inf:
+            raise ConfigError(f"grid_span must be positive and finite, got {self.grid_span}")
+        if self.ks_k is not None and not self.ks_k > 0.0:
+            raise ConfigError(f"ks_k must be > 0, got {self.ks_k}")
         try:
             make_wavelet(self.wavelet, self.wavelet_order or None)
         except UnsupportedFamily as exc:
@@ -206,8 +210,8 @@ class SignalEngine:
         return self._coeffs.window(self.cfg.calib_len, self.n_bars - 1 - t)
 
     def _density_at(self, t: int):
-        """Mode-1 density for the fit window ending at bar t; None when the
-        window is degenerate or the density non-normalizable.
+        """Mode-1 density (a one-row stack) for the fit window ending at bar
+        t; None when the window is degenerate or the density non-normalizable.
 
         Bar t's slot keeps the result until bar t + shift_len + 1 reuses it,
         so the density fitted while deciding bar t serves as the displaced
@@ -216,8 +220,8 @@ class SignalEngine:
         bar, dens = self._densities[slot]
         if bar != t:
             try:
-                model = fit_model(self._window(t), degree=self.cfg.degree, dt=1.0)
-                dens = stationary_density(model, mode=1, span=self.cfg.grid_span, n_grid=self.cfg.n_grid)
+                fit = fit_model(self._window(t), degree=self.cfg.degree, dt=1.0)
+                dens = stationary_density(fit, mode=1, span=self.cfg.grid_span, n_grid=self.cfg.n_grid)
             except (DegenerateWindow, NonIntegrable):
                 dens = None
             self._densities[slot] = (t, dens)
@@ -228,7 +232,9 @@ class SignalEngine:
         have been fed for the full pipeline (including the displaced fit).
 
         The live path: each bar's window is fitted on its own through
-        ``fit_model`` and ``stationary_density``."""
+        ``fit_model`` and ``stationary_density``, the one-row cases of the
+        ``fit_windows`` and ``stationary_densities`` kernels that ``run``
+        uses, so both fill the density ring with the same one-row stacks."""
         self.extend(price)
         t = self.n_bars - 1
         if not self.ready:
@@ -237,7 +243,8 @@ class SignalEngine:
         return self._decide_bar(self._window(t), d_now, self._density_at(t - self.cfg.shift_len))
 
     def _decide_bar(self, window, d_now, d_shift) -> Signal:
-        """Gate and trade rule for the bar whose fit window is ``window``."""
+        """Gate and trade rule for the bar whose fit window is ``window``;
+        ``d_now``/``d_shift`` are one-row density stacks or None."""
         dy1 = float(window[-1, 0] - window[-2, 0])
         if d_now is None or d_shift is None:
             self.degenerate_bars += 1
@@ -247,13 +254,13 @@ class SignalEngine:
         )
         if self.cfg.density_mode == "convolution":
             try:
-                p_s = density_convolution(d_now, d_shift).p_s
+                p_s = float(density_convolution(d_now, d_shift).p_s[0])
             except (NonIntegrable, GridMismatch):
                 # distributions too far apart to compare: treat as gated
                 self.degenerate_bars += 1
                 return Signal(Action.HOLD, 0.5, dy1, gated=True)
         else:
-            p_s = d_now.p_s
+            p_s = float(d_now.p_s[0])
         return decide(dy1, p_s, ks_pass, self.cfg)
 
     def run(self, series: PriceSeries) -> SignalTrace:
@@ -292,7 +299,7 @@ class SignalEngine:
             fits = fit_windows(windows[np.array(part) - (cfg.calib_len - 1)].transpose(0, 2, 1), degree=cfg.degree)
             dens = stationary_densities(fits, mode=1, span=cfg.grid_span, n_grid=cfg.n_grid)
             for i, t in enumerate(part):
-                d_now = dens.density(i)
+                d_now = dens.row(i)
                 self._densities[t % ring] = (t, d_now)
                 if t >= first:
                     d_shift = self._densities[(t - cfg.shift_len) % ring][1]

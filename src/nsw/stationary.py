@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatch, NonIntegrable, TooFewPoints
-from .sde_fit import FitStack, SdeModel, _hermite_table, mode_series
+from .sde_fit import FitStack, _hermite_table, mode_series
 
 DEFAULT_SPAN = 5.0
 DEFAULT_GRID = 1024
@@ -29,33 +29,10 @@ _EDGE_MASS_LIMIT = 0.01
 
 
 @dataclass(frozen=True)
-class StationaryDensity:
-    """Gridded density with its CDF and the mass below zero (``p_s``)."""
-
-    grid: np.ndarray
-    pdf: np.ndarray
-    cdf: np.ndarray
-    p_s: float
-
-    def __post_init__(self):
-        for name in ("grid", "pdf", "cdf"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-    def cdf_at(self, points) -> np.ndarray:
-        """CDF interpolated at arbitrary points, clamped to [0, 1] outside."""
-        return np.interp(points, self.grid, self.cdf)
-
-
-@dataclass(frozen=True)
 class DensityStack:
     """B gridded densities: row i of ``grid``/``pdf``/``cdf`` and ``p_s[i]``
-    belong to window i, unless ``failures[i]`` says why it has none."""
+    belong to window i, unless ``failures[i]`` says why it has none. A single
+    window's density is a one-row stack."""
 
     grid: np.ndarray
     pdf: np.ndarray
@@ -63,17 +40,12 @@ class DensityStack:
     p_s: np.ndarray
     failures: list
 
-    def density(self, i: int):
-        """Row i as a StationaryDensity, or None when it failed."""
+    def row(self, i: int):
+        """Row i as a one-row stack of views, or None when it failed."""
         if self.failures[i]:
             return None
-        return StationaryDensity(grid=self.grid[i], pdf=self.pdf[i], cdf=self.cdf[i], p_s=float(self.p_s[i]))
-
-    def only(self) -> StationaryDensity:
-        """The density of a one-row stack; NonIntegrable when it failed."""
-        if self.failures[0]:
-            raise NonIntegrable(self.failures[0])
-        return self.density(0)
+        rows = slice(i, i + 1)
+        return DensityStack(self.grid[rows], self.pdf[rows], self.cdf[rows], self.p_s[rows], [None])
 
 
 def _trapezoids(y, dx):
@@ -109,12 +81,6 @@ def _finalize_rows(grid, dx, raw_pdf, failures) -> DensityStack:
     p_s = np.minimum(np.maximum((cdf[rows, j + 1] - f0) / dx[rows, j] * -x0 + f0, 0.0), 1.0)
     raw_pdf /= total[:, None]
     return DensityStack(grid=grid, pdf=raw_pdf, cdf=cdf, p_s=p_s, failures=failures)
-
-
-def _finalize(grid, raw_pdf) -> StationaryDensity:
-    """One normalized density from an unnormalized one on a 1-D grid."""
-    grid = np.asarray(grid, dtype=np.float64)[None]
-    return _finalize_rows(grid, np.diff(grid, axis=1), np.array(raw_pdf, dtype=np.float64)[None], [None]).only()
 
 
 @lru_cache(maxsize=16)
@@ -169,34 +135,42 @@ def stationary_densities(fits: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAU
     return dens
 
 
-def stationary_density(model: SdeModel, mode=1, span=DEFAULT_SPAN, n_grid=DEFAULT_GRID) -> StationaryDensity:
-    """Quadrature density for one mode of a fitted model: the one-row case of
-    ``stationary_densities``. Raises NonIntegrable when the model's drift is
-    not confining on the grid."""
-    return stationary_densities(FitStack.from_model(model), mode=mode, span=span, n_grid=n_grid).only()
+def stationary_density(fit: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAULT_GRID) -> DensityStack:
+    """Quadrature density for one mode of a one-row stack: the one-row case
+    of ``stationary_densities``. Raises NonIntegrable when the row failed, for
+    instance when the drift is not confining on the grid."""
+    dens = stationary_densities(fit, mode=mode, span=span, n_grid=n_grid)
+    if dens.failures[0]:
+        raise NonIntegrable(dens.failures[0])
+    return dens
 
 
-def density_convolution(d_now: StationaryDensity, d_shifted: StationaryDensity) -> StationaryDensity:
-    """Cross-correlation density f(z) = integral f_now(y) f_shifted(y + z) dy.
+def density_convolution(d_now: DensityStack, d_shifted: DensityStack) -> DensityStack:
+    """Cross-correlation density f(z) = integral f_now(y) f_shifted(y + z) dy
+    of two one-row stacks, as a one-row stack.
 
     Both inputs are resampled onto the finer of the two spacings; their grids
     must overlap (they describe the same coefficient variable).
     """
-    if d_now.grid[-1] < d_shifted.grid[0] or d_shifted.grid[-1] < d_now.grid[0]:
+    g_now, g_shifted = d_now.grid[0], d_shifted.grid[0]
+    if g_now[-1] < g_shifted[0] or g_shifted[-1] < g_now[0]:
         raise GridMismatch("density supports do not overlap")
-    h = min(d_now.spacing, d_shifted.spacing)
+    h = min(g_now[1] - g_now[0], g_shifted[1] - g_shifted[0])
 
-    def resample(d):
-        n = int(math.floor((d.grid[-1] - d.grid[0]) / h)) + 1
-        g = d.grid[0] + h * np.arange(n)
-        return g, np.interp(g, d.grid, d.pdf, left=0.0, right=0.0)
+    def resample(grid, pdf):
+        n = int(math.floor((grid[-1] - grid[0]) / h)) + 1
+        g = grid[0] + h * np.arange(n)
+        return g, np.interp(g, grid, pdf, left=0.0, right=0.0)
 
-    g1, f1 = resample(d_now)
-    g2, f2 = resample(d_shifted)
+    g1, f1 = resample(g_now, d_now.pdf[0])
+    g2, f2 = resample(g_shifted, d_shifted.pdf[0])
     corr = h * np.correlate(f2, f1, mode="full")
     lags = np.arange(-(len(f1) - 1), len(f2))
-    z = (g2[0] - g1[0]) + h * lags
-    return _finalize(z, np.maximum(corr, 0.0))
+    z = ((g2[0] - g1[0]) + h * lags)[None]
+    dens = _finalize_rows(z, np.diff(z, axis=1), np.maximum(corr, 0.0)[None], [None])
+    if dens.failures[0]:
+        raise NonIntegrable(dens.failures[0])
+    return dens
 
 
 def ks_threshold_constant(alpha: float) -> float:
@@ -205,13 +179,13 @@ def ks_threshold_constant(alpha: float) -> float:
 
 
 def ks_quasistationarity(
-    d_now: StationaryDensity,
-    d_shifted: StationaryDensity,
+    d_now: DensityStack,
+    d_shifted: DensityStack,
     sample_points,
     alpha2=0.05,
     k_override=None,
 ):
-    """Compare two synthesized CDFs at the given sample points.
+    """Compare the CDFs of two one-row stacks at the given sample points.
 
     Returns ``(statistic, passed)``: the max absolute CDF difference and
     whether it stays below k(alpha2)/sqrt(N). ``k_override`` replaces the
@@ -222,7 +196,8 @@ def ks_quasistationarity(
     n = len(pts)
     if n < 8:
         raise TooFewPoints(f"need at least 8 sample points, got {n}")
-    stat = float(np.max(np.abs(d_now.cdf_at(pts) - d_shifted.cdf_at(pts))))
+    cdf_now = np.interp(pts, d_now.grid[0], d_now.cdf[0])  # clamped to [0, 1] off the grid
+    stat = float(np.max(np.abs(cdf_now - np.interp(pts, d_shifted.grid[0], d_shifted.cdf[0]))))
     k = ks_threshold_constant(alpha2) if k_override is None else float(k_override)
     return stat, bool(stat < k / math.sqrt(n))
 

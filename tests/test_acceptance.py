@@ -36,11 +36,11 @@ def test_criterion_1_ou_recovery():
     t0 = time.monotonic()
     path = simulate_sde(lambda y: -y, lambda y: 0.5, [0.0], 0.01, 100_000, seed=20090101)
     model = fit_model(path, degree=3, dt=0.01)
-    std = model.basis.std[0]
-    lam = model.drift_coeffs[0]
+    std = model.std[0, 0]
+    lam = model.drift[0, 0]
     linear = lam[1] / std  # He1 coefficient mapped back to raw coordinates
     nonlinear_ratio = max(abs(lam[2]), abs(lam[3])) / abs(lam[1])
-    g = eval_diffusion(model, model.basis.mean[None, :])[0, 0]
+    g = eval_diffusion(model, model.mean)[0, 0]
     elapsed = time.monotonic() - t0
     ok = (
         abs(linear + 1.0) < 0.10
@@ -55,16 +55,18 @@ def test_criterion_1_ou_recovery():
 def test_criterion_2_stationary_density():
     ou = analytic_model_1d([0.0, -1.0], [1.0])
     d = stationary_density(ou)
-    ref = np.exp(-(d.grid**2)) / math.sqrt(math.pi)  # N(0, 1/2)
-    l1 = float(np.trapezoid(np.abs(d.pdf - ref), d.grid))
-    ps_err = abs(d.p_s - 0.5)
-    refine = abs(stationary_density(ou, n_grid=2048).p_s - d.p_s)
+    grid, p_s = d.grid[0], d.p_s[0]
+    ref = np.exp(-(grid**2)) / math.sqrt(math.pi)  # N(0, 1/2)
+    l1 = float(np.trapezoid(np.abs(d.pdf[0] - ref), grid))
+    ps_err = abs(p_s - 0.5)
+    refine = abs(stationary_density(ou, n_grid=2048).p_s[0] - p_s)
 
     dw = analytic_model_1d([0.0, -2.0, 0.0, -1.0], [0.5])
     dd = stationary_density(dw, span=3.0, n_grid=4096)
-    mid = len(dd.grid) // 2
-    left = dd.grid[np.argmax(dd.pdf[:mid])]
-    right = dd.grid[mid + np.argmax(dd.pdf[mid:])]
+    dd_grid, dd_pdf = dd.grid[0], dd.pdf[0]
+    mid = len(dd_grid) // 2
+    left = dd_grid[np.argmax(dd_pdf[:mid])]
+    right = dd_grid[mid + np.argmax(dd_pdf[mid:])]
     ok = l1 < 0.02 and ps_err < 0.01 and refine < 1e-3 and abs(left + 1) < 0.05 and abs(right - 1) < 0.05
     _report(2, ok, f"OU L1 {l1:.4f} < 0.02, p_s err {ps_err:.4f} < 0.01, grid-doubling shift {refine:.2e} < 1e-3, "
                    f"double-well modes {left:+.3f}/{right:+.3f} within 0.05 of -1/+1")

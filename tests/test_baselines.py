@@ -80,6 +80,37 @@ def loop_channel_extremes(prices, lookback):
     return hi, lo
 
 
+def loop_ema(values, span):
+    """The indexed numpy-scalar EMA loop ema replaced."""
+    x = np.asarray(values, dtype=np.float64)
+    alpha = 2.0 / (span + 1.0)
+    out = np.empty_like(x)
+    out[0] = x[0]
+    for i in range(1, len(x)):
+        out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
+    return out
+
+
+def loop_rsi_values(prices, lookback):
+    """The indexed numpy-scalar Wilder RSI loop rsi_values replaced."""
+    p = np.asarray(prices, dtype=np.float64)
+    n = len(p)
+    out = np.full(n, np.nan)
+    if n <= lookback:
+        return out
+    delta = np.diff(p)
+    gain = np.clip(delta, 0.0, None)
+    loss = np.clip(-delta, 0.0, None)
+    avg_gain = gain[:lookback].mean()
+    avg_loss = loss[:lookback].mean()
+    out[lookback] = _ref_rsi_value(avg_gain, avg_loss)
+    for t in range(lookback + 1, n):
+        avg_gain = (avg_gain * (lookback - 1) + gain[t - 1]) / lookback
+        avg_loss = (avg_loss * (lookback - 1) + loss[t - 1]) / lookback
+        out[t] = _ref_rsi_value(avg_gain, avg_loss)
+    return out
+
+
 def loop_actions(cfg, prices):
     """The per-bar signal loop the indicator strategies replaced: one Action per bar."""
     p = np.asarray(prices, dtype=np.float64)
@@ -164,6 +195,14 @@ class TestAgainstLoops:
             assert np.array_equal(got, want, equal_nan=True)
         for got, want in zip(channel_extremes(prices, lookback), loop_channel_extremes(prices, lookback)):
             assert np.array_equal(got, want, equal_nan=True)
+
+    @given(prices=price_paths(), span=st.integers(2, 40), lookback=st.integers(2, 45))
+    @settings(max_examples=150, deadline=None)
+    def test_recurrences_equal_loops(self, prices, span, lookback):
+        assert np.array_equal(ema(prices, span), loop_ema(prices, span))
+        macd = ema(prices, 5) - ema(prices, 13)  # signed input, as macd_lines feeds it
+        assert np.array_equal(ema(macd, span), loop_ema(macd, span))
+        assert np.array_equal(rsi_values(prices, lookback), loop_rsi_values(prices, lookback), equal_nan=True)
 
     @given(prices=price_paths(), cfg=indicator_configs())
     @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from nsw.config import RunConfig, apply_overrides, format_config, parse_config
@@ -22,6 +24,13 @@ def _assert_rejected(values):
     ("levels", 4),  # 35 Hermite terms need calib_len >= 70
     ("wavelet", "morlet"),
     ("wavelet", "daubechies"),  # no order given
+    # each of these held every decided bar
+    ("grid_span", -5.0),
+    ("grid_span", 0.0),
+    ("grid_span", math.inf),
+    ("ks_k", -1.0),
+    ("ks_k", 0.0),
+    ("ks_k", math.nan),
 ])
 def test_invalid_value_rejected(field, value):
     _assert_rejected({field: value})

@@ -6,58 +6,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsw.errors import DegenerateWindow, WindowTooShort
-from nsw.sde_fit import (
-    drift_polynomial,
-    eval_diffusion,
-    eval_drift,
-    fit_model,
-    hermite_eval,
-    make_basis,
-)
+from nsw.sde_fit import _design, _term_list, drift_polynomial, eval_diffusion, eval_drift, fit_model
 from nsw.timeseries import simulate_sde
+
+from conftest import analytic_model_1d
+
+
+def _design_at(fit, y):
+    """Every basis term of a one-row stack at raw points ``y``."""
+    return _design((np.asarray(y, dtype=np.float64) - fit.mean[0]) / fit.std[0], fit.terms)
 
 
 class TestHermiteEval:
     def test_constant_and_linear_at_zero(self):
-        basis = make_basis(1, 1)
-        assert np.allclose(hermite_eval(basis, [0.0]), [1.0, 0.0], atol=0)
+        assert np.allclose(_design(np.array([0.0]), _term_list(1, 1)), [1.0, 0.0], atol=0)
 
     def test_closed_forms(self):
-        basis = make_basis(1, 3)
+        terms = _term_list(1, 3)
         # terms ordered by degree: He0, He1, He2, He3
-        assert hermite_eval(basis, [0.0])[2] == -1.0  # He2(0)
-        assert hermite_eval(basis, [1.0])[3] == -2.0  # He3(1)
+        assert _design(np.array([0.0]), terms)[2] == -1.0  # He2(0)
+        assert _design(np.array([1.0]), terms)[3] == -2.0  # He3(1)
 
     def test_cross_term(self):
-        basis = make_basis(2, 2)
-        vals = hermite_eval(basis, [1.0, 1.0])
-        idx = basis.terms.index((1, 1))
-        assert vals[idx] == 1.0
+        terms = _term_list(2, 2)
+        vals = _design(np.array([1.0, 1.0]), terms)
+        assert vals[terms.index((1, 1))] == 1.0
 
     def test_term_count(self):
-        assert make_basis(2, 3).n_terms == math.comb(5, 3) == 10
-        assert make_basis(1, 3).n_terms == 4
-        assert make_basis(2, 3).terms[0] == (0, 0)
+        assert len(_term_list(2, 3)) == math.comb(5, 3) == 10
+        assert len(_term_list(1, 3)) == 4
+        assert _term_list(2, 3)[0] == (0, 0)
 
     def test_standardization(self):
-        basis = make_basis(1, 2, mean=[3.0], std=[2.0])
-        vals = hermite_eval(basis, [5.0])  # standardized to 1.0
-        assert np.allclose(vals, [1.0, 1.0, 0.0])
+        # y = 5 standardizes to 1: He0, He1, He2 = 1, 1, 0
+        fit = analytic_model_1d([1.0, 10.0, 100.0], [1.0], mean=3.0, std=2.0)
+        assert eval_drift(fit, np.array([5.0]))[0] == 11.0
+        assert np.allclose(_design_at(fit, [5.0]), [1.0, 1.0, 0.0])
 
     def test_batch_shape(self):
-        basis = make_basis(2, 2)
-        out = hermite_eval(basis, np.zeros((7, 2)))
-        assert out.shape == (7, basis.n_terms)
+        out = _design(np.zeros((7, 2)), _term_list(2, 2))
+        assert out.shape == (7, 6)
 
 
 class TestFitModel:
     def test_ou_recovery(self):
         path = simulate_sde(lambda y: -y, lambda y: 0.5, [0.0], 0.01, 100_000, seed=17)
         m = fit_model(path, degree=1, dt=0.01)
-        lam1 = m.drift_coeffs[0, 1]
-        std = m.basis.std[0]
+        lam1 = m.drift[0, 0, 1]
+        std = m.std[0, 0]
         assert abs(lam1 + std) / std < 0.10  # He1 coefficient ~ -std in standardized coordinates
-        g = eval_diffusion(m, np.array([m.basis.mean]))[0, 0]
+        g = eval_diffusion(m, m.mean)[0, 0]
         assert abs(g - 0.5) / 0.5 < 0.05
 
     def test_constant_drift_zero_noise(self):
@@ -65,8 +63,8 @@ class TestFitModel:
         n = 40
         y = (c * 0.5) * np.arange(n)  # pure drift path with dt = 0.5
         m = fit_model(y[:, None], degree=3, dt=0.5, diffusion_floor=1e-4)
-        assert m.drift_coeffs[0, 0] == pytest.approx(c, abs=1e-8)
-        assert np.allclose(m.drift_coeffs[0, 1:], 0.0, atol=1e-8)
+        assert m.drift[0, 0, 0] == pytest.approx(c, abs=1e-8)
+        assert np.allclose(m.drift[0, 0, 1:], 0.0, atol=1e-8)
         g = eval_diffusion(m, np.array([[y.mean()]]))[0, 0]
         assert g == pytest.approx(1e-4, rel=1e-9)
 
@@ -81,8 +79,8 @@ class TestFitModel:
         path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], 0.05, 5_000, seed=2)
         w = path
         m = fit_model(w, degree=3, dt=0.05)
-        design = hermite_eval(m.basis, w[:-1])
-        resid = np.diff(w, axis=0) / 0.05 - design @ m.drift_coeffs.T
+        design = _design_at(m, w[:-1])
+        resid = np.diff(w, axis=0) / 0.05 - design @ m.drift[0].T
         scale = np.abs(design.T @ (np.diff(w, axis=0) / 0.05)).max()
         assert np.abs(design.T @ resid).max() < 1e-8 * max(scale, 1.0)
 
@@ -108,8 +106,8 @@ class TestFitModel:
 
         path2 = simulate_sde(drift, diff, [0.0], 0.02, 60_000, seed=32)
         m2 = fit_model(path2, degree=1, dt=0.02)
-        a1 = m1.drift_coeffs[0, 1] / m1.basis.std[0]
-        a2 = m2.drift_coeffs[0, 1] / m2.basis.std[0]
+        a1 = m1.drift[0, 0, 1] / m1.std[0, 0]
+        a2 = m2.drift[0, 0, 1] / m2.std[0, 0]
         assert abs(a1 - a2) / abs(a1) < 0.15
 
     def test_affine_invariance(self):
@@ -117,30 +115,26 @@ class TestFitModel:
         w = np.cumsum(rng.normal(size=(200, 2)), axis=0)
         m1 = fit_model(w, degree=2)
         m2 = fit_model(4.0 * w, degree=2)  # dyadic factor keeps float ops exact
-        r1 = m1.drift_coeffs / m1.basis.std[:, None]
-        r2 = m2.drift_coeffs / m2.basis.std[:, None]
+        r1 = m1.drift[0] / m1.std[0, :, None]
+        r2 = m2.drift[0] / m2.std[0, :, None]
         assert np.allclose(r1, r2, rtol=1e-10, atol=1e-12)
 
     def test_drift_near_zero_at_mean(self):
         path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], 0.05, 20_000, seed=5)
         w = path
         m = fit_model(w, degree=3, dt=0.05)
-        design = hermite_eval(m.basis, w[:-1])
-        resid = np.diff(w, axis=0)[:, 0] / 0.05 - design @ m.drift_coeffs[0]
-        s2 = resid @ resid / (len(design) - m.basis.n_terms)
-        h0 = hermite_eval(m.basis, m.basis.mean)
+        design = _design_at(m, w[:-1])
+        resid = np.diff(w, axis=0)[:, 0] / 0.05 - design @ m.drift[0, 0]
+        s2 = resid @ resid / (len(design) - len(m.terms))
+        h0 = _design_at(m, m.mean[0])
         cov = s2 * h0 @ np.linalg.pinv(design.T @ design) @ h0
-        drift_at_mean = eval_drift(m, m.basis.mean)[0]
+        drift_at_mean = eval_drift(m, m.mean[0])[0]
         assert abs(drift_at_mean) < 2.0 * math.sqrt(cov) + 1e-12
 
 
 class TestEval:
     def test_zero_drift(self):
-        basis = make_basis(1, 2)
-        from nsw.sde_fit import SdeModel
-
-        m = SdeModel(basis=basis, drift_coeffs=np.zeros((1, 3)), diff_coeffs=np.array([[1.0, 0, 0]]),
-                     dt=1.0, calib_len=64, diffusion_floor=1e-9)
+        m = analytic_model_1d([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
         ys = np.linspace(-3, 3, 11)[:, None]
         assert np.allclose(eval_drift(m, ys), 0.0, atol=0)
         assert np.allclose(eval_diffusion(m, ys), 1.0, atol=0)
@@ -148,10 +142,5 @@ class TestEval:
     @given(y=st.floats(min_value=-50, max_value=50))
     @settings(max_examples=50, deadline=None)
     def test_diffusion_floor_everywhere(self, y):
-        basis = make_basis(1, 3)
-        from nsw.sde_fit import SdeModel
-
-        m = SdeModel(basis=basis, drift_coeffs=np.zeros((1, 4)),
-                     diff_coeffs=np.array([[-2.0, 1.0, 0.5, -0.3]]),
-                     dt=1.0, calib_len=64, diffusion_floor=1e-3)
+        m = analytic_model_1d([0.0] * 4, [-2.0, 1.0, 0.5, -0.3], floor=1e-3)
         assert eval_diffusion(m, np.array([y]))[0] >= 1e-3

@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from nsw.errors import DegenerateWindow, GridMismatch, NonIntegrable, TooFewPoints
 from nsw.sde_fit import fit_model, fit_windows
 from nsw.stationary import (
-    _finalize,
+    _finalize_rows,
     density_convolution,
     ks_quasistationarity,
     ks_threshold_constant,
@@ -19,9 +19,15 @@ from nsw.timeseries import simulate_sde
 from conftest import analytic_model_1d
 
 
+def one_row(grid, pdf):
+    """The one-row density stack of ``pdf`` normalized on ``grid``."""
+    grid = grid[None]
+    return _finalize_rows(grid, np.diff(grid, axis=1), np.array(pdf, dtype=np.float64)[None], [None])
+
+
 def gaussian_density(mu, sigma, lo, hi, n=2001):
     g = np.linspace(lo, hi, n)
-    return _finalize(g, np.exp(-0.5 * ((g - mu) / sigma) ** 2))
+    return one_row(g, np.exp(-0.5 * ((g - mu) / sigma) ** 2))
 
 
 class TestStationaryDensity:
@@ -29,17 +35,18 @@ class TestStationaryDensity:
         # F = -y, G = 1 has stationary density N(0, 1/2)
         m = analytic_model_1d([0.0, -1.0], [1.0])
         d = stationary_density(m)
-        ref = np.exp(-(d.grid**2)) / math.sqrt(math.pi)
-        l1 = np.trapezoid(np.abs(d.pdf - ref), d.grid)
+        grid = d.grid[0]
+        ref = np.exp(-(grid**2)) / math.sqrt(math.pi)
+        l1 = np.trapezoid(np.abs(d.pdf[0] - ref), grid)
         assert l1 < 0.02
-        assert abs(d.p_s - 0.5) < 0.01
+        assert abs(d.p_s[0] - 0.5) < 0.01
 
     def test_normalization_and_cdf(self):
         m = analytic_model_1d([0.0, -1.0], [1.0])
         d = stationary_density(m)
-        assert abs(np.trapezoid(d.pdf, d.grid) - 1.0) < 1e-9
-        assert abs(d.cdf[-1] - 1.0) < 1e-9
-        assert np.all(np.diff(d.cdf) >= 0)
+        assert abs(np.trapezoid(d.pdf[0], d.grid[0]) - 1.0) < 1e-9
+        assert abs(d.cdf[0, -1] - 1.0) < 1e-9
+        assert np.all(np.diff(d.cdf[0]) >= 0)
 
     def test_anti_restoring_not_integrable(self):
         m = analytic_model_1d([0.0, 1.0], [1.0])
@@ -50,29 +57,31 @@ class TestStationaryDensity:
         # F = y - y^3 = -2 He1 - He3, G^2 = 0.5: maxima at +/-1
         m = analytic_model_1d([0.0, -2.0, 0.0, -1.0], [0.5])
         d = stationary_density(m, span=3.0, n_grid=4096)
-        mid = len(d.grid) // 2
-        left = d.grid[np.argmax(d.pdf[:mid])]
-        right = d.grid[mid + np.argmax(d.pdf[mid:])]
+        grid, pdf = d.grid[0], d.pdf[0]
+        mid = len(grid) // 2
+        left = grid[np.argmax(pdf[:mid])]
+        right = grid[mid + np.argmax(pdf[mid:])]
         assert abs(left + 1.0) < 0.05
         assert abs(right - 1.0) < 0.05
 
     def test_grid_refinement_stability(self):
         m = analytic_model_1d([0.0, -1.0], [1.0])
-        p1 = stationary_density(m, n_grid=1024).p_s
-        p2 = stationary_density(m, n_grid=2048).p_s
+        p1 = stationary_density(m, n_grid=1024).p_s[0]
+        p2 = stationary_density(m, n_grid=2048).p_s[0]
         assert abs(p1 - p2) < 1e-3
 
     def test_even_density_ps_half(self):
         m = analytic_model_1d([0.0, -1.0, 0.0, -0.5], [0.8])
-        assert abs(stationary_density(m).p_s - 0.5) < 0.01
+        assert abs(stationary_density(m).p_s[0] - 0.5) < 0.01
 
     def test_fitted_model_density(self):
         path = simulate_sde(lambda y: -y, lambda y: 1.0, [0.0], 0.05, 40_000, seed=13)
         m = fit_model(path, degree=1, dt=0.05)
         d = stationary_density(m)
+        grid, pdf = d.grid[0], d.pdf[0]
         # true stationary std is sqrt(1/2)
-        mean = np.trapezoid(d.grid * d.pdf, d.grid)
-        var = np.trapezoid((d.grid - mean) ** 2 * d.pdf, d.grid)
+        mean = np.trapezoid(grid * pdf, grid)
+        var = np.trapezoid((grid - mean) ** 2 * pdf, grid)
         assert abs(math.sqrt(var) - math.sqrt(0.5)) < 0.05
 
 
@@ -91,16 +100,16 @@ def test_stack_rows_equal_single_windows(dims):
         try:
             model = fit_model(window, degree=2)
         except DegenerateWindow:
-            assert fits.status[i] != 0 and stack.density(i) is None
+            assert fits.status[i] != 0 and stack.row(i) is None
             continue
-        assert np.array_equal(model.drift_coeffs, fits.drift[i]) and np.array_equal(model.diff_coeffs, fits.diff[i])
+        assert np.array_equal(model.drift[0], fits.drift[i]) and np.array_equal(model.diff[0], fits.diff[i])
         try:
             single = stationary_density(model, n_grid=512)
         except NonIntegrable:
-            assert stack.density(i) is None
+            assert stack.row(i) is None
             continue
-        row = stack.density(i)
-        assert row.p_s == single.p_s
+        row = stack.row(i)
+        assert row.p_s[0] == single.p_s[0]
         assert np.array_equal(row.grid, single.grid) and np.array_equal(row.pdf, single.pdf)
         assert np.array_equal(row.cdf, single.cdf)
 
@@ -109,16 +118,18 @@ class TestConvolution:
     def test_symmetric_self(self):
         d = gaussian_density(0.7, 0.4, -2.0, 3.4)
         c = density_convolution(d, d)
-        assert abs(c.p_s - 0.5) < 0.01
+        grid, pdf = c.grid[0], c.pdf[0]
+        assert abs(c.p_s[0] - 0.5) < 0.01
         # symmetric about zero
-        flipped = np.interp(-c.grid, c.grid, c.pdf, left=0, right=0)
-        assert np.trapezoid(np.abs(c.pdf - flipped), c.grid) < 1e-6
+        flipped = np.interp(-grid, grid, pdf, left=0, right=0)
+        assert np.trapezoid(np.abs(pdf - flipped), grid) < 1e-6
 
     def test_narrow_spike(self):
         d = gaussian_density(1.3, 0.01, 1.0, 1.6, n=4001)
         c = density_convolution(d, d)
-        mean = np.trapezoid(c.grid * c.pdf, c.grid)
-        std = math.sqrt(np.trapezoid((c.grid - mean) ** 2 * c.pdf, c.grid))
+        grid, pdf = c.grid[0], c.pdf[0]
+        mean = np.trapezoid(grid * pdf, grid)
+        std = math.sqrt(np.trapezoid((grid - mean) ** 2 * pdf, grid))
         assert abs(mean) < 1e-6
         assert std < 0.03
 
@@ -126,9 +137,10 @@ class TestConvolution:
         d1 = gaussian_density(0.3, 0.5, -4.0, 4.0)
         d2 = gaussian_density(-0.9, 0.7, -5.0, 5.0)
         c = density_convolution(d1, d2)
+        grid, pdf = c.grid[0], c.pdf[0]
         var = 0.5**2 + 0.7**2
-        ref = np.exp(-0.5 * (c.grid + 1.2) ** 2 / var) / math.sqrt(2 * math.pi * var)
-        assert np.trapezoid(np.abs(c.pdf - ref), c.grid) < 0.02
+        ref = np.exp(-0.5 * (grid + 1.2) ** 2 / var) / math.sqrt(2 * math.pi * var)
+        assert np.trapezoid(np.abs(pdf - ref), grid) < 0.02
 
     def test_reflection_commutes(self):
         d1 = gaussian_density(0.4, 0.3, -2.0, 3.0)
@@ -138,8 +150,8 @@ class TestConvolution:
         r2 = gaussian_density(0.2, 0.5, -2.5, 3.0)
         cr = density_convolution(r1, r2)
         probe = np.linspace(-1.5, 1.5, 301)
-        a = np.interp(probe, c.grid, c.pdf, left=0, right=0)
-        b = np.interp(-probe, cr.grid, cr.pdf, left=0, right=0)
+        a = np.interp(probe, c.grid[0], c.pdf[0], left=0, right=0)
+        b = np.interp(-probe, cr.grid[0], cr.pdf[0], left=0, right=0)
         assert np.max(np.abs(a - b)) < 1e-3
 
     def test_grid_mismatch(self):
@@ -163,7 +175,7 @@ class TestKsGate:
         pdf = 0.1 * np.exp(-0.5 * ((mix_grid + 1.0) / 0.02) ** 2) + 0.9 * np.exp(
             -0.5 * ((mix_grid - 1.0) / 0.02) ** 2
         )
-        d2 = _finalize_mix(mix_grid, pdf)
+        d2 = one_row(mix_grid, pdf)
         pts = np.linspace(-0.5, 0.5, 16)
         stat, ok = ks_quasistationarity(d1, d2, pts)
         assert stat >= 0.9 - 1e-6
@@ -211,6 +223,3 @@ def _gate_trial(seed, k=None, dt=1.8, degree=1):
         return math.inf, False
     return ks_quasistationarity(d1, d2, w1, alpha2=0.05, k_override=k)
 
-
-def _finalize_mix(grid, pdf):
-    return _finalize(grid, pdf)
