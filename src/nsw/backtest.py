@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -290,7 +290,7 @@ def compare_strategies(series_list, engine_factory, baseline_grids=None, cost_bp
     ``baseline_grids`` maps kind -> config grid (defaults per kind when
     omitted).
     """
-    from .baselines import IndicatorStrategy, default_grid, tune_baseline
+    from .baselines import _tune, default_grid
 
     if not series_list:
         raise MisalignedSeries("need at least one series")
@@ -308,9 +308,10 @@ def compare_strategies(series_list, engine_factory, baseline_grids=None, cost_bp
                     decision_band=DECISION_FRACTION_BAND, strategy_name="NSW",
                 )
             else:
-                best = tune_baseline(grids[col.lower()], series, cost_bps=cost_bps)
+                # the winner's tuning run is its backtest
+                best, report = _tune(grids[col.lower()], series, cost_bps=cost_bps)
                 tuned[(series.symbol, col)] = best
-                report = run_backtest(IndicatorStrategy(best), series, cost_bps=cost_bps, strategy_name=col)
+                report = replace(report, strategy=col)
             reports[(series.symbol, col)] = report
             table[i, j] = report.final_z
     return ComparisonTable(

@@ -214,17 +214,22 @@ def tune_baseline(grid, series: PriceSeries, cost_bps=0.0) -> IndicatorConfig:
     """Exhaustive in-sample search: the config with the highest final
     profitability wins; exact ties go to the lexicographically smallest
     (kind, params)."""
+    return _tune(grid, series, cost_bps)[0]
+
+
+def _tune(grid, series: PriceSeries, cost_bps=0.0):
+    """``tune_baseline``'s search, returning ``(cfg, report)``: the winner and
+    its backtest."""
     from .backtest import run_backtest  # local import, backtest depends on this module
 
     grid = list(grid)
     if not grid:
         raise EmptyGrid("no indicator configurations to search")
-    best = None
-    best_z = -math.inf
+    best, best_z = (None, None), -math.inf
     for cfg in sorted(grid):
-        z = run_backtest(IndicatorStrategy(cfg), series, cost_bps=cost_bps).final_z
-        if z > best_z:
-            best, best_z = cfg, z
+        report = run_backtest(IndicatorStrategy(cfg), series, cost_bps=cost_bps)
+        if report.final_z > best_z:
+            best, best_z = (cfg, report), report.final_z
     return best
 
 

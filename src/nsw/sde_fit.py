@@ -26,6 +26,7 @@ from .errors import DegenerateWindow, WindowTooShort
 log = logging.getLogger(__name__)
 
 COND_WARN_THRESHOLD = 1e8
+_EPS = np.finfo(np.float64).eps
 
 
 @lru_cache(maxsize=64)
@@ -33,6 +34,16 @@ def _term_list(dims, degree):
     terms = [t for t in itertools.product(range(degree + 1), repeat=dims) if sum(t) <= degree]
     terms.sort(key=lambda t: (sum(t), t))
     return tuple(terms)
+
+
+@lru_cache(maxsize=64)
+def _term_index(terms):
+    """(degree, dimension indices, term orders) of a term list, the index
+    arrays ``_design`` reads its Hermite factors with."""
+    dims, orders = np.arange(len(terms[0])), np.array(terms)
+    dims.setflags(write=False)
+    orders.setflags(write=False)
+    return max(map(sum, terms)), dims, orders
 
 
 def _hermite_table(x, degree):
@@ -49,9 +60,10 @@ def _hermite_table(x, degree):
 
 def _design(z, terms) -> np.ndarray:
     """Every basis term at standardized points ``z`` (..., dims) -> (..., n_terms)."""
-    table = _hermite_table(z, max(map(sum, terms)))  # (..., dims, degree+1)
+    degree, dims, orders = _term_index(terms)
+    table = _hermite_table(z, degree)  # (..., dims, degree+1)
     # term i's factors: He_{terms[i][d]} of dimension d, multiplied in order of d
-    return table[..., np.arange(z.shape[-1]), np.array(terms)].prod(axis=-1)
+    return table[..., dims, orders].prod(axis=-1)
 
 
 # why fit_windows could not fit a window, by FitStack.status code (0 = fitted)
@@ -111,9 +123,9 @@ def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
     status = np.where(finite, 2 * (std <= 0).any(axis=1), 1)
 
     design = _design(dev[:, :-1] / np.where(status[:, None] == 0, std, 1.0)[:, None], terms)  # (B, M, N)
-    dy = np.diff(w, axis=1)
+    dy = w[:, 1:] - w[:, :-1]
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    keep = sv > np.finfo(np.float64).eps * max(n - 1, len(terms)) * sv[:, :1]
+    keep = sv > _EPS * max(n - 1, len(terms)) * sv[:, :1]
     inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
 
     def solve(rhs):
@@ -123,15 +135,22 @@ def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
     resid = dy - (design @ lam) * dt
     q = solve(resid**2 / dt)
 
-    rank = keep.sum(axis=1)
-    for i in np.flatnonzero((status == 0) & ((rank < len(terms)) | (sv[:, 0] > COND_WARN_THRESHOLD * sv[:, -1]))):
-        cond = sv[i, 0] / sv[i, -1] if sv[i, -1] > 0 else math.inf
-        log.warning("ill-conditioned drift system: rank %d/%d, cond %.3g", rank[i], len(terms), cond)
+    # singular values run in descending order: rank < n_terms when the last one is cut
+    ill = ~keep[:, -1] | (sv[:, 0] > COND_WARN_THRESHOLD * sv[:, -1])
+    if ill.any():
+        rank = keep.sum(axis=1)
+        for i in np.flatnonzero(ill & (status == 0)):
+            cond = sv[i, 0] / sv[i, -1] if sv[i, -1] > 0 else math.inf
+            log.warning("ill-conditioned drift system: rank %d/%d, cond %.3g", rank[i], len(terms), cond)
 
-    solved = np.isfinite(lam).reshape(b, -1).all(axis=1) & np.isfinite(q).reshape(b, -1).all(axis=1)
-    status[(status == 0) & ~solved] = 3
+    if not (np.isfinite(lam).all() and np.isfinite(q).all()):
+        solved = np.isfinite(lam).reshape(b, -1).all(axis=1) & np.isfinite(q).reshape(b, -1).all(axis=1)
+        status[(status == 0) & ~solved] = 3
     if diffusion_floor is None:
-        floor = np.maximum(1e-6 * dy.reshape(b, -1).std(axis=1), 1e-12)
+        # np.std's arithmetic without its call overhead
+        flat = dy.reshape(b, -1)
+        centred = flat - flat.sum(axis=1, keepdims=True) / flat.shape[1]
+        floor = np.maximum(1e-6 * np.sqrt((centred * centred).sum(axis=1) / flat.shape[1]), 1e-12)
     else:
         floor = np.full(b, float(diffusion_floor))
     return FitStack(terms, degree, mean, std, lam.transpose(0, 2, 1), q.transpose(0, 2, 1), floor, status, float(dt), n)
@@ -176,17 +195,10 @@ def _collapse(terms, mode):
     return out
 
 
-def mode_series(terms, coeffs, mode: int) -> np.ndarray:
-    """Collapse per-term coefficients (..., n_terms) over ``terms`` to 1-D
-    Hermite series (..., degree + 1) in one mode, the other modes held at
-    their standardization means (hat-y = 0)."""
-    return (np.asarray(coeffs)[..., None] * _collapse(tuple(terms), mode)).sum(axis=-2)
-
-
 def drift_polynomial(fit: FitStack, mode=1) -> np.ndarray:
     """Power-series coefficients (ascending) of a one-row stack's drift along
     one mode in raw coordinates, other modes at their means. Diagnostic helper."""
-    he = mode_series(fit.terms, fit.drift[0, mode - 1], mode)
+    he = (fit.drift[0, mode - 1, :, None] * _collapse(fit.terms, mode)).sum(axis=0)
     poly_hat = np.polynomial.Polynomial(hermite_e.herme2poly(he))
     mu = fit.mean[0, mode - 1]
     sigma = fit.std[0, mode - 1]

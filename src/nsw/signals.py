@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (ConfigError, DegenerateWindow, GridMismatch, NonIntegrable, NonPositivePrice, NotWarmedUp,
                      UnsupportedFamily)
 from .sde_fit import fit_model, fit_windows
-from .stationary import density_convolution, ks_quasistationarity, stationary_densities, stationary_density
+from .stationary import convolution_p_s, ks_quasistationarity, stationary_densities, stationary_density
 from .timeseries import PriceSeries
 from .wavelets import coeff_row, make_wavelet, mode_taps, transform
 
@@ -254,7 +254,7 @@ class SignalEngine:
         )
         if self.cfg.density_mode == "convolution":
             try:
-                p_s = float(density_convolution(d_now, d_shift).p_s[0])
+                p_s = convolution_p_s(d_now, d_shift)
             except (NonIntegrable, GridMismatch):
                 # distributions too far apart to compare: treat as gated
                 self.degenerate_bars += 1

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatch, NonIntegrable, TooFewPoints
-from .sde_fit import FitStack, _hermite_table, mode_series
+from .sde_fit import FitStack, _collapse, _hermite_table
 
 DEFAULT_SPAN = 5.0
 DEFAULT_GRID = 1024
@@ -75,12 +75,26 @@ def _finalize_rows(grid, dx, raw_pdf, failures) -> DensityStack:
     np.cumsum(inc, axis=1, out=cdf[:, 1:])
     cdf /= cdf[:, -1:]
     # np.interp(0.0, grid[i], cdf[i]) for every row, clamped to [0, 1] off the grid
-    j = np.count_nonzero(grid[:, 1:-1] <= 0.0, axis=1)
+    j = (grid[:, 1:-1] <= 0.0).sum(axis=1)
     rows = np.arange(len(grid))
     x0, f0 = grid[rows, j], cdf[rows, j]
     p_s = np.minimum(np.maximum((cdf[rows, j + 1] - f0) / dx[rows, j] * -x0 + f0, 0.0), 1.0)
     raw_pdf /= total[:, None]
     return DensityStack(grid=grid, pdf=raw_pdf, cdf=cdf, p_s=p_s, failures=failures)
+
+
+def _linspace_rows(lo, hi, n):
+    """Row i is ``np.linspace(lo[i], hi[i], n)`` bit for bit, in C order (the
+    transposed view of ``linspace(axis=1)`` makes row sums depend on B)."""
+    step = (hi - lo) / (n - 1)
+    if not step.all():  # linspace's own path for steps that underflow to 0
+        return np.ascontiguousarray(np.linspace(lo, hi, n, axis=1))
+    # linspace's arithmetic in its own (n, B) layout, then one C-order copy (a
+    # no-op at B = 1); built row-major, run() measured 0.3 MiB more peak memory
+    grid = np.arange(n, dtype=np.float64)[:, None] * step
+    grid += lo
+    grid[-1] = hi
+    return np.ascontiguousarray(grid.T)
 
 
 @lru_cache(maxsize=16)
@@ -110,13 +124,13 @@ def stationary_densities(fits: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAU
     failures = [None if ok else "window not fitted" for ok in fitted]
     mu = np.where(fitted, fits.mean[:, m], 0.0)
     sigma = np.where(fitted, fits.std[:, m], 1.0)
-    # C order (linspace with axis=1 returns a transposed view): row sums then
-    # run over each row alone, the same in any stack
-    grid = np.ascontiguousarray(np.linspace(mu - span * sigma, mu + span * sigma, n_grid, axis=1))
+    grid = _linspace_rows(mu - span * sigma, mu + span * sigma, n_grid)
     dx = grid[:, 1:] - grid[:, :-1]
-    # (B, 2, n_grid): drift and G^2 of every row along the mode
-    on_grid = mode_series(fits.terms, np.stack([fits.drift[:, m], fits.diff[:, m]], axis=1), mode) @ _grid_table(
-        span, n_grid, fits.degree)
+    # (B, 2, n_grid): drift and G^2 of every row along the mode, from their
+    # Hermite series in the mode (the other modes at hat-y = 0)
+    coeffs = np.empty((len(mu), 2, fits.drift.shape[-1]))
+    coeffs[:, 0], coeffs[:, 1] = fits.drift[:, m], fits.diff[:, m]
+    on_grid = (coeffs[..., None] * _collapse(fits.terms, mode)).sum(axis=-2) @ _grid_table(span, n_grid, fits.degree)
     integrand = on_grid[:, 0]
     integrand *= 2.0
     integrand /= np.maximum(on_grid[:, 1], (fits.floor**2)[:, None], out=on_grid[:, 1])
@@ -145,13 +159,9 @@ def stationary_density(fit: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAULT_
     return dens
 
 
-def density_convolution(d_now: DensityStack, d_shifted: DensityStack) -> DensityStack:
-    """Cross-correlation density f(z) = integral f_now(y) f_shifted(y + z) dy
-    of two one-row stacks, as a one-row stack.
-
-    Both inputs are resampled onto the finer of the two spacings; their grids
-    must overlap (they describe the same coefficient variable).
-    """
+def _resampled(d_now: DensityStack, d_shifted: DensityStack):
+    """``(offset, h, f_now, f_shifted)``: both pdfs resampled from their first
+    nodes, ``offset`` apart, onto the finer spacing h of two overlapping grids."""
     g_now, g_shifted = d_now.grid[0], d_shifted.grid[0]
     if g_now[-1] < g_shifted[0] or g_shifted[-1] < g_now[0]:
         raise GridMismatch("density supports do not overlap")
@@ -159,18 +169,54 @@ def density_convolution(d_now: DensityStack, d_shifted: DensityStack) -> Density
 
     def resample(grid, pdf):
         n = int(math.floor((grid[-1] - grid[0]) / h)) + 1
-        g = grid[0] + h * np.arange(n)
-        return g, np.interp(g, grid, pdf, left=0.0, right=0.0)
+        return np.interp(grid[0] + h * np.arange(n), grid, pdf, left=0.0, right=0.0)
 
-    g1, f1 = resample(g_now, d_now.pdf[0])
-    g2, f2 = resample(g_shifted, d_shifted.pdf[0])
+    return g_shifted[0] - g_now[0], h, resample(g_now, d_now.pdf[0]), resample(g_shifted, d_shifted.pdf[0])
+
+
+def density_convolution(d_now: DensityStack, d_shifted: DensityStack) -> DensityStack:
+    """Cross-correlation density f(z) = integral f_now(y) f_shifted(y + z) dy
+    of two one-row stacks, as a one-row stack.
+
+    Both inputs are resampled onto the finer of the two spacings; their grids
+    must overlap (they describe the same coefficient variable).
+    """
+    offset, h, f1, f2 = _resampled(d_now, d_shifted)
     corr = h * np.correlate(f2, f1, mode="full")
-    lags = np.arange(-(len(f1) - 1), len(f2))
-    z = ((g2[0] - g1[0]) + h * lags)[None]
+    z = (offset + h * np.arange(-(len(f1) - 1), len(f2)))[None]
     dens = _finalize_rows(z, np.diff(z, axis=1), np.maximum(corr, 0.0)[None], [None])
     if dens.failures[0]:
         raise NonIntegrable(dens.failures[0])
     return dens
+
+
+def convolution_p_s(d_now: DensityStack, d_shifted: DensityStack) -> float:
+    """``density_convolution(d_now, d_shifted).p_s[0]`` in O(n): same resampling,
+    z grid and failures, without the correlation itself.
+
+    With c[L] = sum_i f1[i] f2[i + L] and C2 = cumsum(f2) (0 below its grid,
+    sum(f2) above), the c up to lag L sum to S(L) = sum_i f1[i] C2[i + L], so
+    the trapezoid CDF at lag L is (S(L) - c_first/2 - c[L]/2) divided by
+    sum(f1) sum(f2) - (c_first + c_last)/2, interpolated at z = 0."""
+    offset, h, f1, f2 = _resampled(d_now, d_shifted)
+    n1, n2 = len(f1), len(f2)
+    sum2 = f2.sum()
+    c_first = f1[-1] * f2[0]
+    total = f1.sum() * sum2 - 0.5 * (c_first + f1[0] * f2[-1])
+    if not 0.0 < total < math.inf:
+        raise NonIntegrable("density has no positive finite mass on the grid")
+    cum2 = np.cumsum(f2)
+
+    def cdf(lag):
+        lo, hi = max(0, -lag), min(n1, n2 - lag)  # the f1 indices whose i + lag is on f2's grid
+        c = f1[lo:hi] @ f2[lo + lag : hi + lag]
+        below = f1[lo:hi] @ cum2[lo + lag : hi + lag] + sum2 * f1[hi:].sum()
+        return (below - 0.5 * c_first - 0.5 * c) / total
+
+    z = offset + h * np.arange(1 - n1, n2)  # node k sits at lag k - (n1 - 1)
+    j = np.count_nonzero(z[1:-1] <= 0.0)  # the node _finalize_rows interpolates from
+    x0, f0 = z[j], cdf(j + 1 - n1)
+    return float(min(max((cdf(j + 2 - n1) - f0) / (z[j + 1] - x0) * -x0 + f0, 0.0), 1.0))
 
 
 def ks_threshold_constant(alpha: float) -> float:

@@ -276,6 +276,36 @@ class TestCompare:
         nsw_direct = run_backtest(factory(), series)
         assert table.final_z[0, 4] == nsw_direct.final_z
 
+    def test_tuned_baselines_backtested_once(self, monkeypatch):
+        import nsw.backtest
+        from nsw.baselines import IndicatorStrategy, default_grid
+
+        t = np.arange(400)
+        series_list = [series_from_prices(100 + 5 * np.sin(t * 2 * np.pi / p) + 0.01 * t, symbol=f"S{p}")
+                       for p in (37, 53)]
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args[0])
+            return run_backtest(*args, **kwargs)
+
+        monkeypatch.setattr(nsw.backtest, "run_backtest", counted)
+        table = compare_strategies(series_list, lambda: scripted(series_list[0], {30: Action.BUY}), cost_bps=5.0)
+        monkeypatch.undo()
+        # one tuning run per grid config and one NSW run per series, no re-runs of the winners
+        grid_runs = sum(len(default_grid(k)) for k in ("pc", "bb", "macd", "rsi"))
+        assert len(runs) == len(series_list) * (grid_runs + 1)
+        for i, series in enumerate(series_list):
+            for j, col in enumerate(table.columns[:-1]):
+                cfg = table.tuned[(series.symbol, col)]
+                rerun = run_backtest(IndicatorStrategy(cfg), series, cost_bps=5.0, strategy_name=col)
+                report = table.reports[(series.symbol, col)]
+                assert np.array_equal(report.equity, rerun.equity)
+                assert (report.symbol, report.strategy, report.trades, report.eligible_bars, report.config) == (
+                    rerun.symbol, rerun.strategy, rerun.trades, rerun.eligible_bars, rerun.config)
+                assert report.summary() == rerun.summary()
+                assert table.final_z[i, j] == rerun.final_z
+
     def test_negative_trend_renders_below_one(self):
         t = np.arange(300)
         prices = 100 * np.exp(-0.002 * t) * (1 + 0.02 * np.sin(t * 0.8))

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from nsw.errors import DegenerateWindow, GridMismatch, NonIntegrable, TooFewPoints
 from nsw.sde_fit import fit_model, fit_windows
 from nsw.stationary import (
+    DensityStack,
     _finalize_rows,
+    convolution_p_s,
     density_convolution,
     ks_quasistationarity,
     ks_threshold_constant,
@@ -159,6 +163,75 @@ class TestConvolution:
         d2 = gaussian_density(10.0, 0.1, 9.0, 11.0)
         with pytest.raises(GridMismatch):
             density_convolution(d1, d2)
+
+
+@st.composite
+def density_pairs(draw):
+    """Two Gaussian densities on grids of different widths and spacings:
+    overlapping, one inside the other, barely touching, or disjoint."""
+    layout = draw(st.sampled_from(["overlap", "inside", "barely", "disjoint"]))
+    lo1, w1 = draw(st.floats(-5.0, 5.0)), draw(st.floats(0.5, 8.0))
+    n1 = draw(st.integers(8, 1100))
+    w2 = draw(st.floats(0.05, 0.95)) * w1 if layout == "inside" else draw(st.floats(0.5, 8.0))
+    n2 = min(max(int(w2 / (w1 / (n1 - 1) * draw(st.floats(0.25, 4.0)))) + 1, 8), 2048)
+    if layout == "overlap":
+        lo2 = lo1 - w2 + draw(st.floats(0.01, 0.99)) * (w1 + w2)
+    elif layout == "inside":
+        lo2 = lo1 + draw(st.floats(0.0, 1.0)) * (w1 - w2)
+    else:  # the second grid starts just inside the first's end, or past it
+        gap = draw(st.floats(1e-9, 0.02)) * w1
+        lo2 = lo1 + w1 - gap if layout == "barely" else lo1 + w1 + gap
+    if draw(st.booleans()):  # either grid may come first
+        lo1, w1, n1, lo2, w2, n2 = lo2, w2, n2, lo1, w1, n1
+    return [gaussian_density(lo + draw(st.floats(-0.2, 1.2)) * w, draw(st.floats(0.02, 1.0)) * w, lo, lo + w, n)
+            for lo, w, n in ((lo1, w1, n1), (lo2, w2, n2))]
+
+
+def same_p_s(d1, d2, tol=1e-13):
+    """convolution_p_s equals its oracle, density_convolution's p_s, or both
+    raise the same exception."""
+    try:
+        want = density_convolution(d1, d2).p_s[0]
+    except (GridMismatch, NonIntegrable) as exc:
+        with pytest.raises(type(exc)):
+            convolution_p_s(d1, d2)
+        return type(exc)
+    got = convolution_p_s(d1, d2)
+    assert isinstance(got, float) and abs(got - want) <= tol, (got, want)
+    return None
+
+
+class TestConvolutionPs:
+    @given(pair=density_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_density_convolution(self, pair):
+        same_p_s(*pair)
+
+    def test_disjoint_and_massless(self):
+        d1 = gaussian_density(0.0, 0.1, -1.0, 1.0)
+        assert same_p_s(d1, gaussian_density(10.0, 0.1, 9.0, 11.0)) is GridMismatch
+        flat = DensityStack(d1.grid, np.zeros_like(d1.pdf), d1.cdf, d1.p_s, [None])
+        assert same_p_s(d1, flat) is NonIntegrable
+        assert same_p_s(d1, gaussian_density(0.5, 0.1, 0.0, 2.0)) is None
+
+    def test_engine_densities(self, monkeypatch):
+        # every density pair a live engine compares on a benchmark-like OU series
+        import nsw.signals
+        from nsw.signals import SignalConfig, SignalEngine
+        from nsw.timeseries import make_ou_price_series
+
+        pairs = []
+
+        def recorded(d_now, d_shift):
+            pairs.append((d_now, d_shift))
+            return convolution_p_s(d_now, d_shift)
+
+        monkeypatch.setattr(nsw.signals, "convolution_p_s", recorded)
+        engine = SignalEngine(SignalConfig(shift_len=64, density_mode="convolution"))
+        engine.run(make_ou_price_series(900, seed=1001, rate=0.003, vol=0.01))
+        assert len(pairs) > 100
+        for d_now, d_shift in pairs:
+            same_p_s(d_now, d_shift)
 
 
 class TestKsGate:
