@@ -290,7 +290,7 @@ def compare_strategies(series_list, engine_factory, baseline_grids=None, cost_bp
     ``baseline_grids`` maps kind -> config grid (defaults per kind when
     omitted).
     """
-    from .baselines import _tune, default_grid
+    from .baselines import default_grid, tune_baseline
 
     if not series_list:
         raise MisalignedSeries("need at least one series")
@@ -309,7 +309,7 @@ def compare_strategies(series_list, engine_factory, baseline_grids=None, cost_bp
                 )
             else:
                 # the winner's tuning run is its backtest
-                best, report = _tune(grids[col.lower()], series, cost_bps=cost_bps)
+                best, report = tune_baseline(grids[col.lower()], series, cost_bps=cost_bps)
                 tuned[(series.symbol, col)] = best
                 report = replace(report, strategy=col)
             reports[(series.symbol, col)] = report

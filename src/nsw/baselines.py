@@ -210,16 +210,10 @@ class IndicatorStrategy:
         return SignalTrace(start=start, signals=[_SIGNALS[c] for c in codes.tolist()])
 
 
-def tune_baseline(grid, series: PriceSeries, cost_bps=0.0) -> IndicatorConfig:
-    """Exhaustive in-sample search: the config with the highest final
-    profitability wins; exact ties go to the lexicographically smallest
-    (kind, params)."""
-    return _tune(grid, series, cost_bps)[0]
-
-
-def _tune(grid, series: PriceSeries, cost_bps=0.0):
-    """``tune_baseline``'s search, returning ``(cfg, report)``: the winner and
-    its backtest."""
+def tune_baseline(grid, series: PriceSeries, cost_bps=0.0):
+    """Exhaustive in-sample search, returning ``(cfg, report)``: the config
+    with the highest final profitability and its backtest. Exact ties go to
+    the lexicographically smallest (kind, params)."""
     from .backtest import run_backtest  # local import, backtest depends on this module
 
     grid = list(grid)

@@ -8,6 +8,7 @@ alpha levels 0.05, theta = 0.25, 60-second bars.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -47,6 +48,14 @@ class RunConfig(SignalConfig):
             raise ConfigError(f"bar_interval must be a positive whole number of seconds, got {self.bar_interval}")
         if not self.cost_bps >= 0.0:
             raise ConfigError(f"cost_bps must be >= 0, got {self.cost_bps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.ou_vol < math.inf:
+            raise ConfigError(f"ou_vol must be >= 0 and finite, got {self.ou_vol}")
+        if not (math.isfinite(self.ou_rate) and math.isfinite(self.trend)):
+            raise ConfigError(f"ou_rate and trend must be finite, got {self.ou_rate}, {self.trend}")
+        if not 0.0 < self.base_price < math.inf:
+            raise ConfigError(f"base_price must be positive and finite, got {self.base_price}")
 
     def resolved_horizon(self, filt) -> int:
         """tau0: explicit value, else the coarsest dilated support of the filter."""

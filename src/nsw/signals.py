@@ -16,16 +16,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (ConfigError, DegenerateWindow, GridMismatch, NonIntegrable, NonPositivePrice, NotWarmedUp,
-                     UnsupportedFamily)
-from .sde_fit import fit_model, fit_windows
-from .stationary import convolution_p_s, ks_quasistationarity, stationary_densities, stationary_density
+from .errors import ConfigError, GridMismatch, NonIntegrable, NonPositivePrice, NotWarmedUp, UnsupportedFamily
+from .sde_fit import fit_windows
+from .stationary import convolution_p_s, ks_quasistationarity, stationary_densities
 from .timeseries import PriceSeries
 from .wavelets import coeff_row, make_wavelet, mode_taps, transform
 
-# run() fits and synthesizes its windows in chunks of about this many density
+# windows are fitted and synthesized in chunks of about this many density
 # grid nodes (16 windows at n_grid=1024): enough to amortize the per-call cost
 # of the stacked kernels, small enough that peak memory stays flat
 _CHUNK_CELLS = 16 * 1024
@@ -152,10 +150,9 @@ class _Trailing:
         for row in rows[-self._keep :]:
             self.push(row)
 
-    def window(self, n: int, back: int = 0) -> np.ndarray:
-        """Up to ``n`` rows ending ``back`` rows before the newest one."""
-        stop = self._end - back
-        return self._buf[max(0, stop - n) : stop]
+    def window(self, n: int) -> np.ndarray:
+        """Up to ``n`` rows ending at the newest one."""
+        return self._buf[max(0, self._end - n) : self._end]
 
 
 class SignalEngine:
@@ -166,8 +163,10 @@ class SignalEngine:
     density synthesized and compared against the density computed shift_len
     bars earlier, and the trade rule evaluated. Bars whose window cannot be
     modeled (zero variance) or whose fitted drift is not confining
-    (non-normalizable density) are held with gated=True. Only the newest
-    bars that a decision reads are kept, so a live feed runs in fixed memory.
+    (non-normalizable density) are held with gated=True. ``step`` (one bar)
+    and ``run`` (a whole series) decide through the same loop, so they
+    return the same signals bit for bit. Only the newest bars that a
+    decision reads are kept, so a live feed runs in fixed memory.
     """
 
     def __init__(self, cfg: SignalConfig = SignalConfig()):
@@ -205,42 +204,18 @@ class SignalEngine:
         self._coeffs.push(coeff_row(self._prices.window(self._support), self._taps, self._sign))
         self.n_bars += 1
 
-    def _window(self, t: int) -> np.ndarray:
-        """Coefficient rows of the fit window ending at bar t."""
-        return self._coeffs.window(self.cfg.calib_len, self.n_bars - 1 - t)
-
-    def _density_at(self, t: int):
-        """Mode-1 density (a one-row stack) for the fit window ending at bar
-        t; None when the window is degenerate or the density non-normalizable.
-
-        Bar t's slot keeps the result until bar t + shift_len + 1 reuses it,
-        so the density fitted while deciding bar t serves as the displaced
-        density shift_len bars later."""
-        slot = t % len(self._densities)
-        bar, dens = self._densities[slot]
-        if bar != t:
-            try:
-                fit = fit_model(self._window(t), degree=self.cfg.degree, dt=1.0)
-                dens = stationary_density(fit, mode=1, span=self.cfg.grid_span, n_grid=self.cfg.n_grid)
-            except (DegenerateWindow, NonIntegrable):
-                dens = None
-            self._densities[slot] = (t, dens)
-        return dens
-
     def step(self, price: float) -> Signal:
         """Push one bar and decide it. Raises NotWarmedUp until enough bars
         have been fed for the full pipeline (including the displaced fit).
 
-        The live path: each bar's window is fitted on its own through
-        ``fit_model`` and ``stationary_density``, the one-row cases of the
-        ``fit_windows`` and ``stationary_densities`` kernels that ``run``
-        uses, so both fill the density ring with the same one-row stacks."""
+        The live path: ``_decide`` on the trailing rows that the bar's fit
+        window and its displaced one read, the same loop ``run`` uses."""
         self.extend(price)
-        t = self.n_bars - 1
         if not self.ready:
             raise NotWarmedUp(f"have {self.n_bars} bars, need {self.min_history}")
-        d_now = self._density_at(t)
-        return self._decide_bar(self._window(t), d_now, self._density_at(t - self.cfg.shift_len))
+        signals = []
+        self._decide(self._coeffs.window(self.cfg.calib_len + self.cfg.shift_len + 1), self.n_bars - 1, signals)
+        return signals[0]
 
     def _decide_bar(self, window, d_now, d_shift) -> Signal:
         """Gate and trade rule for the bar whose fit window is ``window``;
@@ -267,46 +242,55 @@ class SignalEngine:
         """Drive a whole series: warm up on the prefix, decide every later bar.
 
         The engine takes the series' first ``n_bars`` bars as the ones it has
-        already been fed. The batch path: every window the decisions need is
-        cut from one ``transform`` of the series and fitted and synthesized
-        in fixed-size chunks by ``fit_windows`` and ``stationary_densities``.
-        Signals, ``degenerate_bars`` and the engine state left behind equal
-        those of feeding the same bars through ``extend`` and ``step``, so a
-        live feed can go on with ``step`` afterwards."""
+        already been fed. The batch path: the coefficient rows of the whole
+        series come from one ``transform``, and ``_decide`` fits and decides
+        every later bar in chunks. Signals, ``degenerate_bars`` and the
+        engine state left behind equal those of feeding the same bars through
+        ``extend`` and ``step``, so a live feed can go on with ``step``
+        afterwards."""
         prices = series.prices
         warm_end = min(self.min_history - 1, len(prices))
         while self.n_bars < warm_end:
             self.extend(prices[self.n_bars])
-        trace = SignalTrace(start=self.n_bars)
-        if self.n_bars < len(prices):
-            self._decide_all(prices, trace.signals)
+        first = self.n_bars
+        trace = SignalTrace(start=first)
+        if first < len(prices):
+            rows = transform(prices, self.filter, self.cfg.levels, self.cfg.invert_sign).coeffs
+            self._prices.push_all(prices[first:])
+            self._coeffs.push_all(rows[first:])
+            self.n_bars = len(prices)
+            self._decide(rows, first, trace.signals)
         return trace
 
-    def _decide_all(self, prices, signals: list) -> None:
-        """Decide bars n_bars .. len(prices) - 1 of a warm engine in chunks."""
+    def _decide(self, rows, first: int, signals: list) -> None:
+        """Decide bars ``first .. n_bars - 1`` onto ``signals``; ``rows`` are
+        coefficient rows ending at bar ``n_bars - 1``.
+
+        The windows to fit are the displaced ones the density ring does not
+        hold yet, then one per decided bar. They are fitted and synthesized
+        in chunks by ``fit_windows`` and ``stationary_densities``; each
+        window's density goes into the ring at its bar's slot, where it
+        serves as the displaced density ``shift_len`` bars later. A ring
+        entry is a view that keeps its whole chunk alive, so displaced
+        windows, which leave the ring sooner, never share a chunk with
+        decided bars."""
         cfg = self.cfg
-        first, ring = self.n_bars, len(self._densities)
-        rows = transform(prices, self.filter, cfg.levels, cfg.invert_sign).coeffs
-        # the windows step() would fit: the displaced ones the ring does not
-        # hold yet, then one per decided bar
-        n = len(prices)
+        ring, n = len(self._densities), self.n_bars
+        base = n - len(rows)  # the bar of rows[0]
         displaced = range(first - cfg.shift_len, min(first, n - cfg.shift_len))
-        bars = [t for t in displaced if self._densities[t % ring][0] != t] + list(range(first, n))
-        windows = sliding_window_view(rows, cfg.calib_len, axis=0)  # [t - calib_len + 1]: window ending at bar t
         chunk = max(1, _CHUNK_CELLS // cfg.n_grid)
-        for lo in range(0, len(bars), chunk):
-            part = bars[lo : lo + chunk]
-            fits = fit_windows(windows[np.array(part) - (cfg.calib_len - 1)].transpose(0, 2, 1), degree=cfg.degree)
-            dens = stationary_densities(fits, mode=1, span=cfg.grid_span, n_grid=cfg.n_grid)
-            for i, t in enumerate(part):
-                d_now = dens.row(i)
-                self._densities[t % ring] = (t, d_now)
-                if t >= first:
-                    d_shift = self._densities[(t - cfg.shift_len) % ring][1]
-                    signals.append(self._decide_bar(rows[t - cfg.calib_len + 1 : t + 1], d_now, d_shift))
-        self._prices.push_all(prices[first:])
-        self._coeffs.push_all(rows[first:])
-        self.n_bars = n
+        for bars in ([t for t in displaced if self._densities[t % ring][0] != t], range(first, n)):
+            for lo in range(0, len(bars), chunk):
+                part = bars[lo : lo + chunk]
+                windows = np.array([rows[t - base - cfg.calib_len + 1 : t - base + 1] for t in part])
+                dens = stationary_densities(fit_windows(windows, degree=cfg.degree), mode=1, span=cfg.grid_span,
+                                            n_grid=cfg.n_grid)
+                for i, t in enumerate(part):
+                    d_now = dens.row(i)
+                    self._densities[t % ring] = (t, d_now)
+                    if t >= first:
+                        d_shift = self._densities[(t - cfg.shift_len) % ring][1]
+                        signals.append(self._decide_bar(windows[i], d_now, d_shift))
 
 
 def write_signals(trace: SignalTrace, path) -> None:

@@ -44,6 +44,8 @@ class DensityStack:
         """Row i as a one-row stack of views, or None when it failed."""
         if self.failures[i]:
             return None
+        if len(self.failures) == 1:  # a one-row stack is its own row
+            return self
         rows = slice(i, i + 1)
         return DensityStack(self.grid[rows], self.pdf[rows], self.cdf[rows], self.p_s[rows], [None])
 

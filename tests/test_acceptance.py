@@ -266,7 +266,7 @@ def test_criterion_8_baseline_correctness():
     series = series_from_prices(100 + 4 * np.sin(t_idx * 2 * np.pi / 50))
     grid = [IndicatorConfig("rsi", (lb, lo_thr, hi_thr))
             for lb in (7, 14, 21) for lo_thr, hi_thr in ((20.0, 80.0), (30.0, 70.0), (40.0, 60.0))]
-    best = tune_baseline(grid, series)
+    best, _ = tune_baseline(grid, series)
     zs = {cfg: run_backtest(IndicatorStrategy(cfg), series).final_z for cfg in grid}
     tuner_ok = zs[best] == max(zs.values())
     ok = worst < 1e-9 and tuner_ok

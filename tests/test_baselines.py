@@ -362,7 +362,7 @@ class TestTuner:
 
     def test_single_config(self):
         cfg = IndicatorConfig("pc", (10,))
-        assert tune_baseline([cfg], self._mean_reverting_series()) == cfg
+        assert tune_baseline([cfg], self._mean_reverting_series())[0] == cfg
 
     def test_profitable_beats_inactive(self):
         series = self._mean_reverting_series()
@@ -370,16 +370,18 @@ class TestTuner:
         inactive = IndicatorConfig("bb", (20, 50.0))  # bands never touched: Z = 1
         z_active = run_backtest(IndicatorStrategy(active), series).final_z
         assert z_active > 1.0
-        assert tune_baseline([inactive, active], series) == active
+        assert tune_baseline([inactive, active], series)[0] == active
 
     def test_grid_matches_brute_force(self):
         series = self._mean_reverting_series()
         grid = [IndicatorConfig("rsi", (lb, lo, hi))
                 for lb in (7, 14, 21) for lo, hi in ((20.0, 80.0), (30.0, 70.0), (40.0, 60.0))]
-        best = tune_baseline(grid, series)
+        best, report = tune_baseline(grid, series)
         zs = {cfg: run_backtest(IndicatorStrategy(cfg), series).final_z for cfg in grid}
         best_z = max(zs.values())
         assert zs[best] == best_z
+        # the report is the winner's own backtest
+        assert np.array_equal(report.equity, run_backtest(IndicatorStrategy(best), series).equity)
         # lexicographic tie-break
         assert best == min(c for c, z in zs.items() if z == best_z)
 

@@ -186,6 +186,14 @@ class TestConfigFile:
             assert res.exit_code == 2, command
             assert not out.exists()
 
+    @pytest.mark.parametrize("override", ["seed=-1", "ou_vol=-0.01", "ou_rate=nan", "trend=inf", "base_price=-5"])
+    def test_bad_synthesis_field_exit_2(self, runner, tmp_path, override):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["synth", "--out", str(out), "--set", "n_bars=200", "--set", override])
+        assert res.exit_code == 2
+        assert override.split("=")[0] in res.output
+        assert not out.exists()
+
 
 class TestBarInterval:
     @pytest.mark.parametrize("command", ["backtest", "parcel", "compare"])

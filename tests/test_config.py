@@ -31,6 +31,18 @@ def _assert_rejected(values):
     ("ks_k", -1.0),
     ("ks_k", 0.0),
     ("ks_k", math.nan),
+    # synthesis fields, rejected before make_ou_price_series runs
+    ("seed", -1),
+    ("ou_vol", -0.01),
+    ("ou_vol", math.inf),
+    ("ou_vol", math.nan),
+    ("ou_rate", math.inf),
+    ("ou_rate", math.nan),
+    ("trend", math.inf),
+    ("trend", -math.inf),
+    ("base_price", -5.0),
+    ("base_price", 0.0),
+    ("base_price", math.inf),
 ])
 def test_invalid_value_rejected(field, value):
     _assert_rejected({field: value})

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsw import signals
-from nsw.errors import DegenerateWindow, NonIntegrable, NotWarmedUp
+from nsw.errors import DegenerateWindow, GridMismatch, NonIntegrable, NotWarmedUp
 from nsw.sde_fit import fit_model, fit_windows
 from nsw.signals import Action, Signal, SignalConfig, SignalEngine, SignalTrace, decide, write_signals
-from nsw.stationary import ks_quasistationarity, stationary_density
+from nsw.stationary import convolution_p_s, ks_quasistationarity, stationary_density
 from nsw.timeseries import make_ou_price_series
 from nsw.wavelets import make_wavelet, transform
 
@@ -94,6 +94,48 @@ def stream(eng, prices) -> SignalTrace:
     start = min(eng.min_history - 1, len(prices))
     out = [eng.step(p) if eng.n_bars >= eng.min_history - 1 else eng.extend(p) for p in prices]
     return SignalTrace(start, [s for s in out if s is not None])
+
+
+def window_density(cfg, rows, t):
+    """Mode-1 density of the fit window ending at bar t, fitted on its own,
+    or None when the window is degenerate or the density non-normalizable."""
+    try:
+        fit = fit_model(rows[t - cfg.calib_len + 1 : t + 1], degree=cfg.degree)
+        return stationary_density(fit, mode=1, span=cfg.grid_span, n_grid=cfg.n_grid)
+    except (DegenerateWindow, NonIntegrable):
+        return None
+
+
+def per_bar_reference(cfg, prices):
+    """``(trace, degenerate_bars)`` of the pipeline decided one bar at a time
+    from the one-row public functions: each decided bar's window and its
+    displaced one are fitted alone, then gated, priced and decided."""
+    filt = make_wavelet(cfg.wavelet, cfg.wavelet_order or None)
+    first = min(filt.support_at(cfg.levels) + cfg.calib_len + cfg.shift_len - 2, len(prices))
+    if first == len(prices):
+        return SignalTrace(first, []), 0
+    rows = transform(prices, filt, cfg.levels, cfg.invert_sign).coeffs
+    densities = {t: window_density(cfg, rows, t) for t in range(first - cfg.shift_len, len(prices))}
+    signals, degenerate = [], 0
+    for t in range(first, len(prices)):
+        window = rows[t - cfg.calib_len + 1 : t + 1]
+        dy1 = float(window[-1, 0] - window[-2, 0])
+        d_now, d_shift, p_s = densities[t], densities[t - cfg.shift_len], None
+        if d_now is not None and d_shift is not None:
+            _, ks_pass = ks_quasistationarity(d_now, d_shift, window[:, 0], alpha2=cfg.alpha2, k_override=cfg.ks_k)
+            if cfg.density_mode == "plain":
+                p_s = float(d_now.p_s[0])
+            else:
+                try:
+                    p_s = convolution_p_s(d_now, d_shift)
+                except (NonIntegrable, GridMismatch):
+                    pass
+        if p_s is None:
+            degenerate += 1
+            signals.append(Signal(Action.HOLD, 0.5, dy1, gated=True))
+        else:
+            signals.append(decide(dy1, p_s, ks_pass, cfg))
+    return SignalTrace(first, signals), degenerate
 
 
 def assert_same_state(a, b):
@@ -231,37 +273,64 @@ class TestEngine:
         assert fitted[0] == len(trace.signals) + 8
 
         coeffs = transform(series, make_wavelet("haar"), 2).coeffs
-
-        def fresh(t):
-            try:
-                return stationary_density(fit_model(coeffs[t - 31 : t + 1], degree=3), mode=1, n_grid=256)
-            except (DegenerateWindow, NonIntegrable):
-                return None
-
         decided = range(trace.start, trace.start + len(trace.signals))
-        densities = {t: fresh(t) for t in range(trace.start - 8, decided[-1] + 1)}
+        densities = {t: window_density(eng.cfg, coeffs, t) for t in range(trace.start - 8, decided[-1] + 1)}
         tested = [t for t in decided if densities[t] is not None and densities[t - 8] is not None]
         assert len(compared) == len(tested)
         for t, dens in zip(tested, compared):
             assert dens.p_s == densities[t - 8].p_s and np.array_equal(dens.pdf, densities[t - 8].pdf), t
 
+    def test_step_fits_only_new_windows(self, monkeypatch):
+        # after an extend() warm-up, each of the first shift_len steps fits the
+        # displaced window, which no step decided, and then its own; every
+        # later step finds the displaced density in the ring
+        cfg = SignalConfig(calib_len=32, shift_len=8, n_grid=256)
+        prices = make_ou_price_series(120, seed=6, rate=0.05, vol=0.02).prices
+        stacks = []
+
+        def counting_fit(windows, *args, **kw):
+            stacks.append(len(windows))
+            return fit_windows(windows, *args, **kw)
+
+        monkeypatch.setattr(signals, "fit_windows", counting_fit)
+        eng = SignalEngine(cfg)
+        warm = eng.min_history - 1
+        for price in prices[:warm]:
+            eng.extend(price)
+        assert stacks == []
+        for k, price in enumerate(prices[warm:]):
+            stacks.clear()
+            eng.step(price)
+            assert stacks == ([1, 1] if k < cfg.shift_len else [1]), k
+
+        # after run(), the ring holds every displaced density a step needs
+        eng = SignalEngine(cfg)
+        eng.run(series_from_prices(prices[:100]))
+        for price in prices[100:]:
+            stacks.clear()
+            eng.step(price)
+            assert stacks == [1]
+
     @given(case=batch_cases())
     @settings(max_examples=30, deadline=None)
     def test_run_equals_stream(self, case):
         cfg, series = case
+        expected, degenerate = per_bar_reference(cfg, series.prices)
         batch, live = SignalEngine(cfg), SignalEngine(cfg)
-        trace = batch.run(series)
-        expected = stream(live, series.prices)
-        assert trace.start == expected.start
-        assert trace.signals == expected.signals  # kind, gated, p_s and dy1, exactly
+        for trace in (batch.run(series), stream(live, series.prices)):
+            assert trace.start == expected.start
+            assert trace.signals == expected.signals  # kind, gated, p_s and dy1, exactly
+        assert batch.degenerate_bars == live.degenerate_bars == degenerate
         assert_same_state(batch, live)
 
     @pytest.mark.parametrize("density_mode", ["plain", "convolution"])
     def test_run_then_step_continues_stream(self, density_mode):
         cfg = SignalConfig(calib_len=32, shift_len=8, density_mode=density_mode)
         series = make_ou_price_series(300, seed=5, rate=0.05, vol=0.02)
+        expected, degenerate = per_bar_reference(cfg, series.prices)
         live = SignalEngine(cfg)
-        expected = stream(live, series.prices)
+        assert stream(live, series.prices) == expected
+        assert live.degenerate_bars == degenerate
 
         eng = SignalEngine(cfg)
         head = eng.run(series.prefix(150))
