@@ -101,7 +101,6 @@ def _with_shared(fn):
 def synth(config_path, overrides, out, symbol):
     """Generate a synthetic mean-reverting bar file."""
     cfg = _resolve_config(config_path, overrides)
-    out_dir = _prepare_out(out, "synth")
     series = make_ou_price_series(
         cfg.n_bars,
         seed=cfg.seed,
@@ -112,6 +111,7 @@ def synth(config_path, overrides, out, symbol):
         base_price=cfg.base_price,
         bar_interval=cfg.bar_interval,
     )
+    out_dir = _prepare_out(out, "synth")
     bars_path = out_dir / f"bars_{symbol}.csv"
     write_bars(series, bars_path)
     with open(out_dir / "config.txt", "w") as fh:

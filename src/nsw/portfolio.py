@@ -14,11 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPSD, TooShort, WindowTooShort
 
 log = logging.getLogger(__name__)
+
+# scipy.special.ndtr, bound by the first objective_P that evaluates Phi.
+# Importing scipy.special costs a process about 24 MiB and 0.25 s, and only
+# parcel optimization needs it, so engine and backtest runs never load it.
+_ndtr = None
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,7 @@ def objective_P(n, m: MomentEstimate, theta: float) -> float:
     With sigma = 0 the parcel return is deterministic: 1 if it clears the
     theta Z threshold, 0.5 exactly at it, else 0.
     """
+    global _ndtr
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     w = _weights_array(n)
@@ -125,7 +130,9 @@ def objective_P(n, m: MomentEstimate, theta: float) -> float:
     margin = (1.0 - theta) * z
     if sigma == 0.0:
         return 1.0 if margin > 0 else (0.5 if margin == 0 else 0.0)
-    return float(ndtr(margin / sigma))
+    if _ndtr is None:
+        from scipy.special import ndtr as _ndtr
+    return float(_ndtr(margin / sigma))
 
 
 def _objective_grad(w, m: MomentEstimate, theta: float) -> np.ndarray:

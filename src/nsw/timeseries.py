@@ -186,10 +186,18 @@ def make_ou_price_series(
     """Synthetic bars: mean-reverting log-price plus optional linear trend.
 
     log p(t) = log(base_price) + trend*t + x(t) with dx = -rate*x dt + vol dW,
-    one model time unit per bar.
+    one model time unit per bar. A path that overflows to inf or underflows
+    to 0 raises ConfigError naming the first such bar.
     """
     x = simulate_sde(lambda y: -rate * y, lambda y: vol, [0.0], 1.0, n_bars - 1, seed)[:, 0]
     t_idx = np.arange(n_bars)
-    prices = base_price * np.exp(trend * t_idx + x)
+    with np.errstate(over="ignore", under="ignore"):
+        prices = base_price * np.exp(trend * t_idx + x)
+    bad = np.flatnonzero(~((prices > 0) & (prices < math.inf)))
+    if bad.size:
+        raise ConfigError(
+            f"trend={trend:g}, n_bars={n_bars}, base_price={base_price:g}: price {prices[bad[0]]:g} "
+            f"at bar {bad[0]}; use a smaller |trend| or fewer bars"
+        )
     timestamps = start_time + t_idx * int(round(bar_interval))
     return PriceSeries(symbol=symbol, timestamps=timestamps, prices=prices, bar_interval=bar_interval)

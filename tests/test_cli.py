@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ class TestConfigFile:
         res = runner.invoke(main, ["synth", "--out", str(out), "--set", "n_bars=200", "--set", override])
         assert res.exit_code == 2
         assert override.split("=")[0] in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trend, bad_bar", [(1, 706), (-1, 746)])
+    def test_price_path_out_of_range_exit_2(self, runner, tmp_path, trend, bad_bar):
+        # exp(trend * t) overflows to inf (trend=1) or underflows to 0 (trend=-1)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["synth", "--out", str(out), "--set", "n_bars=2000", "--set", f"trend={trend}"])
+        assert res.exit_code == 2
+        for name in ("trend=", "n_bars=2000", "base_price=100", f"bar {bad_bar}"):
+            assert name in res.output
+        assert "row" not in res.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
 
