@@ -126,8 +126,8 @@ def synth(config_path, overrides, out, symbol):
 def backtest(config_path, overrides, out, data_path):
     """Run the causal model over one instrument."""
     cfg = _resolve_config(config_path, overrides)
-    out_dir = _prepare_out(out, "backtest")
     series = load_bars(data_path, gap_policy=cfg.gap_policy, bar_interval=cfg.bar_interval)
+    out_dir = _prepare_out(out, "backtest")
     trace = SignalEngine(cfg).run(series)
     report = run_backtest(
         TraceSource(trace),
@@ -153,9 +153,9 @@ def backtest(config_path, overrides, out, data_path):
 def parcel(config_path, overrides, out, data_paths):
     """Multi-instrument parcel run with periodic weight re-optimization."""
     cfg = _resolve_config(config_path, overrides)
-    out_dir = _prepare_out(out, "parcel")
     series_list = [load_bars(p, gap_policy=cfg.gap_policy, bar_interval=cfg.bar_interval) for p in data_paths]
     horizon = cfg.resolved_horizon(make_wavelet(cfg.wavelet, cfg.wavelet_order or None))
+    out_dir = _prepare_out(out, "parcel")
     report = run_parcel_backtest(
         [SignalEngine(cfg) for _ in series_list],
         series_list,
@@ -193,8 +193,8 @@ def parcel(config_path, overrides, out, data_paths):
 def compare(config_path, overrides, out, data_paths, show_reference):
     """Profitability table: tuned PC/BB/MACD/RSI baselines vs the causal model."""
     cfg = _resolve_config(config_path, overrides)
-    out_dir = _prepare_out(out, "compare")
     series_list = [load_bars(p, gap_policy=cfg.gap_policy, bar_interval=cfg.bar_interval) for p in data_paths]
+    out_dir = _prepare_out(out, "compare")
     table = compare_strategies(series_list, lambda: SignalEngine(cfg), cost_bps=cfg.cost_bps)
     text = table.to_text(show_reference=show_reference)
     click.echo(text)

@@ -91,7 +91,7 @@ def load_bars(path, columns=None, symbol=None, gap_policy="reject", bar_interval
     if columns:
         colmap.update(columns)
     if not os.path.exists(path):
-        raise MissingFile(str(path))
+        raise MissingFile(f"bar file not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or colmap["timestamp"] not in reader.fieldnames:
@@ -163,13 +163,40 @@ def simulate_sde(drift, diffusion, y0, dt, n_steps, seed) -> np.ndarray:
     sq_dt = math.sqrt(dt)
     out = np.empty((n_steps + 1, dims))
     out[0] = y
-    for k in range(n_steps):
+    for k, dw in enumerate(noise):
         g = diffusion(y)
-        if np.any(g < 0):
+        # np.any on a scalar costs about as much as the Euler step itself
+        if g < 0 if isinstance(g, (float, int)) else np.any(g < 0):
             raise NegativeDiffusion(f"diffusion returned {g} at step {k}")
-        y = y + drift(y) * dt + g * sq_dt * noise[k]
+        y = y + drift(y) * dt + g * sq_dt * dw
         out[k + 1] = y  # a drift or diffusion of the wrong shape fails to broadcast here
     return out
+
+
+_OU_BLOCK = 8192  # draws per block of the OU recursion
+
+
+def _ou_log_path(n_bars, seed, rate, vol) -> np.ndarray:
+    """``simulate_sde(lambda y: -rate * y, lambda y: vol, [0.0], 1.0, n_bars - 1,
+    seed)[:, 0]`` bit for bit, errors included: the same PCG64 draws, in
+    blocks, through its update ((y + (-rate*y)*1.0) + (vol*1.0)*dw) on Python
+    floats, less the multiplications by 1.0, which are exact. Memoryviews pass
+    each draw in and each step out, so no list of floats is built."""
+    if n_bars < 2:
+        raise InvalidStep(f"n_steps must be >= 1, got {n_bars - 1}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if vol < 0:
+        raise NegativeDiffusion(f"diffusion returned {vol} at step 0")
+    # float(): a numpy scalar would keep its own precision in Python arithmetic
+    a, v, x = float(-rate), float(vol), 0.0
+    path = np.empty(n_bars)
+    path[0] = x
+    out = memoryview(path)
+    for start in range(1, n_bars, _OU_BLOCK):
+        for k, dw in enumerate(memoryview(rng.standard_normal(min(_OU_BLOCK, n_bars - start))), start):
+            x = x + a * x + v * dw
+            out[k] = x
+    return path
 
 
 def make_ou_price_series(
@@ -189,7 +216,7 @@ def make_ou_price_series(
     one model time unit per bar. A path that overflows to inf or underflows
     to 0 raises ConfigError naming the first such bar.
     """
-    x = simulate_sde(lambda y: -rate * y, lambda y: vol, [0.0], 1.0, n_bars - 1, seed)[:, 0]
+    x = _ou_log_path(n_bars, seed, rate, vol)
     t_idx = np.arange(n_bars)
     with np.errstate(over="ignore", under="ignore"):
         prices = base_price * np.exp(trend * t_idx + x)

@@ -218,3 +218,31 @@ class TestBarInterval:
         res = runner.invoke(main, [command, "--data", str(bars), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "bar_interval" in res.output
+
+
+class TestBadDataWritesNothing:
+    """Every --data file is loaded and validated before --out is created."""
+
+    @pytest.mark.parametrize("command", ["backtest", "parcel", "compare"])
+    @pytest.mark.parametrize("bad, message", [
+        ("missing", "bar file not found: "),
+        ("negative", "row 2: price -1.0"),
+        ("spacing", "bar_interval is 60s"),
+    ])
+    def test_exit_2_and_no_out_dir(self, runner, tmp_path, command, bad, message):
+        good = tmp_path / "good.csv"
+        write_bars(make_ou_price_series(300, seed=1), good)
+        path = tmp_path / f"{bad}.csv"
+        if bad == "negative":
+            path.write_text("timestamp,price\n0,1.0\n60,-1.0\n120,1.0\n")
+        elif bad == "spacing":
+            write_bars(make_ou_price_series(300, seed=2, bar_interval=30.0), path)
+        out = tmp_path / "o"
+        # the bad file is last for the multi-file commands, so a good one is loaded first
+        data = ["--data", str(path)] if command == "backtest" else ["--data", str(good), "--data", str(path)]
+        res = runner.invoke(main, [command, *data, "--out", str(out)])
+        assert res.exit_code == 2
+        assert message in res.output
+        if bad == "missing":
+            assert f"bar file not found: {path}" in res.output
+        assert not out.exists()

@@ -1,9 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsw.errors import (
+    ConfigError,
     InvalidStep,
     MissingFile,
     NegativeDiffusion,
@@ -12,7 +16,7 @@ from nsw.errors import (
     NonUniformSpacing,
 )
 from nsw.signals import SignalConfig, SignalEngine
-from nsw.timeseries import PriceSeries, load_bars, make_ou_price_series, simulate_sde, write_bars
+from nsw.timeseries import _OU_BLOCK, PriceSeries, load_bars, make_ou_price_series, simulate_sde, write_bars
 
 from conftest import series_from_prices
 
@@ -44,8 +48,9 @@ class TestLoadBars:
         assert exc.value.row == 3
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFile):
-            load_bars(tmp_path / "nope.csv")
+        path = tmp_path / "nope.csv"
+        with pytest.raises(MissingFile, match=f"^bar file not found: {re.escape(str(path))}$"):
+            load_bars(path)
 
     def test_gap_rejected_by_default(self, tmp_path):
         p = _write(tmp_path, "timestamp,price\n0,1.0\n60,1.1\n240,1.2\n")
@@ -173,3 +178,139 @@ class TestSimulateSde:
             simulate_sde(lambda y: np.zeros(3), lambda y: 1.0, [0.0, 0.0], 0.01, 5, seed=0)
         with pytest.raises(ValueError):
             simulate_sde(lambda y: -y, lambda y: np.ones(2), [0.0], 0.01, 5, seed=0)
+
+
+# -- the simulators against the loops they replaced ---------------------------
+
+def old_simulate_sde(drift, diffusion, y0, dt, n_steps, seed):
+    """``simulate_sde`` as it was: ``np.any`` on every diffusion and indexed
+    noise rows. Kept as the oracle of the leaner loop."""
+    if dt <= 0:
+        raise InvalidStep(f"dt must be positive, got {dt}")
+    if n_steps < 1:
+        raise InvalidStep(f"n_steps must be >= 1, got {n_steps}")
+    y = np.atleast_1d(np.asarray(y0, dtype=np.float64)).copy()
+    dims = y.size
+    rng = np.random.Generator(np.random.PCG64(seed))
+    noise = rng.standard_normal((n_steps, dims))
+    sq_dt = math.sqrt(dt)
+    out = np.empty((n_steps + 1, dims))
+    out[0] = y
+    for k in range(n_steps):
+        g = diffusion(y)
+        if np.any(g < 0):
+            raise NegativeDiffusion(f"diffusion returned {g} at step {k}")
+        y = y + drift(y) * dt + g * sq_dt * noise[k]
+        out[k + 1] = y
+    return out
+
+
+def old_make_ou_price_series(n_bars, seed, rate=0.05, vol=0.01, trend=0.0, base_price=100.0, bar_interval=60.0):
+    """The composition ``make_ou_price_series`` was before its own recursion."""
+    x = old_simulate_sde(lambda y: -rate * y, lambda y: vol, [0.0], 1.0, n_bars - 1, seed)[:, 0]
+    t_idx = np.arange(n_bars)
+    with np.errstate(over="ignore", under="ignore"):
+        prices = base_price * np.exp(trend * t_idx + x)
+    bad = np.flatnonzero(~((prices > 0) & (prices < math.inf)))
+    if bad.size:
+        raise ConfigError(
+            f"trend={trend:g}, n_bars={n_bars}, base_price={base_price:g}: price {prices[bad[0]]:g} "
+            f"at bar {bad[0]}; use a smaller |trend| or fewer bars"
+        )
+    return t_idx * int(round(bar_interval)), prices
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    elif isinstance(got, PriceSeries):
+        ts, prices = want
+        assert np.array_equal(got.timestamps, ts)
+        assert got.prices.tobytes() == prices.tobytes()
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def sde_problems(draw):
+    dims = draw(st.integers(1, 3))
+    kappa = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=dims, max_size=dims)))
+    level = draw(st.floats(-1.0, 1.0))
+    kind = draw(st.sampled_from(["scalar", "int_zero", "zero", "array", "state", "goes_negative", "scalar_negative"]))
+    s = draw(st.floats(0.0, 2.0))
+    diffusion = {
+        "scalar": lambda y: s,
+        "int_zero": lambda y: 0,
+        "zero": lambda y: 0.0,
+        "array": lambda y: s * (1.0 + np.arange(dims)),
+        "state": lambda y: s * np.abs(y),
+        # an array, then a scalar diffusion that turns negative after some steps
+        "goes_negative": lambda y: s - 3.0 * y,
+        "scalar_negative": lambda y: float(s - 3.0 * y[0]),
+    }[kind]
+    y0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=dims, max_size=dims))
+    dt = draw(st.sampled_from([1.0, 0.5, 0.01, 0.37]))
+    n_steps = draw(st.integers(1, 200))
+    return (lambda y: level - kappa * y), diffusion, y0, dt, n_steps
+
+
+@given(problem=sde_problems(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_simulate_sde_equals_old_loop(problem, seed):
+    drift, diffusion, y0, dt, n_steps = problem
+    assert_same_outcome(outcome(simulate_sde, drift, diffusion, y0, dt, n_steps, seed),
+                        outcome(old_simulate_sde, drift, diffusion, y0, dt, n_steps, seed))
+
+
+def test_simulate_sde_negative_diffusion_step_and_message():
+    # no noise until the drift carries y past 0.35 at step 4
+    for diffusion in (lambda y: 0.0 if y[0] < 0.35 else -1.0, lambda y: np.where(y < 0.35, 0.0, -1.0)):
+        got = outcome(simulate_sde, lambda y: 1.0 + 0 * y, diffusion, [0.0], 0.1, 10, 0)
+        assert got == outcome(old_simulate_sde, lambda y: 1.0 + 0 * y, diffusion, [0.0], 0.1, 10, 0)
+        assert got[0] is NegativeDiffusion and got[1].endswith("at step 4")
+
+
+@given(
+    n_bars=st.integers(1, 600),
+    seed=st.integers(0, 2**63),
+    rate=st.floats(0.0, 1.0),
+    vol=st.floats(0.0, 0.1),
+    trend=st.floats(-0.01, 0.01),
+    base_price=st.floats(0.01, 1e4),
+)
+@settings(max_examples=60, deadline=None)
+def test_ou_series_equals_composition(n_bars, seed, rate, vol, trend, base_price):
+    assert_same_outcome(outcome(make_ou_price_series, n_bars, seed, rate=rate, vol=vol, trend=trend,
+                                base_price=base_price),
+                        outcome(old_make_ou_price_series, n_bars, seed, rate=rate, vol=vol, trend=trend,
+                                base_price=base_price))
+
+
+@pytest.mark.parametrize("n_bars, kwargs", [
+    (5000, dict(rate=0.003, vol=0.01)),  # the reference series
+    (2 * _OU_BLOCK + 3, dict(rate=0.05, vol=0.02, bar_interval=30.0)),  # across block boundaries
+    (2, {}),
+    (1, {}),  # InvalidStep
+    (300, dict(vol=0.0)),
+    (300, dict(vol=0)),
+    (300, dict(vol=-0.01)),  # NegativeDiffusion at step 0
+    (300, dict(vol=-1)),
+    (300, dict(vol=math.nan)),  # ConfigError: price nan at bar 1
+    (300, dict(rate=math.nan)),
+    (300, dict(rate=2, vol=np.float32(0.01))),
+    (2000, dict(trend=1.0)),  # ConfigError: price inf at bar 706
+    (2000, dict(trend=-1.0)),  # ConfigError: price 0 at bar 746
+])
+def test_ou_series_edge_cases_equal_composition(n_bars, kwargs):
+    got = outcome(make_ou_price_series, n_bars, 1, **kwargs)
+    assert_same_outcome(got, outcome(old_make_ou_price_series, n_bars, 1, **kwargs))
+    if kwargs.get("trend"):
+        assert got[0] is ConfigError and f"at bar {706 if kwargs['trend'] > 0 else 746};" in got[1]
