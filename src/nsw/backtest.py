@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import MisalignedSeries
+from .errors import ConfigError, MisalignedSeries, NonPositiveEquity
 from .portfolio import estimate_moments, log_returns, optimize_parcel
 from .signals import Action
 from .timeseries import PriceSeries
@@ -93,18 +93,28 @@ def run_backtest(
     """Drive one signal source over one series.
 
     ``source.run(series)`` must yield a SignalTrace; bars before its start are
-    warm-up and not decision-eligible. ``cost_bps`` shaves each fill by
-    cost_bps/1e4. When ``decision_band`` is given, a decision fraction outside
-    it is logged as a warning (diagnostic only).
+    warm-up and not decision-eligible. ``cost_bps`` in [0, 1e4) shaves each
+    fill by cost_bps/1e4, so equity stays positive. When ``decision_band``
+    is given, a decision fraction outside it is logged as a warning
+    (diagnostic only).
     """
+    if not 0.0 <= cost_bps < 1e4:
+        raise ConfigError(f"cost_bps must be in [0, 10000), got {cost_bps}")
     trace = source.run(series)
     prices = series.prices
     n = len(prices)
     fee = 1.0 - cost_bps / 1e4
-    # only the trace's signals for bars 0 .. n - 1 act or count
+    # only the trace's signals for bars 0 .. n - 1 act or count; a gated bar
+    # is excluded from decision making, so it does not count as an
+    # opportunity when measuring how often the strategy acts
     first = max(0, -trace.start)
-    signals = trace.signals[first : max(first, n - trace.start)]
-    moves = [(t, s.kind) for t, s in enumerate(signals, trace.start + first) if s.kind is not Action.HOLD]
+    moves = []
+    eligible = 0
+    for t, s in enumerate(trace.signals[first : max(first, n - trace.start)], trace.start + first):
+        if not s.gated:
+            eligible += 1
+        if s.kind is not Action.HOLD:
+            moves.append((t, s.kind))
     equity = np.empty(n)
     trades = []
     flat_z = 1.0
@@ -124,9 +134,6 @@ def run_backtest(
         trades.append(Trade(t, kind, float(prices[t])))
         since = t
     equity[since:] = flat_z if entry is None else flat_z * prices[since:] / entry
-    # a gated bar is excluded from decision making, so it does not count as
-    # an opportunity when measuring how often the strategy acts
-    eligible = sum(not s.gated for s in signals)
     name = strategy_name or getattr(source, "name", type(source).__name__)
     report = BacktestReport(
         symbol=series.symbol,
@@ -195,6 +202,8 @@ def run_parcel_backtest(
             raise MisalignedSeries("series have different timestamps")
     reports = [run_backtest(src, ser, cost_bps=cost_bps) for src, ser in zip(sources, series_list)]
     z = np.stack([r.equity for r in reports])  # (M, n)
+    if not np.all(z > 0):
+        raise NonPositiveEquity(f"equity must stay positive, min {z.min()}")
     m_count = len(sources)
 
     weights = np.full(m_count, 1.0 / m_count)
@@ -203,19 +212,21 @@ def run_parcel_backtest(
     ref_bar = 0
     ref_parcel = 1.0
     first_rebalance = rebalance_len + horizon  # earliest bar with a full trailing window
-    for t in range(1, n):
-        if t >= first_rebalance and (t - first_rebalance) % rebalance_len == 0:
-            # settle the running segment at the pre-rebalance weights
-            growth = z[:, t] / z[:, ref_bar]
-            ref_parcel = ref_parcel * (weights @ growth + (1.0 - weights.sum()))
-            ref_bar = t
-            returns = [log_returns(z[i, : t + 1], horizon) for i in range(m_count)]
-            moments = estimate_moments(returns, rebalance_len, horizon)
-            result = optimize_parcel(moments, theta, tol=tol)
-            weights = result.weights.n
-            trajectory.append(WeightRecord(t, weights.copy(), result.weights.slack, result.p_theta))
+    for t in [*range(first_rebalance, n, rebalance_len), n]:
+        # bars ref_bar (bar 1 at the start) to t - 1 at the current weights
+        lo = max(ref_bar, 1)
+        parcel[lo:t] = ref_parcel * (weights @ (z[:, lo:t] / z[:, ref_bar, None]) + (1.0 - weights.sum()))
+        if t == n:
+            break
+        # settle the segment at t, then re-optimize on the trailing window
         growth = z[:, t] / z[:, ref_bar]
-        parcel[t] = ref_parcel * (weights @ growth + (1.0 - weights.sum()))
+        ref_parcel = ref_parcel * (weights @ growth + (1.0 - weights.sum()))
+        ref_bar = t
+        returns = log_returns(z[:, t - first_rebalance : t + 1], horizon)
+        moments = estimate_moments(returns, rebalance_len, horizon)
+        result = optimize_parcel(moments, theta, tol=tol)
+        weights = result.weights.n
+        trajectory.append(WeightRecord(t, weights.copy(), result.weights.slack, result.p_theta))
     return ParcelReport(
         symbols=tuple(s.symbol for s in series_list),
         equity=parcel,

@@ -46,8 +46,8 @@ class RunConfig(SignalConfig):
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if not (self.bar_interval > 0.0 and float(self.bar_interval).is_integer()):  # timestamps are whole seconds
             raise ConfigError(f"bar_interval must be a positive whole number of seconds, got {self.bar_interval}")
-        if not self.cost_bps >= 0.0:
-            raise ConfigError(f"cost_bps must be >= 0, got {self.cost_bps}")
+        if not 0.0 <= self.cost_bps < 1e4:  # a fee of 100% or more leaves no equity
+            raise ConfigError(f"cost_bps must be in [0, 10000), got {self.cost_bps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.ou_vol < math.inf:

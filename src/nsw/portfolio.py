@@ -19,7 +19,7 @@ from .errors import DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPS
 
 log = logging.getLogger(__name__)
 
-# scipy.special.ndtr, bound by the first objective_P that evaluates Phi.
+# scipy.special.ndtr, bound by the first parcel objective that evaluates Phi.
 # Importing scipy.special costs a process about 24 MiB and 0.25 s, and only
 # parcel optimization needs it, so engine and backtest runs never load it.
 _ndtr = None
@@ -77,13 +77,14 @@ class ParcelWeights:
 
 
 def log_returns(equity, horizon: int) -> np.ndarray:
-    """x(t) = ln(equity[t + horizon] / equity[t]); output is horizon shorter."""
+    """x(t) = ln(equity[t + horizon] / equity[t]) along the last axis, so an
+    (M, n) stack of curves gives M streams; output is horizon shorter."""
     e = np.asarray(equity, dtype=np.float64)
     if np.any(e <= 0):
         raise NonPositiveEquity(f"equity must stay positive, min {e.min()}")
-    if horizon < 1 or len(e) <= horizon:
-        raise TooShort(f"need more than {horizon} points, got {len(e)}")
-    return np.log(e[horizon:] / e[:-horizon])
+    if horizon < 1 or e.shape[-1] <= horizon:
+        raise TooShort(f"need more than {horizon} points, got {e.shape[-1]}")
+    return np.log(e[..., horizon:] / e[..., :-horizon])
 
 
 def estimate_moments(returns, window: int, horizon: int) -> MomentEstimate:
@@ -104,29 +105,34 @@ def estimate_moments(returns, window: int, horizon: int) -> MomentEstimate:
     return MomentEstimate(mean_returns=x, covariance=lam, window=window, horizon=horizon)
 
 
-def _weights_array(n):
-    return n.n if isinstance(n, ParcelWeights) else np.asarray(n, dtype=np.float64)
+def _total(v) -> float:
+    """sum(v) over Python floats, added left to right."""
+    s = 0.0
+    for a in v:
+        s += a
+    return s
 
 
-def _mean_and_sigma(w, m: MomentEstimate):
-    z = float(w @ m.mean_returns)
-    var = float(w @ m.covariance @ w)
+def _moments(w, x, lam):
+    """(Z, sigma, Lambda w) of the weight list ``w``, for mean returns ``x``
+    and covariance rows ``lam`` given as lists of Python floats; every sum
+    is added left to right."""
+    z = var = 0.0
+    lam_w = []
+    for wi, xi, row in zip(w, x, lam):
+        s = 0.0
+        for a, b in zip(row, w):
+            s += a * b
+        lam_w.append(s)
+        z += wi * xi
+        var += wi * s
     if var < -1e-12:
         raise NegativeVariance(f"n'Lambda n = {var}")
-    return z, math.sqrt(max(var, 0.0))
+    return z, math.sqrt(max(var, 0.0)), lam_w
 
 
-def objective_P(n, m: MomentEstimate, theta: float) -> float:
-    """P(theta) = Phi((1 - theta) Z / sigma) for parcel mean Z and std sigma.
-
-    With sigma = 0 the parcel return is deterministic: 1 if it clears the
-    theta Z threshold, 0.5 exactly at it, else 0.
-    """
+def _probability(z: float, sigma: float, theta: float) -> float:
     global _ndtr
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must be in [0, 1], got {theta}")
-    w = _weights_array(n)
-    z, sigma = _mean_and_sigma(w, m)
     margin = (1.0 - theta) * z
     if sigma == 0.0:
         return 1.0 if margin > 0 else (0.5 if margin == 0 else 0.0)
@@ -135,30 +141,63 @@ def objective_P(n, m: MomentEstimate, theta: float) -> float:
     return float(_ndtr(margin / sigma))
 
 
-def _objective_grad(w, m: MomentEstimate, theta: float) -> np.ndarray:
-    z, sigma = _mean_and_sigma(w, m)
+def objective_P(n, m: MomentEstimate, theta: float) -> float:
+    """P(theta) = Phi((1 - theta) Z / sigma) for parcel mean Z and std sigma.
+
+    With sigma = 0 the parcel return is deterministic: 1 if it clears the
+    theta Z threshold, 0.5 exactly at it, else 0.
+    """
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must be in [0, 1], got {theta}")
+    w = (n.n if isinstance(n, ParcelWeights) else np.asarray(n, dtype=np.float64)).tolist()
+    if len(w) != m.n_instruments:
+        raise ValueError(f"{len(w)} weights for {m.n_instruments} instruments")
+    z, sigma, _ = _moments(w, m.mean_returns.tolist(), m.covariance.tolist())
+    return _probability(z, sigma, theta)
+
+
+def _gradient(z: float, sigma: float, lam_w, x, theta: float) -> list:
+    """dP/dn at the point whose ``_moments`` are (z, sigma, lam_w)."""
     if sigma == 0.0:
-        return np.zeros_like(w)
+        return [0.0] * len(x)
+    sigma3 = sigma**3
+    if sigma3 == 0.0:
+        raise DegenerateWindow(f"parcel sigma {sigma:.3g} is too small for the gradient: sigma**3 underflows")
     u = (1.0 - theta) * z / sigma
-    phi = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    lam_w = m.covariance @ w
-    return phi * (1.0 - theta) * (m.mean_returns / sigma - z * lam_w / sigma**3)
+    scale = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi) * (1.0 - theta)
+    return [scale * (xi / sigma - z * li / sigma3) for xi, li in zip(x, lam_w)]
+
+
+def _project(v) -> list:
+    """Euclidean projection of a float list onto {n >= 0, sum(n) <= 1}."""
+    w = [0.0 if a < 0.0 else a for a in v]  # a NaN stays and fails the sum test
+    total = _total(w)
+    if total <= 1.0:
+        return w
+    # sum constraint active: project onto the probability simplex (sort method)
+    css, rho, tau = 0.0, 0, 0.0
+    for k, a in enumerate(sorted(v, reverse=True), 1):
+        css += a
+        t = (css - 1.0) / k
+        if a - t > 0:
+            rho, tau = k, t
+    if not (rho and total < math.inf):
+        raise DegenerateWindow(f"cannot project {v} onto the parcel weights")
+    return [a - tau if a > tau else 0.0 for a in v]
 
 
 def project_weights(v) -> np.ndarray:
-    """Euclidean projection onto {n >= 0, sum(n) <= 1}."""
-    v = np.asarray(v, dtype=np.float64)
-    w = np.clip(v, 0.0, None)
-    if w.sum() <= 1.0:
-        return w
-    # sum constraint active: project onto the probability simplex (sort method)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    tau = css[rho - 1] / rho
-    return np.clip(v - tau, 0.0, None)
+    """Euclidean projection onto {n >= 0, sum(n) <= 1}; NaN or +inf entries
+    raise DegenerateWindow, -inf ones project to 0."""
+    return np.array(_project(np.asarray(v, dtype=np.float64).tolist()), dtype=np.float64)
+
+
+def _residual(w, g) -> float:
+    """Unit-step gradient-mapping residual ||project(w + g) - w||."""
+    s = 0.0
+    for a, b in zip(_project([a + b for a, b in zip(w, g)]), w):
+        s += (a - b) * (a - b)
+    return math.sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -184,76 +223,71 @@ def optimize_parcel(m: MomentEstimate, theta: float, tol=1e-6, max_iters=20000) 
     expected margin (1 - theta) Z is positive (same P, maximal growth), and
     replaced by the all-cash vector (P = 0.5 by the zero-sigma rule) when
     the best parcel found still has negative margin.
+
+    The arithmetic is plain Python floats, sums added left to right, so the
+    weights do not depend on the BLAS build. A sigma whose cube underflows
+    (variance below about 1e-215) leaves no usable gradient and raises
+    DegenerateWindow, as does a non-finite step.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
-    mm = m.n_instruments
     eig_min = float(np.linalg.eigvalsh(m.covariance).min())
     scale = 1.0 + float(np.abs(np.diag(m.covariance)).max())
     if eig_min < -1e-10 * scale:
         raise NotPSD(f"covariance has eigenvalue {eig_min}")
 
-    w = np.full(mm, 1.0 / mm)
-    if float(w @ m.covariance @ w) <= 0.0:
-        return _degenerate_parcel(m, theta)
+    x, lam = m.mean_returns.tolist(), m.covariance.tolist()
+    mm = len(x)
+    w = [1.0 / mm] * mm
+    z, sigma, lam_w = _moments(w, x, lam)
+    if sigma == 0.0:
+        # zero-variance start: the objective is a step function of the mean,
+        # so pick directly instead of following gradients
+        if any(x):  # all cash, or all in the best positive mean
+            w = [0.0] * mm
+            if max(x) > 0:
+                w[x.index(max(x))] = 1.0
+        z, sigma, _ = _moments(w, x, lam)
+        p = _probability(z, sigma, theta)
+        return ParcelResult(ParcelWeights(w), p, kkt_residual=0.0, iterations=0, converged=True)
 
-    p = objective_P(w, m, theta)
+    p = _probability(z, sigma, theta)
     step = 1.0
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        g = _objective_grad(w, m, theta)
-        residual = float(np.linalg.norm(project_weights(w + g) - w))
+        g = _gradient(z, sigma, lam_w, x, theta)
+        residual = _residual(w, g)
         if residual < tol:
             converged = True
             break
-        moved = False
         s = step
         for _ in range(60):
-            cand = project_weights(w + s * g)
-            p_cand = objective_P(cand, m, theta)
-            if p_cand >= p and np.any(cand != w):
-                w, p = cand, p_cand
+            cand = _project([a + s * b for a, b in zip(w, g)])
+            cz, csigma, clam_w = _moments(cand, x, lam)
+            p_cand = _probability(cz, csigma, theta)
+            if p_cand >= p and cand != w:
+                w, p, z, sigma, lam_w = cand, p_cand, cz, csigma, clam_w
                 step = min(s * 2.0, 1e6)
-                moved = True
                 break
             s *= 0.5
-        if not moved:
+        else:
             # no ascent step exists at float precision; report the mapping residual
             break
     if p < 0.5 - 1e-12:
-        w = np.zeros(mm)
+        w = [0.0] * mm
         p, converged = 0.5, True
         residual = 0.0
     else:
-        if p > 0.5 + 1e-12 and w.sum() > 0:
-            w = w / w.sum()
-            p = objective_P(w, m, theta)
-        residual = float(np.linalg.norm(project_weights(w + _objective_grad(w, m, theta)) - w))
+        total = _total(w)
+        if p > 0.5 + 1e-12 and total > 0:
+            w = [a / total for a in w]
+            z, sigma, lam_w = _moments(w, x, lam)
+            p = _probability(z, sigma, theta)
+        residual = _residual(w, _gradient(z, sigma, lam_w, x, theta))
     if not converged:
         log.warning("parcel optimizer stopped after %d iterations, residual %.3g", iters, residual)
     return ParcelResult(
         weights=ParcelWeights(w), p_theta=p, kkt_residual=residual, iterations=iters, converged=converged
-    )
-
-
-def _degenerate_parcel(m: MomentEstimate, theta: float) -> ParcelResult:
-    # zero-variance start: the objective is a step function of the mean, so
-    # pick directly instead of following gradients
-    x = m.mean_returns
-    mm = m.n_instruments
-    if np.all(x == 0.0):
-        w = np.full(mm, 1.0 / mm)
-    elif x.max() > 0:
-        w = np.zeros(mm)
-        w[int(np.argmax(x))] = 1.0
-    else:
-        w = np.zeros(mm)
-    return ParcelResult(
-        weights=ParcelWeights(w),
-        p_theta=objective_P(w, m, theta),
-        kkt_residual=0.0,
-        iterations=0,
-        converged=True,
     )
 

@@ -18,8 +18,10 @@ from nsw.backtest import (
     write_weights,
 )
 from nsw.baselines import IndicatorConfig
-from nsw.errors import MisalignedSeries
+from nsw.errors import ConfigError, MisalignedSeries
+from nsw.portfolio import estimate_moments, log_returns, optimize_parcel
 from nsw.signals import Action, Signal, SignalTrace
+from nsw.timeseries import make_ou_price_series
 
 from conftest import series_from_prices
 
@@ -131,6 +133,19 @@ class TestRunBacktest:
         report = run_backtest(scripted(series, {0: Action.BUY, 1: Action.SELL}), series, cost_bps=10.0)
         assert report.final_z == pytest.approx(1.1 * (1 - 1e-3) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("cost_bps", [-1.0, 1e4, 2e4, math.inf, math.nan])
+    def test_fee_of_100_percent_or_more_rejected(self, cost_bps):
+        # a fill factor 1 - cost_bps/1e4 <= 0 would zero or flip the equity
+        series = series_from_prices([1.0, 1.1, 1.1])
+        with pytest.raises(ConfigError, match="cost_bps"):
+            run_backtest(scripted(series, {0: Action.BUY, 1: Action.SELL}), series, cost_bps=cost_bps)
+
+    def test_largest_fee_keeps_equity_positive(self):
+        series = series_from_prices([1.0, 1.1, 1.1])
+        report = run_backtest(scripted(series, {0: Action.BUY, 1: Action.SELL}), series, cost_bps=9999.0)
+        assert np.all(report.equity > 0)
+        assert report.final_z == pytest.approx(1.1 * 1e-8, rel=1e-9)
+
     @given(moves_raw=st.lists(st.sampled_from(["buy", "sell", "hold"]), min_size=2, max_size=30))
     @settings(max_examples=120, deadline=None)
     def test_accounting_identity(self, moves_raw):
@@ -207,6 +222,35 @@ def make_aligned(prices_list):
     return [series_from_prices(p, symbol=f"S{i}") for i, p in enumerate(prices_list)]
 
 
+def old_run_parcel_backtest(reports, theta, rebalance_len, horizon, tol=1e-6):
+    """The per-bar parcel loop run_parcel_backtest replaced: logs of the whole
+    equity prefix at each rebalance, parcel equity one bar at a time.
+    Returns (equity, [(t, weights)])."""
+    z = np.stack([r.equity for r in reports])  # (M, n)
+    m_count, n = z.shape
+
+    weights = np.full(m_count, 1.0 / m_count)
+    trajectory = []
+    parcel = np.ones(n)
+    ref_bar = 0
+    ref_parcel = 1.0
+    first_rebalance = rebalance_len + horizon  # earliest bar with a full trailing window
+    for t in range(1, n):
+        if t >= first_rebalance and (t - first_rebalance) % rebalance_len == 0:
+            # settle the running segment at the pre-rebalance weights
+            growth = z[:, t] / z[:, ref_bar]
+            ref_parcel = ref_parcel * (weights @ growth + (1.0 - weights.sum()))
+            ref_bar = t
+            returns = [log_returns(z[i, : t + 1], horizon) for i in range(m_count)]
+            moments = estimate_moments(returns, rebalance_len, horizon)
+            result = optimize_parcel(moments, theta, tol=tol)
+            weights = result.weights.n
+            trajectory.append((t, weights.copy()))
+        growth = z[:, t] / z[:, ref_bar]
+        parcel[t] = ref_parcel * (weights @ growth + (1.0 - weights.sum()))
+    return parcel, trajectory
+
+
 class TestParcel:
     def test_hold_forever(self):
         series_list = make_aligned([[1.0] * 40, [2.0] * 40])
@@ -235,6 +279,26 @@ class TestParcel:
         growth = np.array([1.3 / 1.0, 2.6 / 2.0, 6.5 / 5.0])
         assert report.weight_trajectory == ()
         assert report.equity[-1] == pytest.approx(np.mean(growth), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("theta, rebalance_len, horizon, cost_bps", [
+        (0.25, 16, 8, 0.0), (0.1, 7, 1, 5.0), (0.5, 50, 3, 0.0),
+    ])
+    def test_segments_equal_per_bar_loop(self, seed, theta, rebalance_len, horizon, cost_bps):
+        rng = np.random.default_rng(seed)
+        series_list = [make_ou_price_series(500, seed=10 * seed + k, rate=0.01, vol=0.01, symbol=f"S{k}")
+                       for k in range(3)]
+        sources = []
+        for s in series_list:
+            bars = np.sort(rng.choice(len(s), size=40, replace=False))
+            sources.append(scripted(s, {int(t): rng.choice([Action.BUY, Action.SELL]) for t in bars}))
+        report = run_parcel_backtest(sources, series_list, theta, rebalance_len, horizon, cost_bps=cost_bps)
+        equity, trajectory = old_run_parcel_backtest(report.instrument_reports, theta, rebalance_len, horizon)
+        # trailing-window moments are the prefix ones, so the weights are exact
+        assert [rec.t for rec in report.weight_trajectory] == [t for t, _ in trajectory]
+        for rec, (_, w) in zip(report.weight_trajectory, trajectory):
+            assert np.array_equal(rec.n, w)
+        assert np.abs(report.equity / equity - 1.0).max() <= 1e-14
 
     def test_misaligned(self):
         a = series_from_prices([1.0, 1.1, 1.2])

@@ -133,6 +133,16 @@ class TestParcelCmd:
         header = (out / "weights.csv").read_text().splitlines()[0]
         assert header == "t,n_1,n_2,n_3,slack,P_theta"
 
+    @pytest.mark.parametrize("cost_bps", ["10000", "20000"])
+    def test_fee_of_100_percent_exits_2_and_writes_nothing(self, runner, tmp_path, cost_bps):
+        bars = tmp_path / "a.csv"
+        write_bars(make_ou_price_series(300, seed=1, symbol="A"), bars)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["parcel", "--data", str(bars), "--out", str(out), "--set", f"cost_bps={cost_bps}"])
+        assert res.exit_code == 2
+        assert "cost_bps must be in [0, 10000)" in res.output
+        assert not out.exists()
+
     def test_misaligned_series_fails(self, runner, tmp_path):
         a = make_ou_price_series(300, seed=1, symbol="A")
         b = make_ou_price_series(350, seed=2, symbol="B")

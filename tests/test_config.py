@@ -18,6 +18,9 @@ def _assert_rejected(values):
     ("n_grid", 1),
     ("shift_len", 0),
     ("cost_bps", -1.0),
+    ("cost_bps", 1e4),  # a fill factor 1 - cost_bps/1e4 <= 0 leaves no equity
+    ("cost_bps", math.inf),
+    ("cost_bps", math.nan),
     ("horizon", 0),
     ("bar_interval", 0.0),
     ("bar_interval", 90.4),  # bar files carry whole-second timestamps

@@ -40,8 +40,16 @@ w = optimize_parcel(m, theta).weights.n
 seen["parcel"] = scipy_modules()
 
 from scipy.special import ndtr
-z = float(w @ m.mean_returns)
-sigma = math.sqrt(float(w @ m.covariance @ w))
+# Z and sigma as the optimizer adds them: plain float products, left to right
+wl, x, lam = w.tolist(), m.mean_returns.tolist(), m.covariance.tolist()
+z = var = 0.0
+for i in range(3):
+    z += wl[i] * x[i]
+    lam_w = 0.0
+    for j in range(3):
+        lam_w += lam[i][j] * wl[j]
+    var += wl[i] * lam_w
+sigma = math.sqrt(var)
 seen["p"] = objective_P(w, m, theta)
 seen["ndtr"] = float(ndtr((1.0 - theta) * z / sigma))
 print(json.dumps(seen))
