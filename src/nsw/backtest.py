@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, MisalignedSeries, NonPositiveEquity
 from .portfolio import estimate_moments, log_returns, optimize_parcel
-from .signals import Action
+from .signals import CODE_BUY, CODE_GATED, CODE_SELL, Action
 from .timeseries import PriceSeries
 
 log = logging.getLogger(__name__)
@@ -104,34 +104,33 @@ def run_backtest(
     prices = series.prices
     n = len(prices)
     fee = 1.0 - cost_bps / 1e4
-    # only the trace's signals for bars 0 .. n - 1 act or count; a gated bar
+    # only the trace's outcomes for bars 0 .. n - 1 act or count; a gated bar
     # is excluded from decision making, so it does not count as an
     # opportunity when measuring how often the strategy acts
     first = max(0, -trace.start)
-    moves = []
-    eligible = 0
-    for t, s in enumerate(trace.signals[first : max(first, n - trace.start)], trace.start + first):
-        if not s.gated:
-            eligible += 1
-        if s.kind is not Action.HOLD:
-            moves.append((t, s.kind))
+    codes = trace.codes[first : max(first, n - trace.start)]
+    eligible = len(codes) - int(np.count_nonzero(codes == CODE_GATED))
+    fills = np.flatnonzero((codes == CODE_BUY) | (codes == CODE_SELL))
+    # a buy while long or a sell while flat is ignored: of a run of fills of
+    # one kind only the first acts, and a leading sell finds the book flat
+    kinds = codes[fills]
+    acts = fills[np.flatnonzero(np.diff(kinds, prepend=CODE_SELL))]
     equity = np.empty(n)
     trades = []
     flat_z = 1.0
     entry = None  # price at which the open position was bought
     since = 0  # first bar whose equity is not written yet
-    for t, kind in moves:
-        if kind is Action.BUY and entry is None:
+    for t in (acts + (trace.start + first)).tolist():  # buy, sell, buy, ...
+        if entry is None:
             equity[since:t] = flat_z
             entry = prices[t]
             flat_z *= fee
-        elif kind is Action.SELL and entry is not None:
+            trades.append(Trade(t, Action.BUY, float(prices[t])))
+        else:
             equity[since:t] = flat_z * prices[since:t] / entry
             flat_z *= (prices[t] / entry) * fee
             entry = None
-        else:
-            continue  # a buy while long or a sell while flat
-        trades.append(Trade(t, kind, float(prices[t])))
+            trades.append(Trade(t, Action.SELL, float(prices[t])))
         since = t
     equity[since:] = flat_z if entry is None else flat_z * prices[since:] / entry
     name = strategy_name or getattr(source, "name", type(source).__name__)
@@ -334,8 +333,7 @@ def write_equity(report, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "Z"])
-        for t, val in enumerate(report.equity):
-            w.writerow([t, repr(float(val))])
+        w.writerows(zip(range(len(report.equity)), map(repr, report.equity.tolist())))
 
 
 def write_weights(parcel: ParcelReport, path) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyGrid, NotWarmedUp, UsageError
-from .signals import Action, Signal, SignalTrace
+from .signals import CODE_BUY, CODE_HOLD, CODE_SELL, CODE_SIGNALS, Action, SignalTrace
 from .timeseries import PriceSeries
 
 KINDS = ("pc", "bb", "macd", "rsi")
@@ -92,18 +92,23 @@ def bollinger(prices, lookback: int, width: float):
 
     The window includes the current bar; std is the population std.
     """
+    mean, sd = _band_stats(prices, lookback)
+    return mean, mean - width * sd, mean + width * sd
+
+
+def _band_stats(prices, lookback: int):
+    """(mean, std) of the last ``lookback`` bars, current included (population
+    std); NaN before a full window."""
     p = np.asarray(prices, dtype=np.float64)
-    mean, lower, upper = np.full((3, len(p)), np.nan)
+    mean, sd = np.full((2, len(p)), np.nan)
     if len(p) >= lookback:
         # a contiguous copy makes each row reduce as its 1-D window would, so
         # bands are bit-equal to w.mean() and w.std() whatever loop order
         # numpy would pick for the view's overlapping strides
         w = np.ascontiguousarray(sliding_window_view(p, lookback))
-        mu, sd = w.mean(axis=1), w.std(axis=1)
-        mean[lookback - 1 :] = mu
-        lower[lookback - 1 :] = mu - width * sd
-        upper[lookback - 1 :] = mu + width * sd
-    return mean, lower, upper
+        mean[lookback - 1 :] = w.mean(axis=1)
+        sd[lookback - 1 :] = w.std(axis=1)
+    return mean, sd
 
 
 def channel_extremes(prices, lookback: int):
@@ -152,38 +157,47 @@ def _rsi_from_averages(avg_gain, avg_loss):
     return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
 
 
-# _signal_array codes index these; one shared, immutable Signal per action
-_ACTIONS = (Action.HOLD, Action.BUY, Action.SELL)
-_SIGNALS = tuple(Signal(kind, math.nan, math.nan) for kind in _ACTIONS)
-
-
 def indicator_signal(cfg: IndicatorConfig, series: PriceSeries, t: int) -> Action:
     """Signal of one indicator at bar ``t`` (uses bars <= t only)."""
     if t < cfg.warmup or t >= len(series):
         raise NotWarmedUp(f"{cfg.kind} needs t >= {cfg.warmup}, got {t}")
-    return _ACTIONS[_signal_array(cfg, series.prices[: t + 1])[t]]
+    return CODE_SIGNALS[_signal_array(cfg, series.prices[: t + 1])[t]].kind
 
 
-def _signal_array(cfg: IndicatorConfig, prices) -> np.ndarray:
-    """Action code of every bar (0 hold, 1 buy, 2 sell) under the module's
-    rules; bars before ``cfg.warmup`` hold. A NaN indicator value, as where a
-    band or channel is not yet defined, compares false and holds."""
+def _indicator_line(cfg: IndicatorConfig, prices):
+    """What ``_signal_array`` reads of a bb or rsi config that does not
+    depend on its thresholds: the band (mean, std) or the RSI series of its
+    lookback. The other kinds have none (None)."""
+    if cfg.kind == "bb":
+        return _band_stats(prices, cfg.params[0])
+    if cfg.kind == "rsi":
+        return rsi_values(prices, cfg.params[0])
+    return None
+
+
+def _signal_array(cfg: IndicatorConfig, prices, line=None) -> np.ndarray:
+    """Outcome code of every bar (``CODE_HOLD``, ``CODE_BUY``, ``CODE_SELL``)
+    under the module's rules; bars before ``cfg.warmup`` hold. A NaN
+    indicator value, as where a band or channel is not yet defined, compares
+    false and holds. ``line``, when given, is ``_indicator_line(cfg, prices)``."""
     p = np.asarray(prices, dtype=np.float64)
+    if line is None:
+        line = _indicator_line(cfg, p)
     if cfg.kind == "pc":
         hi, lo = channel_extremes(p, cfg.params[0])
         buy, sell = p > hi, p < lo
     elif cfg.kind == "bb":
-        _, lower, upper = bollinger(p, *cfg.params)
-        buy, sell = p < lower, p > upper
+        mean, sd = line
+        width = cfg.params[1]
+        buy, sell = p < mean - width * sd, p > mean + width * sd
     elif cfg.kind == "macd":
         macd, sig = macd_lines(p, *cfg.params)
         buy, sell = _crossed(macd <= sig, macd > sig), _crossed(macd >= sig, macd < sig)
     else:  # rsi
-        lookback, lower, upper = cfg.params
-        rsi = rsi_values(p, lookback)
-        buy, sell = _crossed(rsi <= lower, rsi > lower), _crossed(rsi >= upper, rsi < upper)
-    codes = np.where(buy, 1, np.where(sell, 2, 0))
-    codes[: cfg.warmup] = 0
+        _, lower, upper = cfg.params
+        buy, sell = _crossed(line <= lower, line > lower), _crossed(line >= upper, line < upper)
+    codes = np.where(buy, CODE_BUY, np.where(sell, CODE_SELL, CODE_HOLD)).astype(np.uint8)
+    codes[: cfg.warmup] = CODE_HOLD
     return codes
 
 
@@ -195,10 +209,15 @@ def _crossed(before, after) -> np.ndarray:
 
 
 class IndicatorStrategy:
-    """Adapter exposing an indicator as a backtestable signal source."""
+    """Adapter exposing an indicator as a backtestable signal source.
 
-    def __init__(self, cfg: IndicatorConfig):
+    ``line``, when given, must be ``_indicator_line(cfg, series.prices)`` of
+    the series ``run`` is given: the tuner computes it once per lookback and
+    shares it across the thresholds of a grid."""
+
+    def __init__(self, cfg: IndicatorConfig, line=None):
         self.cfg = cfg
+        self.line = line
 
     @property
     def name(self) -> str:
@@ -206,8 +225,7 @@ class IndicatorStrategy:
 
     def run(self, series: PriceSeries) -> SignalTrace:
         start = min(self.cfg.warmup, len(series))
-        codes = _signal_array(self.cfg, series.prices)[start:]
-        return SignalTrace(start=start, signals=[_SIGNALS[c] for c in codes.tolist()])
+        return SignalTrace(start, codes=_signal_array(self.cfg, series.prices, self.line)[start:])
 
 
 def tune_baseline(grid, series: PriceSeries, cost_bps=0.0):
@@ -220,8 +238,12 @@ def tune_baseline(grid, series: PriceSeries, cost_bps=0.0):
     if not grid:
         raise EmptyGrid("no indicator configurations to search")
     best, best_z = (None, None), -math.inf
+    lines = {}  # (kind, first parameter) -> _indicator_line, shared by the bb or rsi thresholds of a lookback
     for cfg in sorted(grid):
-        report = run_backtest(IndicatorStrategy(cfg), series, cost_bps=cost_bps)
+        key = (cfg.kind, cfg.params[0])
+        if key not in lines:
+            lines[key] = _indicator_line(cfg, series.prices)
+        report = run_backtest(IndicatorStrategy(cfg, lines[key]), series, cost_bps=cost_bps)
         if report.final_z > best_z:
             best, best_z = (cfg, report), report.final_z
     return best

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,12 +116,60 @@ def decide(dy1: float, p_s: float, ks_pass: bool, cfg: SignalConfig) -> Signal:
     return Signal(Action.HOLD, p_s, dy1)
 
 
-@dataclass
-class SignalTrace:
-    """Signals aligned to bars ``start .. start + len(signals) - 1``."""
+# outcome code of a decided bar: the action, with holds split by the gate flag
+CODE_HOLD, CODE_BUY, CODE_SELL, CODE_GATED = range(4)
+# one shared, immutable Signal per outcome code, for traces that carry no p_s or dy1
+CODE_SIGNALS = (Signal(Action.HOLD, math.nan, math.nan), Signal(Action.BUY, math.nan, math.nan),
+                Signal(Action.SELL, math.nan, math.nan), Signal(Action.HOLD, math.nan, math.nan, gated=True))
+_ACTION_CODES = {Action.HOLD: CODE_HOLD, Action.BUY: CODE_BUY, Action.SELL: CODE_SELL}
 
-    start: int
-    signals: list = field(default_factory=list)
+
+class SignalTrace:
+    """Per-bar outcomes of bars ``start .. start + n - 1``.
+
+    A trace is built from a list of ``Signal``s, which the engine appends to,
+    or from ``codes``, one outcome code per bar (``CODE_HOLD``, ``CODE_BUY``,
+    ``CODE_SELL``, ``CODE_GATED``). ``codes`` is the accounting format: a
+    trace built from codes returns its own read-only array, and one built
+    from a list derives the array from the list on each read, so it never
+    lags an append. ``signals`` of a code-built trace is built on first
+    read from ``CODE_SIGNALS``; from then on that list is the trace.
+    """
+
+    def __init__(self, start: int, signals: list | None = None, *, codes=None):
+        if signals is not None and codes is not None:
+            raise ValueError("give signals or codes, not both")
+        self.start = start
+        self._codes = None
+        if codes is not None:
+            self._codes = np.asarray(codes, dtype=np.uint8).view()
+            self._codes.setflags(write=False)
+        self._signals = [] if signals is None and codes is None else signals
+
+    def __eq__(self, other):
+        if not isinstance(other, SignalTrace):
+            return NotImplemented
+        return self.start == other.start and self.signals == other.signals
+
+    def __repr__(self):
+        return f"SignalTrace(start={self.start!r}, signals={self.signals!r})"
+
+    @property
+    def signals(self) -> list:
+        if self._signals is None:
+            self._signals = [CODE_SIGNALS[c] for c in self._codes.tolist()]
+            self._codes = None
+        return self._signals
+
+    @signals.setter
+    def signals(self, signals: list) -> None:
+        self._signals, self._codes = signals, None
+
+    @property
+    def codes(self) -> np.ndarray:
+        if self._codes is not None:
+            return self._codes
+        return np.array([CODE_GATED if s.gated else _ACTION_CODES[s.kind] for s in self._signals], dtype=np.uint8)
 
 
 class _Trailing:

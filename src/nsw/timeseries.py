@@ -26,6 +26,7 @@ from .errors import (
 )
 
 DEFAULT_BAR_INTERVAL = 60.0
+_INT64_BOUND = 2.0**63  # timestamps are stored as int64
 
 
 @dataclass(frozen=True)
@@ -93,18 +94,25 @@ def load_bars(path, columns=None, symbol=None, gap_policy="reject", bar_interval
     if not os.path.exists(path):
         raise MissingFile(f"bar file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or colmap["timestamp"] not in reader.fieldnames:
-            raise ParseError(0, f"missing column {colmap['timestamp']!r}")
-        if colmap["price"] not in reader.fieldnames:
-            raise ParseError(0, f"missing column {colmap['price']!r}")
+        reader = csv.reader(fh)
+        # the last column of a name wins, as in csv.DictReader
+        header = {name: k for k, name in enumerate(next(reader, []))}
+        for key in ("timestamp", "price"):
+            if colmap[key] not in header:
+                raise ParseError(0, f"missing column {colmap[key]!r}")
+        t_col, p_col = header[colmap["timestamp"]], header[colmap["price"]]
         ts, px = [], []
-        for i, rec in enumerate(reader, start=1):
+        for i, rec in enumerate(filter(None, reader), start=1):  # blank lines are skipped
             try:
-                t = int(float(rec[colmap["timestamp"]]))
-                p = float(rec[colmap["price"]])
-            except (TypeError, ValueError) as exc:
+                stamp = float(rec[t_col])
+                p = float(rec[p_col])
+            except IndexError:
+                raise ParseError(i, f"{len(rec)} fields, too few for the header") from None
+            except ValueError as exc:
                 raise ParseError(i, str(exc)) from exc
+            if not -_INT64_BOUND <= stamp < _INT64_BOUND:
+                raise ParseError(i, f"timestamp {stamp} is not a finite int64")
+            t = int(stamp)
             if not 0 < p < math.inf:
                 raise NonPositivePrice(i, f"price {p}")
             if ts and t <= ts[-1]:

@@ -1,3 +1,4 @@
+import csv
 import logging
 import math
 
@@ -20,7 +21,7 @@ from nsw.backtest import (
 from nsw.baselines import IndicatorConfig
 from nsw.errors import ConfigError, MisalignedSeries
 from nsw.portfolio import estimate_moments, log_returns, optimize_parcel
-from nsw.signals import Action, Signal, SignalTrace
+from nsw.signals import CODE_BUY, CODE_GATED, CODE_HOLD, CODE_SELL, CODE_SIGNALS, Action, Signal, SignalTrace
 from nsw.timeseries import make_ou_price_series
 
 from conftest import series_from_prices
@@ -73,6 +74,58 @@ def per_bar_equity(trace, prices, cost_bps=0.0):
                 trades.append(Trade(t, Action.SELL, float(prices[t])))
         equity[t] = flat_z if entry is None else flat_z * prices[t] / entry
     return equity, trades
+
+
+def old_run_backtest(trace, prices, cost_bps=0.0):
+    """The per-Signal walk run_backtest replaced: (equity, trades, eligible_bars).
+
+    Every signal of the trace within the series is visited; a buy while long
+    or a sell while flat is skipped inside the loop."""
+    n = len(prices)
+    fee = 1.0 - cost_bps / 1e4
+    first = max(0, -trace.start)
+    moves = []
+    eligible = 0
+    for t, s in enumerate(trace.signals[first : max(first, n - trace.start)], trace.start + first):
+        if not s.gated:
+            eligible += 1
+        if s.kind is not Action.HOLD:
+            moves.append((t, s.kind))
+    equity = np.empty(n)
+    trades = []
+    flat_z = 1.0
+    entry = None
+    since = 0
+    for t, kind in moves:
+        if kind is Action.BUY and entry is None:
+            equity[since:t] = flat_z
+            entry = prices[t]
+            flat_z *= fee
+        elif kind is Action.SELL and entry is not None:
+            equity[since:t] = flat_z * prices[since:t] / entry
+            flat_z *= (prices[t] / entry) * fee
+            entry = None
+        else:
+            continue
+        trades.append(Trade(t, kind, float(prices[t])))
+        since = t
+    equity[since:] = flat_z if entry is None else flat_z * prices[since:] / entry
+    return equity, trades, eligible
+
+
+@st.composite
+def code_traces(draw):
+    """Positive prices and an outcome-code trace built from runs of one code
+    (repeated buys and sells, gated and plain holds) that may start before
+    bar 0 or after the series end and may run past it, with a fee in
+    [0, 1e4) bps."""
+    prices = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=2, max_size=40)))
+    start = draw(st.integers(-15, len(prices) + 3))
+    runs = draw(st.lists(st.tuples(st.sampled_from([CODE_HOLD, CODE_BUY, CODE_SELL, CODE_GATED]),
+                                   st.integers(1, 6)), max_size=16))
+    codes = np.array([c for c, k in runs for _ in range(k)], dtype=np.uint8)
+    cost_bps = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e4, exclude_max=True)))
+    return prices, start, codes, cost_bps
 
 
 @st.composite
@@ -175,6 +228,43 @@ class TestRunBacktest:
         fee = 1.0 - cost_bps / 1e4
         assert report.final_z == pytest.approx(math.prod(legs) * fee ** len(trades), rel=1e-12, abs=0)
 
+    @given(case=code_traces())
+    @settings(max_examples=300, deadline=None)
+    def test_codes_equal_per_signal_walk(self, case):
+        prices, start, codes, cost_bps = case
+        series = series_from_prices(prices)
+        equity, trades, eligible = old_run_backtest(
+            SignalTrace(start, [CODE_SIGNALS[c] for c in codes.tolist()]), prices, cost_bps)
+        # the same outcomes as a code array and as the engine's Signal list
+        for trace in (SignalTrace(start, codes=codes), SignalTrace(start, [CODE_SIGNALS[c] for c in codes.tolist()])):
+            report = run_backtest(TraceSource(trace), series, cost_bps=cost_bps)
+            assert np.array_equal(report.equity, equity)
+            assert report.trades == tuple(trades)
+            assert report.eligible_bars == eligible
+
+    def test_codes_follow_appended_signals(self):
+        series = series_from_prices([1.0, 1.2, 1.5, 1.1])
+        trace = SignalTrace(start=0)
+        source = TraceSource(trace)
+        trace.signals.append(Signal(Action.BUY, 0.5, 0.0))
+        assert run_backtest(source, series).final_z == pytest.approx(1.1, abs=0.0)
+        trace.signals += [Signal(Action.HOLD, 0.5, 0.0, gated=True), Signal(Action.SELL, 0.5, 0.0)]
+        report = run_backtest(source, series)
+        assert report.final_z == pytest.approx(1.5, abs=0.0)
+        assert report.eligible_bars == 2
+        assert list(trace.codes) == [CODE_BUY, CODE_GATED, CODE_SELL]
+
+    def test_code_trace_signals_are_its_list(self):
+        codes = np.array([CODE_BUY, CODE_HOLD, CODE_GATED, CODE_SELL], dtype=np.uint8)
+        trace = SignalTrace(2, codes=codes)
+        assert not trace.codes.flags.writeable
+        assert trace.signals == [CODE_SIGNALS[c] for c in codes]
+        assert [(s.kind, s.gated) for s in trace.signals] == [
+            (Action.BUY, False), (Action.HOLD, False), (Action.HOLD, True), (Action.SELL, False)]
+        trace.signals.append(CODE_SIGNALS[CODE_BUY])
+        assert list(trace.codes) == [*codes, CODE_BUY]
+        assert trace == SignalTrace(2, list(trace.signals))
+
     def test_eligible_bars_stop_at_series_end(self):
         series = series_from_prices([1.0, 1.1, 1.2, 1.3])
         trace = SignalTrace(start=0, signals=[Signal(Action.HOLD, 0.5, 0.0)] * 10)
@@ -216,6 +306,19 @@ class TestRunBacktest:
         write_report_json(report, tmp_path / "rep.json")
         assert (tmp_path / "eq.csv").read_text().splitlines()[0] == "t,Z"
         assert '"final_Z"' in (tmp_path / "rep.json").read_text()
+
+    def test_equity_file_equals_row_writer(self, tmp_path):
+        series = make_ou_price_series(700, seed=3, rate=0.01, vol=0.02)
+        report = run_backtest(scripted(series, {10: Action.BUY, 300: Action.SELL, 500: Action.BUY}), series,
+                              cost_bps=5.0)
+        write_equity(report, tmp_path / "eq.csv")
+        # the row-by-row writer write_equity replaced
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t", "Z"])
+            for t, val in enumerate(report.equity):
+                w.writerow([t, repr(float(val))])
+        assert (tmp_path / "eq.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def make_aligned(prices_list):
@@ -291,7 +394,7 @@ class TestParcel:
         sources = []
         for s in series_list:
             bars = np.sort(rng.choice(len(s), size=40, replace=False))
-            sources.append(scripted(s, {int(t): rng.choice([Action.BUY, Action.SELL]) for t in bars}))
+            sources.append(scripted(s, {int(t): (Action.BUY, Action.SELL)[rng.choice(2)] for t in bars}))
         report = run_parcel_backtest(sources, series_list, theta, rebalance_len, horizon, cost_bps=cost_bps)
         equity, trajectory = old_run_parcel_backtest(report.instrument_reports, theta, rebalance_len, horizon)
         # trailing-window moments are the prefix ones, so the weights are exact

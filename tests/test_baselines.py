@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from nsw.baselines import (
     tune_baseline,
 )
 from nsw.errors import EmptyGrid, NotWarmedUp, UsageError
-from nsw.signals import Action
+from nsw.signals import Action, Signal
+from nsw.timeseries import make_ou_price_series
 
 from conftest import series_from_prices
 
@@ -187,6 +190,33 @@ def indicator_configs(draw):
     return IndicatorConfig(kind, params)
 
 
+@st.composite
+def shared_lookback_configs(draw):
+    """bb and rsi configs whose lookbacks repeat across a grid, or any config."""
+    kind = draw(st.sampled_from(KINDS))
+    lookback = draw(st.sampled_from([3, 7, 14]))
+    if kind == "bb":
+        return IndicatorConfig("bb", (lookback, draw(st.sampled_from([0.5, 1.5, 2.0, 2.5]))))
+    if kind == "rsi":
+        lower, upper = draw(st.sampled_from([(30.0, 70.0), (20.0, 80.0), (40.0, 50.0)]))
+        return IndicatorConfig("rsi", (lookback, lower, upper))
+    return draw(indicator_configs())
+
+
+def assert_tuning_equals_per_config(grid, series, cost_bps):
+    """tune_baseline, which shares each lookback's band or RSI series across
+    the grid, picks the config and returns the report that backtesting every
+    config on its own does, with the same tie-break."""
+    reports = {cfg: run_backtest(IndicatorStrategy(cfg), series, cost_bps=cost_bps) for cfg in grid}
+    best_z = max(r.final_z for r in reports.values())
+    want = min(cfg for cfg, r in reports.items() if r.final_z == best_z)
+    best, report = tune_baseline(grid, series, cost_bps=cost_bps)
+    assert best == want
+    assert np.array_equal(report.equity, reports[want].equity)
+    assert report.trades == reports[want].trades
+    assert report.summary() == reports[want].summary()
+
+
 class TestAgainstLoops:
     @given(prices=price_paths(), lookback=st.integers(2, 45), width=st.floats(0.1, 3.0))
     @settings(max_examples=150, deadline=None)
@@ -209,7 +239,11 @@ class TestAgainstLoops:
     def test_signals_equal_loops(self, prices, cfg):
         trace = IndicatorStrategy(cfg).run(series_from_prices(prices))
         assert trace.start == min(cfg.warmup, len(prices))
-        assert [s.kind for s in trace.signals] == loop_actions(cfg, prices)[trace.start :]
+        actions = loop_actions(cfg, prices)[trace.start :]
+        assert trace.codes.dtype == np.uint8
+        assert trace.codes.tolist() == [{Action.HOLD: 0, Action.BUY: 1, Action.SELL: 2}[a] for a in actions]
+        # the list the strategy built per bar before it kept codes
+        assert trace.signals == [Signal(a, math.nan, math.nan) for a in actions]
 
     @pytest.mark.parametrize("cfg, step, action", [
         (IndicatorConfig("macd", (5, 10, 4)), 0.01, Action.BUY),
@@ -384,6 +418,18 @@ class TestTuner:
         assert np.array_equal(report.equity, run_backtest(IndicatorStrategy(best), series).equity)
         # lexicographic tie-break
         assert best == min(c for c, z in zs.items() if z == best_z)
+
+    @pytest.mark.parametrize("member", [1, 2])
+    def test_default_grids_equal_per_config_tuning(self, member):
+        series = make_ou_price_series(1500, seed=10 * member + 1, rate=0.003, vol=0.01, trend=0.0002)
+        for kind in KINDS:
+            assert_tuning_equals_per_config(default_grid(kind), series, cost_bps=5.0)
+
+    @given(prices=price_paths(max_bars=300), grid=st.lists(shared_lookback_configs(), min_size=1, max_size=8),
+           cost_bps=st.sampled_from([0.0, 5.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_grids_equal_per_config_tuning(self, prices, grid, cost_bps):
+        assert_tuning_equals_per_config(grid, series_from_prices(prices), cost_bps)
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):

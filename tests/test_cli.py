@@ -77,6 +77,14 @@ class TestBacktestCmd:
         assert res.exit_code == 2
         assert "row 2" in res.output
 
+    @pytest.mark.parametrize("stamp", ["inf", "1e300"])
+    def test_timestamp_outside_int64_exit_2(self, runner, tmp_path, stamp):
+        bars = tmp_path / "stamp.csv"
+        bars.write_text(f"timestamp,price\n0,1.0\n{stamp},1.0\n")
+        res = runner.invoke(main, ["backtest", "--data", str(bars), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "row 2: timestamp" in res.output
+
     def test_unknown_config_key_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 3\n")

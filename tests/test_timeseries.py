@@ -14,6 +14,7 @@ from nsw.errors import (
     NonMonotonicTimestamp,
     NonPositivePrice,
     NonUniformSpacing,
+    ParseError,
 )
 from nsw.signals import SignalConfig, SignalEngine
 from nsw.timeseries import _OU_BLOCK, PriceSeries, load_bars, make_ou_price_series, simulate_sde, write_bars
@@ -87,6 +88,36 @@ class TestLoadBars:
         p = _write(tmp_path, "ts,close\n0,2.0\n60,2.5\n")
         s = load_bars(p, columns={"timestamp": "ts", "price": "close"})
         assert s.prices[1] == 2.5
+
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        p = _write(tmp_path, "timestamp,price,volume\n\n0,1.0,5\n\n\n60,1.1\n120,-1,7,extra\n")
+        with pytest.raises(NonPositivePrice) as exc:
+            load_bars(p)
+        assert exc.value.row == 3
+        s = load_bars(_write(tmp_path, "timestamp,price\n\n0,1.0\n\n60,1.1\n\n"))
+        assert list(s.prices) == [1.0, 1.1]
+
+    def test_short_row(self, tmp_path):
+        p = _write(tmp_path, "timestamp,volume,price\n0,3,1.0\n60,4\n120,5,1.2\n")
+        with pytest.raises(ParseError) as exc:
+            load_bars(p)
+        assert exc.value.row == 2
+
+    @pytest.mark.parametrize("header, message", [
+        ("", "missing column 'timestamp'"),
+        ("time,price", "missing column 'timestamp'"),
+        ("timestamp,close", "missing column 'price'"),
+    ])
+    def test_missing_column(self, tmp_path, header, message):
+        with pytest.raises(ParseError, match=f"^row 0: {message}$"):
+            load_bars(_write(tmp_path, header + "\n0,1.0\n60,1.1\n" if header else ""))
+
+    @pytest.mark.parametrize("stamp", ["inf", "-inf", "nan", "1e300", "9.3e18", "-9.3e18"])
+    def test_timestamp_outside_int64(self, tmp_path, stamp):
+        p = _write(tmp_path, f"timestamp,price\n0,1.0\n{stamp},1.1\n")
+        with pytest.raises(ParseError) as exc:
+            load_bars(p)
+        assert exc.value.row == 2
 
 
 class TestPriceSeries:
