@@ -154,7 +154,7 @@ def parcel(config_path, overrides, out, data_paths):
     """Multi-instrument parcel run with periodic weight re-optimization."""
     cfg = _resolve_config(config_path, overrides)
     series_list = [load_bars(p, gap_policy=cfg.gap_policy, bar_interval=cfg.bar_interval) for p in data_paths]
-    horizon = cfg.resolved_horizon(make_wavelet(cfg.wavelet, cfg.wavelet_order or None))
+    horizon = cfg.resolved_horizon(make_wavelet(cfg.wavelet))
     out_dir = _prepare_out(out, "parcel")
     report = run_parcel_backtest(
         [SignalEngine(cfg) for _ in series_list],

@@ -43,6 +43,8 @@ class Signal:
     gated: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.kind, Action):
+            raise TypeError(f"kind must be an Action, got {self.kind!r}")
         if self.kind is not Action.HOLD and self.gated:
             raise ValueError("only hold signals can be gated")
 
@@ -57,8 +59,7 @@ class SignalConfig:
     """
 
     # wavelet bank
-    wavelet: str = "haar"
-    wavelet_order: int = 0
+    wavelet: str = "haar"  # haar | db2 | db3 | bl1 | bl2 | bl3
     levels: int = 2  # number of coefficient modes (J)
     invert_sign: bool = False
     # SDE fit
@@ -94,7 +95,7 @@ class SignalConfig:
         if self.ks_k is not None and not self.ks_k > 0.0:
             raise ConfigError(f"ks_k must be > 0, got {self.ks_k}")
         try:
-            make_wavelet(self.wavelet, self.wavelet_order or None)
+            make_wavelet(self.wavelet)
         except UnsupportedFamily as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -125,26 +126,30 @@ _ACTION_CODES = {Action.HOLD: CODE_HOLD, Action.BUY: CODE_BUY, Action.SELL: CODE
 
 
 class SignalTrace:
-    """Per-bar outcomes of bars ``start .. start + n - 1``.
+    """Per-bar outcomes of bars ``start .. start + n - 1``, fixed when built.
 
-    A trace is built from a list of ``Signal``s, which the engine appends to,
-    or from ``codes``, one outcome code per bar (``CODE_HOLD``, ``CODE_BUY``,
-    ``CODE_SELL``, ``CODE_GATED``). ``codes`` is the accounting format: a
-    trace built from codes returns its own read-only array, and one built
-    from a list derives the array from the list on each read, so it never
-    lags an append. ``signals`` of a code-built trace is built on first
-    read from ``CODE_SIGNALS``; from then on that list is the trace.
+    Built from ``signals``, kept as a tuple, or from ``codes``, one outcome
+    code per bar (``CODE_HOLD``, ``CODE_BUY``, ``CODE_SELL``, ``CODE_GATED``).
+    ``codes`` is the accounting format: a read-only uint8 array, copied or
+    derived once at construction. ``signals`` of a code-built trace is built
+    on first read as a tuple of the shared ``CODE_SIGNALS``.
     """
 
-    def __init__(self, start: int, signals: list | None = None, *, codes=None):
-        if signals is not None and codes is not None:
-            raise ValueError("give signals or codes, not both")
+    def __init__(self, start: int, signals=(), *, codes=None):
         self.start = start
-        self._codes = None
-        if codes is not None:
-            self._codes = np.asarray(codes, dtype=np.uint8).view()
-            self._codes.setflags(write=False)
-        self._signals = [] if signals is None and codes is None else signals
+        if codes is None:
+            self._signals = tuple(signals)
+            self._codes = np.array([CODE_GATED if s.gated else _ACTION_CODES[s.kind] for s in self._signals],
+                                   dtype=np.uint8)
+        elif signals:
+            raise ValueError("give signals or codes, not both")
+        else:
+            self._signals, given = None, np.asarray(codes)
+            self._codes = given.astype(np.uint8)
+            bad = given[(self._codes != given) | (self._codes > CODE_GATED)]
+            if bad.size:
+                raise ValueError(f"outcome code {bad[0].item()} is not one of 0-3")
+        self._codes.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, SignalTrace):
@@ -155,21 +160,14 @@ class SignalTrace:
         return f"SignalTrace(start={self.start!r}, signals={self.signals!r})"
 
     @property
-    def signals(self) -> list:
+    def signals(self) -> tuple:
         if self._signals is None:
-            self._signals = [CODE_SIGNALS[c] for c in self._codes.tolist()]
-            self._codes = None
+            self._signals = tuple(CODE_SIGNALS[c] for c in self._codes.tolist())
         return self._signals
-
-    @signals.setter
-    def signals(self, signals: list) -> None:
-        self._signals, self._codes = signals, None
 
     @property
     def codes(self) -> np.ndarray:
-        if self._codes is not None:
-            return self._codes
-        return np.array([CODE_GATED if s.gated else _ACTION_CODES[s.kind] for s in self._signals], dtype=np.uint8)
+        return self._codes
 
 
 class _Trailing:
@@ -219,7 +217,7 @@ class SignalEngine:
 
     def __init__(self, cfg: SignalConfig = SignalConfig()):
         self.cfg = cfg
-        self.filter = make_wavelet(cfg.wavelet, cfg.wavelet_order or None)
+        self.filter = make_wavelet(cfg.wavelet)
         self._taps = mode_taps(self.filter, cfg.levels)
         self._sign = -1.0 if cfg.invert_sign else 1.0
         self._support = self.filter.support_at(cfg.levels)
@@ -261,9 +259,7 @@ class SignalEngine:
         self.extend(price)
         if not self.ready:
             raise NotWarmedUp(f"have {self.n_bars} bars, need {self.min_history}")
-        signals = []
-        self._decide(self._coeffs.window(self.cfg.calib_len + self.cfg.shift_len + 1), self.n_bars - 1, signals)
-        return signals[0]
+        return self._decide(self._coeffs.window(self.cfg.calib_len + self.cfg.shift_len + 1), self.n_bars - 1)[0]
 
     def _decide_bar(self, window, d_now, d_shift) -> Signal:
         """Gate and trade rule for the bar whose fit window is ``window``;
@@ -301,18 +297,17 @@ class SignalEngine:
         while self.n_bars < warm_end:
             self.extend(prices[self.n_bars])
         first = self.n_bars
-        trace = SignalTrace(start=first)
-        if first < len(prices):
-            rows = transform(prices, self.filter, self.cfg.levels, self.cfg.invert_sign).coeffs
-            self._prices.push_all(prices[first:])
-            self._coeffs.push_all(rows[first:])
-            self.n_bars = len(prices)
-            self._decide(rows, first, trace.signals)
-        return trace
+        if first == len(prices):
+            return SignalTrace(first)
+        rows = transform(prices, self.filter, self.cfg.levels, self.cfg.invert_sign).coeffs
+        self._prices.push_all(prices[first:])
+        self._coeffs.push_all(rows[first:])
+        self.n_bars = len(prices)
+        return SignalTrace(first, self._decide(rows, first))
 
-    def _decide(self, rows, first: int, signals: list) -> None:
-        """Decide bars ``first .. n_bars - 1`` onto ``signals``; ``rows`` are
-        coefficient rows ending at bar ``n_bars - 1``.
+    def _decide(self, rows, first: int) -> list:
+        """Signals of bars ``first .. n_bars - 1``; ``rows`` are coefficient
+        rows ending at bar ``n_bars - 1``.
 
         The windows to fit are the displaced ones the density ring does not
         hold yet, then one per decided bar. They are fitted and synthesized
@@ -327,6 +322,7 @@ class SignalEngine:
         base = n - len(rows)  # the bar of rows[0]
         displaced = range(first - cfg.shift_len, min(first, n - cfg.shift_len))
         chunk = max(1, _CHUNK_CELLS // cfg.n_grid)
+        signals = []
         for bars in ([t for t in displaced if self._densities[t % ring][0] != t], range(first, n)):
             for lo in range(0, len(bars), chunk):
                 part = bars[lo : lo + chunk]
@@ -339,6 +335,7 @@ class SignalEngine:
                     if t >= first:
                         d_shift = self._densities[(t - cfg.shift_len) % ring][1]
                         signals.append(self._decide_bar(windows[i], d_now, d_shift))
+        return signals
 
 
 def write_signals(trace: SignalTrace, path) -> None:

@@ -19,9 +19,7 @@ import numpy as np
 from .errors import SeriesTooShort, UnsupportedFamily
 from .timeseries import PriceSeries
 
-FAMILIES = ("haar", "daubechies", "battle_lemarie")
-
-# short spellings accepted in configs, e.g. "db2" or "bl3"
+# the name of each supported filter, as configs spell it: family and order
 _ALIASES = {
     "haar": ("haar", 0),
     "db2": ("daubechies", 2),
@@ -159,23 +157,26 @@ def _battle_lemarie_taps(degree, n_fft=2**15, trunc=1e-6):
 def make_wavelet(family, order=None) -> WaveletFilter:
     """Build a named analyzing filter.
 
-    ``family`` is one of ``haar``, ``daubechies`` (order 2 or 3) or
-    ``battle_lemarie`` (order 1-3); the short aliases ``db2``, ``bl1`` etc.
-    are also accepted with the order implied.
+    ``family`` is one of the filter names ``haar``, ``db2``, ``db3``,
+    ``bl1``, ``bl2``, ``bl3``, which imply their order, or ``daubechies``
+    (order 2 or 3) or ``battle_lemarie`` (order 1-3) with an explicit
+    order. An order given with a filter name must be the one it implies.
     """
     name = str(family).lower().replace("-", "_")
     if name in _ALIASES:
         name, implied = _ALIASES[name]
-        order = implied if order in (None, 0) else order
+        if order is not None and order != implied:
+            raise UnsupportedFamily(f"wavelet {family!r} has order {implied}, not {order}")
+        order = implied
     if name == "haar":
         return WaveletFilter("haar", 0, _haar_taps())
     if name == "daubechies":
         if order is None:
-            raise UnsupportedFamily("daubechies needs an order (2 or 3)")
+            raise UnsupportedFamily("daubechies needs an order (2 or 3): name it db2 or db3")
         return WaveletFilter("daubechies", int(order), _daubechies_taps(int(order)))
     if name == "battle_lemarie":
         if order is None:
-            raise UnsupportedFamily("battle_lemarie needs an order (1, 2 or 3)")
+            raise UnsupportedFamily("battle_lemarie needs an order (1, 2 or 3): name it bl1, bl2 or bl3")
         return WaveletFilter("battle_lemarie", int(order), np.array(_battle_lemarie_taps(int(order))))
     raise UnsupportedFamily(f"unknown wavelet family {family!r}")
 

@@ -242,28 +242,44 @@ class TestRunBacktest:
             assert report.trades == tuple(trades)
             assert report.eligible_bars == eligible
 
-    def test_codes_follow_appended_signals(self):
-        series = series_from_prices([1.0, 1.2, 1.5, 1.1])
-        trace = SignalTrace(start=0)
-        source = TraceSource(trace)
-        trace.signals.append(Signal(Action.BUY, 0.5, 0.0))
-        assert run_backtest(source, series).final_z == pytest.approx(1.1, abs=0.0)
-        trace.signals += [Signal(Action.HOLD, 0.5, 0.0, gated=True), Signal(Action.SELL, 0.5, 0.0)]
-        report = run_backtest(source, series)
-        assert report.final_z == pytest.approx(1.5, abs=0.0)
-        assert report.eligible_bars == 2
-        assert list(trace.codes) == [CODE_BUY, CODE_GATED, CODE_SELL]
-
     def test_code_trace_signals_are_its_list(self):
         codes = np.array([CODE_BUY, CODE_HOLD, CODE_GATED, CODE_SELL], dtype=np.uint8)
         trace = SignalTrace(2, codes=codes)
         assert not trace.codes.flags.writeable
-        assert trace.signals == [CODE_SIGNALS[c] for c in codes]
+        assert trace.signals == tuple(CODE_SIGNALS[c] for c in codes)
         assert [(s.kind, s.gated) for s in trace.signals] == [
             (Action.BUY, False), (Action.HOLD, False), (Action.HOLD, True), (Action.SELL, False)]
-        trace.signals.append(CODE_SIGNALS[CODE_BUY])
-        assert list(trace.codes) == [*codes, CODE_BUY]
         assert trace == SignalTrace(2, list(trace.signals))
+
+    def test_trace_keeps_what_it_was_built_from(self):
+        signals = [Signal(Action.BUY, 0.5, 0.0), Signal(Action.HOLD, 0.5, 0.0, gated=True)]
+        codes = np.array([CODE_SELL, CODE_HOLD], dtype=np.uint8)
+        by_signals, by_codes = SignalTrace(0, signals), SignalTrace(0, codes=codes)
+        signals.append(Signal(Action.SELL, 0.5, 0.0))
+        signals[0] = Signal(Action.HOLD, 0.5, 0.0)
+        codes[0] = CODE_BUY
+        assert by_signals.signals == (Signal(Action.BUY, 0.5, 0.0), Signal(Action.HOLD, 0.5, 0.0, gated=True))
+        assert by_signals.codes.tolist() == [CODE_BUY, CODE_GATED]
+        assert by_codes.codes.tolist() == [CODE_SELL, CODE_HOLD]
+
+    def test_trace_reads_are_fixed(self):
+        for trace in (SignalTrace(0, [Signal(Action.BUY, 0.5, 0.0)]), SignalTrace(0, codes=[CODE_BUY])):
+            codes = trace.codes
+            assert isinstance(trace.signals, tuple)
+            assert trace.signals is trace.signals
+            assert trace.codes is codes and not codes.flags.writeable
+            with pytest.raises(AttributeError):
+                trace.signals = []
+
+    @pytest.mark.parametrize("codes", [[7, 1, 9, 2], [0, -1], [1.5]])
+    def test_code_outside_outcomes_rejected(self, codes):
+        with pytest.raises(ValueError, match=str(next(c for c in codes if c not in range(4)))):
+            SignalTrace(0, codes=codes)
+
+    @pytest.mark.parametrize("kind", ["buy", np.str_("Acti"), None])
+    def test_signal_needs_an_action(self, kind):
+        with pytest.raises(TypeError, match="Action"):
+            Signal(kind, 0.5, 0.0)
 
     def test_eligible_bars_stop_at_series_end(self):
         series = series_from_prices([1.0, 1.1, 1.2, 1.3])

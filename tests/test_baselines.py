@@ -243,7 +243,7 @@ class TestAgainstLoops:
         assert trace.codes.dtype == np.uint8
         assert trace.codes.tolist() == [{Action.HOLD: 0, Action.BUY: 1, Action.SELL: 2}[a] for a in actions]
         # the list the strategy built per bar before it kept codes
-        assert trace.signals == [Signal(a, math.nan, math.nan) for a in actions]
+        assert trace.signals == tuple(Signal(a, math.nan, math.nan) for a in actions)
 
     @pytest.mark.parametrize("cfg, step, action", [
         (IndicatorConfig("macd", (5, 10, 4)), 0.01, Action.BUY),

@@ -93,6 +93,16 @@ class TestBacktestCmd:
         res = runner.invoke(main, ["backtest", "--config", str(cfg), "--data", str(bars), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
+    def test_wavelet_order_key_is_gone_exit_2(self, runner, tmp_path):
+        # the filter name carries its order: wavelet = db3, not wavelet_order = 3
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("wavelet = daubechies\nwavelet_order = 3\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 2
+        assert "unknown key 'wavelet_order'" in res.output
+        assert not out.exists()
+
     def test_reference_run_outputs(self, runner, tmp_path):
         series = make_ou_price_series(1200, seed=1, rate=0.003, vol=0.01, symbol="REF")
         bars = tmp_path / "ref.csv"

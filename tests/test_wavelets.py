@@ -47,6 +47,18 @@ class TestFilters:
         with pytest.raises(UnsupportedFamily):
             make_wavelet("daubechies", 9)
 
+    @pytest.mark.parametrize("name,order", [("db2", 3), ("haar", 5), ("bl1", 2)])
+    def test_order_must_match_the_name(self, name, order):
+        with pytest.raises(UnsupportedFamily, match=f"{name}.*order"):
+            make_wavelet(name, order)
+        implied = make_wavelet(name)
+        assert np.array_equal(make_wavelet(name, implied.order).taps, implied.taps)
+
+    @pytest.mark.parametrize("family,names", [("daubechies", "db2 or db3"), ("battle_lemarie", "bl1, bl2 or bl3")])
+    def test_bare_family_names_the_filters(self, family, names):
+        with pytest.raises(UnsupportedFamily, match=names):
+            make_wavelet(family)
+
     @pytest.mark.parametrize("family,order", [("haar", None), ("daubechies", 2), ("daubechies", 3)])
     def test_decimated_rows_orthonormal(self, family, order):
         # circular shifts by 2 on a dyadic block must form orthonormal rows
