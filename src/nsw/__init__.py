@@ -21,7 +21,7 @@ from .sde_fit import FitStack, eval_diffusion, eval_drift, fit_model
 from .signals import Action, Signal, SignalConfig, SignalEngine, decide
 from .stationary import DensityStack, density_convolution, ks_quasistationarity, stationary_density
 from .timeseries import PriceSeries, load_bars, make_ou_price_series, simulate_sde, write_bars
-from .wavelets import WaveletCoeffSeries, WaveletFilter, make_wavelet, transform
+from .wavelets import WaveletFilter, make_wavelet, transform
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "Signal",
     "SignalConfig",
     "SignalEngine",
-    "WaveletCoeffSeries",
     "WaveletFilter",
     "compare_strategies",
     "decide",

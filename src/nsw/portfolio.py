@@ -169,7 +169,8 @@ def _gradient(z: float, sigma: float, lam_w, x, theta: float) -> list:
 
 
 def _project(v) -> list:
-    """Euclidean projection of a float list onto {n >= 0, sum(n) <= 1}."""
+    """Euclidean projection of a float list onto {n >= 0, sum(n) <= 1}; NaN
+    or +inf entries raise DegenerateWindow, -inf ones project to 0."""
     w = [0.0 if a < 0.0 else a for a in v]  # a NaN stays and fails the sum test
     total = _total(w)
     if total <= 1.0:
@@ -184,12 +185,6 @@ def _project(v) -> list:
     if not (rho and total < math.inf):
         raise DegenerateWindow(f"cannot project {v} onto the parcel weights")
     return [a - tau if a > tau else 0.0 for a in v]
-
-
-def project_weights(v) -> np.ndarray:
-    """Euclidean projection onto {n >= 0, sum(n) <= 1}; NaN or +inf entries
-    raise DegenerateWindow, -inf ones project to 0."""
-    return np.array(_project(np.asarray(v, dtype=np.float64).tolist()), dtype=np.float64)
 
 
 def _residual(w, g) -> float:

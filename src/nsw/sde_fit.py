@@ -93,8 +93,6 @@ class FitStack:
     diff: np.ndarray
     floor: np.ndarray  # (B,) diffusion floors
     status: np.ndarray  # (B,)
-    dt: float
-    calib_len: int
 
 
 def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
@@ -153,7 +151,7 @@ def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
         floor = np.maximum(1e-6 * np.sqrt((centred * centred).sum(axis=1) / flat.shape[1]), 1e-12)
     else:
         floor = np.full(b, float(diffusion_floor))
-    return FitStack(terms, degree, mean, std, lam.transpose(0, 2, 1), q.transpose(0, 2, 1), floor, status, float(dt), n)
+    return FitStack(terms, degree, mean, std, lam.transpose(0, 2, 1), q.transpose(0, 2, 1), floor, status)
 
 
 def fit_model(window, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:

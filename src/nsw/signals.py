@@ -299,7 +299,7 @@ class SignalEngine:
         first = self.n_bars
         if first == len(prices):
             return SignalTrace(first)
-        rows = transform(prices, self.filter, self.cfg.levels, self.cfg.invert_sign).coeffs
+        rows = transform(prices, self.filter, self.cfg.levels, self.cfg.invert_sign)
         self._prices.push_all(prices[first:])
         self._coeffs.push_all(rows[first:])
         self.n_bars = len(prices)

@@ -79,18 +79,15 @@ class PriceSeries:
         return replace(self, prices=self.prices * factor)
 
 
-def load_bars(path, columns=None, symbol=None, gap_policy="reject", bar_interval=None) -> PriceSeries:
+def load_bars(path, symbol=None, gap_policy="reject", bar_interval=None) -> PriceSeries:
     """Read a delimited bar file (header row, ``timestamp,price`` columns).
 
-    ``columns`` remaps the header names; ``gap_policy`` is ``reject`` (default)
-    or ``forward_fill`` which re-inserts missing bars at the last seen price.
-    The bar spacing is the smallest timestamp step in the file; a given
-    ``bar_interval`` that differs from it raises ConfigError. Row numbers in
-    errors are 1-based data rows (header excluded).
+    ``gap_policy`` is ``reject`` (default) or ``forward_fill`` which
+    re-inserts missing bars at the last seen price. The bar spacing is the
+    smallest timestamp step in the file; a given ``bar_interval`` that
+    differs from it raises ConfigError. Row numbers in errors are 1-based
+    data rows (header excluded).
     """
-    colmap = {"timestamp": "timestamp", "price": "price"}
-    if columns:
-        colmap.update(columns)
     if not os.path.exists(path):
         raise MissingFile(f"bar file not found: {path}")
     with open(path, newline="") as fh:
@@ -98,9 +95,9 @@ def load_bars(path, columns=None, symbol=None, gap_policy="reject", bar_interval
         # the last column of a name wins, as in csv.DictReader
         header = {name: k for k, name in enumerate(next(reader, []))}
         for key in ("timestamp", "price"):
-            if colmap[key] not in header:
-                raise ParseError(0, f"missing column {colmap[key]!r}")
-        t_col, p_col = header[colmap["timestamp"]], header[colmap["price"]]
+            if key not in header:
+                raise ParseError(0, f"missing column {key!r}")
+        t_col, p_col = header["timestamp"], header["price"]
         ts, px = [], []
         for i, rec in enumerate(filter(None, reader), start=1):  # blank lines are skipped
             try:
@@ -216,13 +213,13 @@ def make_ou_price_series(
     trend=0.0,
     base_price=100.0,
     bar_interval=DEFAULT_BAR_INTERVAL,
-    start_time=0,
 ) -> PriceSeries:
     """Synthetic bars: mean-reverting log-price plus optional linear trend.
 
     log p(t) = log(base_price) + trend*t + x(t) with dx = -rate*x dt + vol dW,
-    one model time unit per bar. A path that overflows to inf or underflows
-    to 0 raises ConfigError naming the first such bar.
+    one model time unit per bar, timestamps from 0. A path that overflows to
+    inf or underflows to 0 raises ConfigError naming the first such bar, and
+    a last timestamp past the int64 range one naming bar_interval and n_bars.
     """
     x = _ou_log_path(n_bars, seed, rate, vol)
     t_idx = np.arange(n_bars)
@@ -234,5 +231,11 @@ def make_ou_price_series(
             f"trend={trend:g}, n_bars={n_bars}, base_price={base_price:g}: price {prices[bad[0]]:g} "
             f"at bar {bad[0]}; use a smaller |trend| or fewer bars"
         )
-    timestamps = start_time + t_idx * int(round(bar_interval))
+    step = int(round(bar_interval))
+    if (int(n_bars) - 1) * step >= _INT64_BOUND:  # Python ints: checked before numpy wraps them
+        raise ConfigError(
+            f"bar_interval={bar_interval:g}, n_bars={n_bars}: the last timestamp is past the int64 range; "
+            "use a smaller bar_interval or fewer bars"
+        )
+    timestamps = t_idx * step
     return PriceSeries(symbol=symbol, timestamps=timestamps, prices=prices, bar_interval=bar_interval)

@@ -19,31 +19,19 @@ import numpy as np
 from .errors import SeriesTooShort, UnsupportedFamily
 from .timeseries import PriceSeries
 
-# the name of each supported filter, as configs spell it: family and order
-_ALIASES = {
-    "haar": ("haar", 0),
-    "db2": ("daubechies", 2),
-    "db3": ("daubechies", 3),
-    "bl1": ("battle_lemarie", 1),
-    "bl2": ("battle_lemarie", 2),
-    "bl3": ("battle_lemarie", 3),
-}
+_N_FFT = 2**15  # frequency samples of the Battle-Lemarie construction
+_TRUNC = 1e-6  # Battle-Lemarie taps below this are cut from the tails
 
 
 @dataclass(frozen=True)
 class WaveletFilter:
-    family: str
-    order: int
+    name: str
     taps: np.ndarray
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
-
-    @property
-    def effective_support(self) -> int:
-        return len(self.taps)
 
     def dilated(self, level: int) -> np.ndarray:
         """Taps at dyadic dilation ``level``: each tap repeated 2**level times,
@@ -54,63 +42,33 @@ class WaveletFilter:
         return 2**level * len(self.taps)
 
 
-@dataclass(frozen=True)
-class WaveletCoeffSeries:
-    """Per-bar coefficient vectors Y(t); column 0 is mode 1 (coarsest scale).
-
-    Rows before ``valid_from`` are NaN: the coarsest dilated filter does not
-    yet fit inside the observed history there.
-    """
-
-    levels: int
-    coeffs: np.ndarray
-    valid_from: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
-def _haar_taps():
-    r = 1.0 / math.sqrt(2.0)
-    return np.array([r, -r])
-
-
 def _daubechies_taps(order):
     # closed-form D4/D6 scaling coefficients; wavelet taps by the usual
     # alternating-flip quadrature-mirror construction
     if order == 2:
         s3 = math.sqrt(3.0)
         h = np.array([1 + s3, 3 + s3, 3 - s3, 1 - s3]) / (4 * math.sqrt(2.0))
-    elif order == 3:
+    else:
         a = math.sqrt(10.0)
         b = math.sqrt(5.0 + 2.0 * a)
         h = np.array(
             [1 + a + b, 5 + a + 3 * b, 10 - 2 * a + 2 * b, 10 - 2 * a - 2 * b, 5 + a - 3 * b, 1 + a - b]
         ) / (16.0 * math.sqrt(2.0))
-    else:
-        raise UnsupportedFamily(f"daubechies order {order} not supported (use 2 or 3)")
     g = h[::-1].copy()
     g[1::2] *= -1.0
     return g
 
 
 @lru_cache(maxsize=None)
-def _battle_lemarie_taps(degree, n_fft=2**15, trunc=1e-6):
+def _battle_lemarie_taps(degree):
     """Spline-wavelet filter of the given spline degree.
 
-    Built in the Fourier domain: orthonormalize the B-spline of that degree,
-    form the conjugate mirror filter, flip to the high-pass, and cut the
-    exponentially decaying tails once they drop below ``trunc``. One
-    sub-threshold tap is kept on each side so the retained tails are < trunc,
-    then zero mean and unit norm are re-imposed exactly.
+    Built in the Fourier domain on ``_N_FFT`` samples: orthonormalize the
+    B-spline of that degree, form the conjugate mirror filter, flip to the
+    high-pass, and cut the exponentially decaying tails once they drop below
+    ``_TRUNC``. One sub-threshold tap is kept on each side so the retained
+    tails are < _TRUNC, then zero mean and unit norm are re-imposed exactly.
     """
-    if degree not in (1, 2, 3):
-        raise UnsupportedFamily(f"battle_lemarie order {degree} not supported (use 1, 2 or 3)")
     from scipy.interpolate import BSpline
 
     def bspline_hat(om):
@@ -136,15 +94,15 @@ def _battle_lemarie_taps(degree, n_fft=2**15, trunc=1e-6):
     def phi_hat(om):
         return np.abs(bspline_hat(om)) / np.sqrt(acorr(om))
 
-    w = 2.0 * np.pi * np.arange(n_fft) / n_fft
+    w = 2.0 * np.pi * np.arange(_N_FFT) / _N_FFT
     w = np.where(w > np.pi, w - 2.0 * np.pi, w)
     h_hat = math.sqrt(2.0) * phi_hat(2.0 * w) / phi_hat(w)
     h = np.real(np.fft.ifft(h_hat))
 
-    half = n_fft // 4
+    half = _N_FFT // 4
     n_idx = np.arange(-half, half + 1)
-    g = np.where(n_idx % 2 == 0, 1.0, -1.0) * h[(1 - n_idx) % n_fft]
-    keep = np.nonzero(np.abs(g) >= trunc)[0]
+    g = np.where(n_idx % 2 == 0, 1.0, -1.0) * h[(1 - n_idx) % _N_FFT]
+    keep = np.nonzero(np.abs(g) >= _TRUNC)[0]
     lo = max(keep[0] - 1, 0)
     hi = min(keep[-1] + 1, len(g) - 1)
     g = g[lo : hi + 1]
@@ -154,31 +112,23 @@ def _battle_lemarie_taps(degree, n_fft=2**15, trunc=1e-6):
     return g
 
 
-def make_wavelet(family, order=None) -> WaveletFilter:
-    """Build a named analyzing filter.
+# the six analyzing filters, by the name configs give them
+_FILTERS = {
+    "haar": lambda: np.array([1.0, -1.0]) / math.sqrt(2.0),
+    "db2": lambda: _daubechies_taps(2),
+    "db3": lambda: _daubechies_taps(3),
+    "bl1": lambda: _battle_lemarie_taps(1),
+    "bl2": lambda: _battle_lemarie_taps(2),
+    "bl3": lambda: _battle_lemarie_taps(3),
+}
 
-    ``family`` is one of the filter names ``haar``, ``db2``, ``db3``,
-    ``bl1``, ``bl2``, ``bl3``, which imply their order, or ``daubechies``
-    (order 2 or 3) or ``battle_lemarie`` (order 1-3) with an explicit
-    order. An order given with a filter name must be the one it implies.
-    """
-    name = str(family).lower().replace("-", "_")
-    if name in _ALIASES:
-        name, implied = _ALIASES[name]
-        if order is not None and order != implied:
-            raise UnsupportedFamily(f"wavelet {family!r} has order {implied}, not {order}")
-        order = implied
-    if name == "haar":
-        return WaveletFilter("haar", 0, _haar_taps())
-    if name == "daubechies":
-        if order is None:
-            raise UnsupportedFamily("daubechies needs an order (2 or 3): name it db2 or db3")
-        return WaveletFilter("daubechies", int(order), _daubechies_taps(int(order)))
-    if name == "battle_lemarie":
-        if order is None:
-            raise UnsupportedFamily("battle_lemarie needs an order (1, 2 or 3): name it bl1, bl2 or bl3")
-        return WaveletFilter("battle_lemarie", int(order), np.array(_battle_lemarie_taps(int(order))))
-    raise UnsupportedFamily(f"unknown wavelet family {family!r}")
+
+def make_wavelet(name) -> WaveletFilter:
+    """The analyzing filter ``name``: one of ``haar``, ``db2``, ``db3``,
+    ``bl1``, ``bl2``, ``bl3``."""
+    if name not in _FILTERS:
+        raise UnsupportedFamily(f"unknown wavelet {name!r}: use one of {', '.join(_FILTERS)}")
+    return WaveletFilter(name, _FILTERS[name]())
 
 
 def mode_taps(filt: WaveletFilter, levels: int) -> list:
@@ -203,9 +153,11 @@ def coeff_row(prices, taps_by_mode, sign=1.0) -> np.ndarray:
     return row
 
 
-def transform(series, filt: WaveletFilter, levels: int, invert_sign=False) -> WaveletCoeffSeries:
-    """Sliding coefficient vectors for ``levels`` dyadic scales: ``coeff_row``
-    at every bar from the first one the coarsest support covers."""
+def transform(series, filt: WaveletFilter, levels: int, invert_sign=False) -> np.ndarray:
+    """Read-only (n, levels) array of the coefficient vectors Y(t) for
+    ``levels`` dyadic scales, column 0 mode 1 (the coarsest): ``coeff_row`` at
+    every bar from ``filt.support_at(levels) - 1``, the first one the coarsest
+    support covers, and NaN before it."""
     x = series.prices if isinstance(series, PriceSeries) else np.asarray(series, dtype=np.float64)
     n = len(x)
     support = filt.support_at(levels)
@@ -216,4 +168,5 @@ def transform(series, filt: WaveletFilter, levels: int, invert_sign=False) -> Wa
     coeffs = np.full((n, levels), np.nan)
     for t in range(support - 1, n):
         coeffs[t] = coeff_row(x[: t + 1], taps, sign)
-    return WaveletCoeffSeries(levels=levels, coeffs=coeffs, valid_from=support - 1)
+    coeffs.setflags(write=False)
+    return coeffs

@@ -15,7 +15,7 @@ def analytic_model_1d(drift_he, diff_he, mean=0.0, std=1.0, floor=1e-9):
     lam[0, 0, : len(drift_he)] = drift_he
     q[0, 0, : len(diff_he)] = diff_he
     return FitStack(terms, degree, np.array([[mean]]), np.array([[std]]), lam, q, np.array([floor]),
-                    np.zeros(1, dtype=int), dt=1.0, calib_len=64)
+                    np.zeros(1, dtype=int))
 
 
 def series_from_prices(prices, symbol="TST", bar_interval=60.0, start=0):

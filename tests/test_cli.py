@@ -237,6 +237,16 @@ class TestConfigFile:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("interval", ["1e18", "1e300"])
+    def test_timestamps_past_int64_exit_2(self, runner, tmp_path, interval):
+        # 1999 * 1e18 wrapped to negative int64 timestamps; 1e300 overflowed int64 outright
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["synth", "--out", str(out), "--set", f"bar_interval={interval}",
+                                   "--set", "n_bars=2000"])
+        assert res.exit_code == 2, res.output
+        assert "bar_interval=" in res.output and "n_bars=2000" in res.output
+        assert not out.exists()
+
 
 class TestBarInterval:
     @pytest.mark.parametrize("command", ["backtest", "parcel", "compare"])

@@ -69,7 +69,7 @@ def old_fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None):
         floor = np.maximum(1e-6 * dy.reshape(b, -1).std(axis=1), 1e-12)
     else:
         floor = np.full(b, float(diffusion_floor))
-    return FitStack(terms, degree, mean, std, lam.transpose(0, 2, 1), q.transpose(0, 2, 1), floor, status, float(dt), n)
+    return FitStack(terms, degree, mean, std, lam.transpose(0, 2, 1), q.transpose(0, 2, 1), floor, status)
 
 
 def old_stationary_densities(fits, mode=1, span=5.0, n_grid=1024):
@@ -148,7 +148,6 @@ def logged(fn, *args, **kwargs):
 
 def assert_fits_equal(got, want):
     assert got.terms == want.terms and got.degree == want.degree
-    assert (got.dt, got.calib_len) == (want.dt, want.calib_len)
     for name in ("mean", "std", "drift", "diff", "floor", "status"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name

@@ -114,7 +114,7 @@ def per_bar_reference(cfg, prices):
     first = min(filt.support_at(cfg.levels) + cfg.calib_len + cfg.shift_len - 2, len(prices))
     if first == len(prices):
         return SignalTrace(first, []), 0
-    rows = transform(prices, filt, cfg.levels, cfg.invert_sign).coeffs
+    rows = transform(prices, filt, cfg.levels, cfg.invert_sign)
     densities = {t: window_density(cfg, rows, t) for t in range(first - cfg.shift_len, len(prices))}
     signals, degenerate = [], 0
     for t in range(first, len(prices)):
@@ -272,7 +272,7 @@ class TestEngine:
         trace = eng.run(series)
         assert fitted[0] == len(trace.signals) + 8
 
-        coeffs = transform(series, make_wavelet("haar"), 2).coeffs
+        coeffs = transform(series, make_wavelet("haar"), 2)
         decided = range(trace.start, trace.start + len(trace.signals))
         densities = {t: window_density(eng.cfg, coeffs, t) for t in range(trace.start - 8, decided[-1] + 1)}
         tested = [t for t in decided if densities[t] is not None and densities[t - 8] is not None]
@@ -383,7 +383,8 @@ class TestEngine:
             eng.extend(price)
             rows.append(eng._coeffs.window(1)[0].copy())
         co = transform(series, make_wavelet(wavelet), 2, invert_sign=invert_sign)
-        assert np.array_equal(np.array(rows)[co.valid_from :], co.coeffs[co.valid_from :])
+        valid_from = make_wavelet(wavelet).support_at(2) - 1
+        assert np.array_equal(np.array(rows)[valid_from:], co[valid_from:])
 
     def test_history_memory_bounded(self):
         # retained heap after 2 000 and 20 000 fed bars must match

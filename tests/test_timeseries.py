@@ -84,11 +84,6 @@ class TestLoadBars:
         assert np.array_equal(back.prices, series.prices)
         assert back.bar_interval == series.bar_interval
 
-    def test_column_remap(self, tmp_path):
-        p = _write(tmp_path, "ts,close\n0,2.0\n60,2.5\n")
-        s = load_bars(p, columns={"timestamp": "ts", "price": "close"})
-        assert s.prices[1] == 2.5
-
     def test_blank_lines_skipped_and_not_counted(self, tmp_path):
         p = _write(tmp_path, "timestamp,price,volume\n\n0,1.0,5\n\n\n60,1.1\n120,-1,7,extra\n")
         with pytest.raises(NonPositivePrice) as exc:
@@ -345,3 +340,15 @@ def test_ou_series_edge_cases_equal_composition(n_bars, kwargs):
     assert_same_outcome(got, outcome(old_make_ou_price_series, n_bars, 1, **kwargs))
     if kwargs.get("trend"):
         assert got[0] is ConfigError and f"at bar {706 if kwargs['trend'] > 0 else 746};" in got[1]
+
+
+@pytest.mark.parametrize("bar_interval", [1e18, 1e300, 2.0**63])
+def test_ou_series_timestamps_past_int64_raise(bar_interval):
+    with pytest.raises(ConfigError, match="bar_interval=.*n_bars=2000"):
+        make_ou_price_series(2000, seed=1, bar_interval=bar_interval)
+
+
+def test_ou_series_large_bar_interval_in_range():
+    s = make_ou_price_series(2000, seed=1, bar_interval=1e15)
+    assert s.timestamps[-1] == 1999 * 10**15
+    assert np.array_equal(s.prices, make_ou_price_series(2000, seed=1).prices)
