@@ -9,7 +9,6 @@ log-return moments of the per-instrument equity curves.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -205,13 +204,21 @@ def run_parcel_backtest(
         raise NonPositiveEquity(f"equity must stay positive, min {z.min()}")
     m_count = len(sources)
 
+    first_rebalance = rebalance_len + horizon  # earliest bar with a full trailing window
+    rebalances = range(first_rebalance, n, rebalance_len)
+    if rebalances:
+        # the window of the k-th rebalance holds the returns k * rebalance_len + 1
+        # to (k + 1) * rebalance_len, the last rebalance_len realized by its bar
+        returns = log_returns(z[:, : rebalances[-1] + 1], horizon)[:, 1:]
+        windows = returns.reshape(m_count, len(rebalances), rebalance_len).transpose(1, 0, 2)
+        moments = estimate_moments(windows, rebalance_len, horizon)
+
     weights = np.full(m_count, 1.0 / m_count)
     trajectory = []
     parcel = np.ones(n)
     ref_bar = 0
     ref_parcel = 1.0
-    first_rebalance = rebalance_len + horizon  # earliest bar with a full trailing window
-    for t in [*range(first_rebalance, n, rebalance_len), n]:
+    for k, t in enumerate([*rebalances, n]):
         # bars ref_bar (bar 1 at the start) to t - 1 at the current weights
         lo = max(ref_bar, 1)
         parcel[lo:t] = ref_parcel * (weights @ (z[:, lo:t] / z[:, ref_bar, None]) + (1.0 - weights.sum()))
@@ -221,9 +228,7 @@ def run_parcel_backtest(
         growth = z[:, t] / z[:, ref_bar]
         ref_parcel = ref_parcel * (weights @ growth + (1.0 - weights.sum()))
         ref_bar = t
-        returns = log_returns(z[:, t - first_rebalance : t + 1], horizon)
-        moments = estimate_moments(returns, rebalance_len, horizon)
-        result = optimize_parcel(moments, theta, tol=tol)
+        result = optimize_parcel(moments.row(k), theta, tol=tol)
         weights = result.weights.n
         trajectory.append(WeightRecord(t, weights.copy(), result.weights.slack, result.p_theta))
     return ParcelReport(
@@ -330,20 +335,22 @@ def compare_strategies(series_list, engine_factory, baseline_grids=None, cost_bp
 
 
 def write_equity(report, path) -> None:
+    """Equity curve as ``t,Z`` rows, written as one text (csv.writer's rows:
+    no field needs quoting, lines end in CRLF)."""
+    rows = [f"{t},{z!r}\r\n" for t, z in enumerate(report.equity.tolist())]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "Z"])
-        w.writerows(zip(range(len(report.equity)), map(repr, report.equity.tolist())))
+        fh.write("t,Z\r\n" + "".join(rows))
 
 
 def write_weights(parcel: ParcelReport, path) -> None:
-    """Weight trajectory log: ``t,n_1..n_M,slack,P_theta``."""
-    m_count = len(parcel.symbols)
+    """Weight trajectory log: ``t,n_1..n_M,slack,P_theta``, written as one
+    text like ``write_equity``."""
+    head = ["t", *(f"n_{i + 1}" for i in range(len(parcel.symbols))), "slack", "P_theta"]
+    rows = [",".join(head)]
+    for rec in parcel.weight_trajectory:
+        rows.append(",".join([str(rec.t), *map(repr, rec.n.tolist()), repr(rec.slack), repr(rec.p_theta)]))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"n_{i + 1}" for i in range(m_count)] + ["slack", "P_theta"])
-        for rec in parcel.weight_trajectory:
-            w.writerow([rec.t] + [repr(float(v)) for v in rec.n] + [repr(rec.slack), repr(rec.p_theta)])
+        fh.write("\r\n".join(rows) + "\r\n")
 
 
 def write_report_json(report: BacktestReport, path) -> None:

@@ -27,7 +27,9 @@ _ndtr = None
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Windowed mean log returns and their covariance (1/window normalization)."""
+    """Windowed mean log returns (..., M) and their covariances (..., M, M),
+    1/window normalization; leading axes index windows, and a single window
+    has none."""
 
     mean_returns: np.ndarray
     covariance: np.ndarray
@@ -39,9 +41,9 @@ class MomentEstimate:
         lam = np.asarray(self.covariance, dtype=np.float64)
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(lam)):
             raise DegenerateWindow("non-finite moment estimates")
-        if np.max(np.abs(lam - lam.T)) > 1e-12:
+        if np.any(np.abs(lam - lam.mT) > 1e-12):
             raise NotPSD("covariance not symmetric within 1e-12")
-        if np.any(np.diag(lam) < -1e-15):
+        if np.any(np.diagonal(lam, axis1=-2, axis2=-1) < -1e-15):
             raise NotPSD("negative variance on the diagonal")
         x.setflags(write=False)
         lam.setflags(write=False)
@@ -50,7 +52,15 @@ class MomentEstimate:
 
     @property
     def n_instruments(self) -> int:
-        return len(self.mean_returns)
+        return self.mean_returns.shape[-1]
+
+    def row(self, k: int) -> "MomentEstimate":
+        """Window k of a stack as a single-window estimate of read-only views,
+        not checked again: the stack's checks covered it."""
+        one = object.__new__(MomentEstimate)
+        one.__dict__.update(mean_returns=self.mean_returns[k], covariance=self.covariance[k],
+                            window=self.window, horizon=self.horizon)
+        return one
 
 
 @dataclass(frozen=True)
@@ -88,20 +98,22 @@ def log_returns(equity, horizon: int) -> np.ndarray:
 
 
 def estimate_moments(returns, window: int, horizon: int) -> MomentEstimate:
-    """Trailing-window means and covariance of per-instrument return streams.
+    """Trailing-window means and covariances of (..., M, T) return streams.
 
-    Each stream must provide at least ``window`` values; the covariance uses
-    the 1/window normalization of a windowed time average.
+    The last ``window`` values of every stream are used, so T must be at
+    least ``window``; leading axes index windows, and each window's estimate
+    is the same whatever stack it is computed in. The covariance uses the
+    1/window normalization of a windowed time average.
     """
-    streams = [np.asarray(r, dtype=np.float64) for r in returns]
-    for i, r in enumerate(streams):
-        if len(r) < window:
-            raise WindowTooShort(f"stream {i} has {len(r)} < {window} returns")
-    tail = np.stack([r[-window:] for r in streams])  # (M, window)
-    x = tail.mean(axis=1)
-    centered = tail - x[:, None]
-    lam = (centered @ centered.T) / window
-    lam = 0.5 * (lam + lam.T)
+    r = np.asarray(returns, dtype=np.float64)
+    if r.shape[-1] < window:
+        raise WindowTooShort(f"streams have {r.shape[-1]} < {window} returns")
+    # means summed along the contiguous last axis, as for one window alone
+    tail = np.ascontiguousarray(r[..., -window:])
+    x = tail.mean(axis=-1)
+    centered = tail - x[..., None]
+    lam = (centered @ centered.mT) / window
+    lam = 0.5 * (lam + lam.mT)
     return MomentEstimate(mean_returns=x, covariance=lam, window=window, horizon=horizon)
 
 
@@ -226,6 +238,8 @@ def optimize_parcel(m: MomentEstimate, theta: float, tol=1e-6, max_iters=20000) 
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
+    if m.mean_returns.ndim != 1:
+        raise ValueError(f"optimize_parcel takes one window, got a stack of {m.mean_returns.shape[:-1]}; pass row(k)")
     eig_min = float(np.linalg.eigvalsh(m.covariance).min())
     scale = 1.0 + float(np.abs(np.diag(m.covariance)).max())
     if eig_min < -1e-10 * scale:

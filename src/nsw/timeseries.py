@@ -27,6 +27,7 @@ from .errors import (
 
 DEFAULT_BAR_INTERVAL = 60.0
 _INT64_BOUND = 2.0**63  # timestamps are stored as int64
+_FLOAT_EXACT = 2.0**53  # floats hold every integer below this exactly
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,18 @@ def load_bars(path, symbol=None, gap_policy="reject", bar_interval=None) -> Pric
         ts, px = [], []
         for i, rec in enumerate(filter(None, reader), start=1):  # blank lines are skipped
             try:
-                stamp = float(rec[t_col])
+                field = rec[t_col]
+                stamp = float(field)
                 p = float(rec[p_col])
             except IndexError:
                 raise ParseError(i, f"{len(rec)} fields, too few for the header") from None
             except ValueError as exc:
                 raise ParseError(i, str(exc)) from exc
-            if not -_INT64_BOUND <= stamp < _INT64_BOUND:
-                raise ParseError(i, f"timestamp {stamp} is not a finite int64")
+            if not -_FLOAT_EXACT < stamp < _FLOAT_EXACT:
+                if not -_INT64_BOUND <= stamp < _INT64_BOUND:
+                    raise ParseError(i, f"timestamp {stamp} is not a finite int64")
+                if field.isdecimal():  # float() may have rounded it: read the digits exactly
+                    stamp = int(field)
             t = int(stamp)
             if not 0 < p < math.inf:
                 raise NonPositivePrice(i, f"price {p}")
@@ -141,12 +146,12 @@ def _forward_fill(ts, px, interval):
 
 
 def write_bars(series: PriceSeries, path) -> None:
-    """Write a series in the same ``timestamp,price`` format ``load_bars`` reads."""
+    """Write a series in the same ``timestamp,price`` format ``load_bars``
+    reads: csv.writer's rows (no field needs quoting, lines end in CRLF),
+    streamed, since a whole-file text holds every row twice in memory."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "price"])
-        for t, p in zip(series.timestamps, series.prices):
-            w.writerow([int(t), repr(float(p))])
+        fh.write("timestamp,price\r\n")
+        fh.writelines(f"{t},{p!r}\r\n" for t, p in zip(series.timestamps.tolist(), series.prices.tolist()))
 
 
 def simulate_sde(drift, diffusion, y0, dt, n_steps, seed) -> np.ndarray:

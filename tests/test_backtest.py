@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsw.backtest
 from nsw.backtest import (
     DECISION_FRACTION_BAND,
     TraceSource,
@@ -432,6 +433,42 @@ class TestParcel:
         write_weights(report, tmp_path / "w.csv")
         header = (tmp_path / "w.csv").read_text().splitlines()[0]
         assert header == "t,n_1,n_2,slack,P_theta"
+
+    @pytest.mark.parametrize("rebalance_len", [16, 1000])  # 24 rebalances, and none
+    def test_weights_file_equals_row_writer(self, tmp_path, rebalance_len):
+        series_list = [make_ou_price_series(400, seed=k, rate=0.01, vol=0.02, symbol=f"S{k}") for k in range(3)]
+        sources = [scripted(s, {5: Action.BUY, 200: Action.SELL, 250: Action.BUY}) for s in series_list]
+        report = run_parcel_backtest(sources, series_list, theta=0.25, rebalance_len=rebalance_len, horizon=2)
+        write_weights(report, tmp_path / "w.csv")
+        # the row-by-row writer write_weights replaced
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t"] + [f"n_{i + 1}" for i in range(3)] + ["slack", "P_theta"])
+            for rec in report.weight_trajectory:
+                w.writerow([rec.t] + [repr(float(v)) for v in rec.n] + [repr(rec.slack), repr(rec.p_theta)])
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_moments_estimated_once_per_run(self, monkeypatch):
+        # the traced benchmark times the names nsw.backtest calls: one stacked
+        # estimate per run, one solve per rebalance
+        calls = {"estimate_moments": 0, "optimize_parcel": 0}
+
+        def counted(name):
+            original = getattr(nsw.backtest, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nsw.backtest, name, counted(name))
+        series_list = [make_ou_price_series(300, seed=k, symbol=f"S{k}") for k in range(2)]
+        sources = [scripted(s, {3: Action.BUY}) for s in series_list]
+        report = run_parcel_backtest(sources, series_list, theta=0.25, rebalance_len=16, horizon=8)
+        assert len(report.weight_trajectory) == 18  # bars 24, 40, ..., 296
+        assert calls == {"estimate_moments": 1, "optimize_parcel": 18}
 
 
 class TestCompare:

@@ -248,6 +248,16 @@ class TestConfigFile:
         assert not out.exists()
 
 
+    def test_timestamps_past_2_53_round_trip(self, runner, tmp_path):
+        # 2**52 + 1: the bar file's timestamps pass 2**53, where a float parse rounds them
+        interval = ["--set", "bar_interval=4503599627370497"]
+        out = tmp_path / "o"
+        assert invoke(runner, ["synth", "--out", str(out), "--set", "n_bars=300"] + interval).exit_code == 0
+        bars = str(out / "bars_SYN.csv")
+        res = invoke(runner, ["backtest", "--data", bars, "--out", str(tmp_path / "bt")] + interval)
+        assert res.exit_code == 0, res.output
+
+
 class TestBarInterval:
     @pytest.mark.parametrize("command", ["backtest", "parcel", "compare"])
     def test_spacing_must_match_bar_interval(self, runner, tmp_path, command):

@@ -208,6 +208,15 @@ class TestLogReturns:
             log_returns([1.0, 1.1], 5)
 
 
+def old_estimate_moments(returns, window):
+    """The per-window estimate the stacked kernel replaced: (means, covariance)."""
+    tail = np.stack([np.asarray(r, dtype=np.float64)[-window:] for r in returns])  # (M, window)
+    x = tail.mean(axis=1)
+    centered = tail - x[:, None]
+    lam = (centered @ centered.T) / window
+    return x, 0.5 * (lam + lam.T)
+
+
 class TestEstimateMoments:
     def test_identical_sequences(self, rng):
         x = rng.normal(size=300)
@@ -236,6 +245,59 @@ class TestEstimateMoments:
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
             estimate_moments([np.ones(10)], window=20, horizon=1)
+
+    @given(
+        m_count=st.integers(1, 4),
+        window=st.integers(2, 64),
+        n_windows=st.integers(1, 6),
+        extra=st.integers(0, 3),
+        flat=st.lists(st.booleans(), min_size=4, max_size=4),
+        scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_stack_equals_per_window(self, m_count, window, n_windows, extra, flat, scale, seed):
+        rng = np.random.default_rng(seed)
+        stack = scale * rng.normal(size=(n_windows, m_count, window + extra))
+        for i in range(m_count):
+            if flat[i]:  # a zero-variance stream
+                stack[:, i] = scale
+        m = estimate_moments(stack, window=window, horizon=3)
+        for k in range(n_windows):
+            alone = estimate_moments(list(stack[k]), window=window, horizon=3)
+            x, lam = old_estimate_moments(stack[k], window)
+            assert np.array_equal(alone.mean_returns, x) and np.array_equal(alone.covariance, lam)
+            row = m.row(k)
+            assert np.array_equal(row.mean_returns, alone.mean_returns)
+            assert np.array_equal(row.covariance, alone.covariance)
+            assert (row.window, row.horizon, row.n_instruments) == (window, 3, m_count)
+            assert not row.mean_returns.flags.writeable and not row.covariance.flags.writeable
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_bad_window_in_stack(self, rng, bad):
+        stack = rng.normal(size=(3, 2, 16))
+        stack[bad, 1, 5] = np.nan
+        with pytest.raises(DegenerateWindow):
+            estimate_moments(stack[bad], window=16, horizon=1)
+        with pytest.raises(DegenerateWindow):
+            estimate_moments(stack, window=16, horizon=1)
+
+    @pytest.mark.parametrize("lam, message", [
+        ([[1.0, 0.5], [0.0, 1.0]], "not symmetric"),
+        ([[-1.0, 0.0], [0.0, 1.0]], "negative variance"),
+    ])
+    def test_bad_covariance_in_stack(self, lam, message):
+        good = np.eye(2)
+        with pytest.raises(NotPSD, match=message):
+            moment([0.1, 0.1], lam)
+        with pytest.raises(NotPSD, match=message):
+            moment([[0.1, 0.1]] * 3, [good, lam, good])
+
+    def test_optimizer_takes_one_window(self, rng):
+        m = estimate_moments(0.01 * rng.normal(size=(3, 2, 32)), window=32, horizon=1)
+        with pytest.raises(ValueError, match="one window"):
+            optimize_parcel(m, 0.25)
+        assert optimize_parcel(m.row(1), 0.25).weights.n.shape == (2,)
 
 
 class TestObjective:

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 
@@ -83,6 +84,30 @@ class TestLoadBars:
         assert np.array_equal(back.timestamps, series.timestamps)
         assert np.array_equal(back.prices, series.prices)
         assert back.bar_interval == series.bar_interval
+
+    def test_round_trip_past_2_53(self, tmp_path):
+        # timestamps up to 299 * (2**52 + 1): float() would round them
+        series = make_ou_price_series(300, seed=1, bar_interval=2**52 + 1)
+        p = tmp_path / "big.csv"
+        write_bars(series, p)
+        back = load_bars(p, bar_interval=2**52 + 1)
+        assert np.array_equal(back.timestamps, series.timestamps)
+        assert back.bar_interval == 2**52 + 1
+
+    def test_float_timestamps_still_read(self, tmp_path):
+        s = load_bars(_write(tmp_path, "timestamp,price\n60.0,1.0\n1.2e2,1.1\n1_8_0,1.2\n"))
+        assert s.timestamps.tolist() == [60, 120, 180]
+
+    def test_file_equals_row_writer(self, tmp_path):
+        series = make_ou_price_series(500, seed=4, bar_interval=2**52 + 1)
+        write_bars(series, tmp_path / "bars.csv")
+        # the row-by-row writer write_bars replaced
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["timestamp", "price"])
+            for t, p in zip(series.timestamps, series.prices):
+                w.writerow([int(t), repr(float(p))])
+        assert (tmp_path / "bars.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_blank_lines_skipped_and_not_counted(self, tmp_path):
         p = _write(tmp_path, "timestamp,price,volume\n\n0,1.0,5\n\n\n60,1.1\n120,-1,7,extra\n")
