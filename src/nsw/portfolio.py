@@ -37,8 +37,8 @@ class MomentEstimate:
     horizon: int
 
     def __post_init__(self):
-        x = np.asarray(self.mean_returns, dtype=np.float64)
-        lam = np.asarray(self.covariance, dtype=np.float64)
+        x = np.array(self.mean_returns, dtype=np.float64)  # copies: the caller's arrays stay writable
+        lam = np.array(self.covariance, dtype=np.float64)
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(lam)):
             raise DegenerateWindow("non-finite moment estimates")
         if np.any(np.abs(lam - lam.mT) > 1e-12):

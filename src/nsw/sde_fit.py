@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .errors import DegenerateWindow, WindowTooShort
+from .errors import MESSAGES, NON_FINITE, NON_FINITE_FIT, ZERO_VARIANCE, DegenerateWindow, WindowTooShort
 
 log = logging.getLogger(__name__)
 
@@ -66,11 +66,6 @@ def _design(z, terms) -> np.ndarray:
     return table[..., dims, orders].prod(axis=-1)
 
 
-# why fit_windows could not fit a window, by FitStack.status code (0 = fitted)
-_FIT_FAILURES = (None, "window contains non-finite values", "zero variance over the window",
-                "non-finite drift or diffusion coefficients")
-
-
 @dataclass(frozen=True)
 class FitStack:
     """Fits of B windows of one shape; index i of each array belongs to window i.
@@ -79,10 +74,9 @@ class FitStack:
     per-dimension coefficient vectors over ``terms`` for F and G^2, in
     coordinates standardized by ``mean[i]``/``std[i]``; G^2 is floored at
     ``floor[i]**2`` wherever it is evaluated. ``status[i]`` is 0 for a fitted
-    window and a failure code otherwise (1 non-finite values, 2 a
-    zero-variance dimension, 3 non-finite coefficients); the arrays of a
-    window that was not fitted hold finite placeholders. A single window's
-    fit is a one-row stack.
+    window and otherwise why it was not fitted, a fit code (1-3) of
+    ``nsw.errors.REASONS``; its arrays then hold finite placeholders. A
+    single window's fit is a one-row stack.
     """
 
     terms: tuple
@@ -118,7 +112,7 @@ def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
     mean = w.sum(axis=1) / n
     dev = w - mean[:, None]
     std = np.sqrt((dev * dev).sum(axis=1) / n)
-    status = np.where(finite, 2 * (std <= 0).any(axis=1), 1)
+    status = np.where(finite, ZERO_VARIANCE * (std <= 0).any(axis=1), NON_FINITE)
 
     design = _design(dev[:, :-1] / np.where(status[:, None] == 0, std, 1.0)[:, None], terms)  # (B, M, N)
     dy = w[:, 1:] - w[:, :-1]
@@ -143,7 +137,7 @@ def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
 
     if not (np.isfinite(lam).all() and np.isfinite(q).all()):
         solved = np.isfinite(lam).reshape(b, -1).all(axis=1) & np.isfinite(q).reshape(b, -1).all(axis=1)
-        status[(status == 0) & ~solved] = 3
+        status[(status == 0) & ~solved] = NON_FINITE_FIT
     if diffusion_floor is None:
         # np.std's arithmetic without its call overhead
         flat = dy.reshape(b, -1)
@@ -162,7 +156,7 @@ def fit_model(window, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
         w = w[:, None]
     fit = fit_windows(w[None], degree=degree, dt=dt, diffusion_floor=diffusion_floor)
     if fit.status[0]:
-        raise DegenerateWindow(_FIT_FAILURES[fit.status[0]])
+        raise DegenerateWindow(MESSAGES[fit.status[0]])
     return fit
 
 

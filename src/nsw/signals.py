@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatch, NonIntegrable, NonPositivePrice, NotWarmedUp, UnsupportedFamily
+from .errors import (CONV_NON_INTEGRABLE, GRID_MISMATCH, KS_REJECT, PASS, REASONS, ConfigError, GridMismatch,
+                     NonIntegrable, NonPositivePrice, NotWarmedUp, UnsupportedFamily)
 from .sde_fit import fit_windows
 from .stationary import convolution_p_s, ks_quasistationarity, stationary_densities
 from .timeseries import PriceSeries
@@ -207,12 +208,13 @@ class SignalEngine:
     Every pushed bar extends the coefficient history; once warm, each bar is
     fit over the trailing calib_len coefficient rows, its mode-1 stationary
     density synthesized and compared against the density computed shift_len
-    bars earlier, and the trade rule evaluated. Bars whose window cannot be
-    modeled (zero variance) or whose fitted drift is not confining
-    (non-normalizable density) are held with gated=True. ``step`` (one bar)
-    and ``run`` (a whole series) decide through the same loop, so they
-    return the same signals bit for bit. Only the newest bars that a
-    decision reads are kept, so a live feed runs in fixed memory.
+    bars earlier, and the trade rule evaluated. ``reason_counts`` counts the
+    decided bars by their code of ``nsw.errors.REASONS``: the window's
+    failure, else the displaced window's, else the convolution density's
+    (these ``degenerate_bars`` are held with gated=True), else ``ks_reject``
+    or ``pass``. ``step`` (one bar) and ``run`` (a whole series) decide
+    through the same loop, so they return the same signals and counts bit for
+    bit. Only the newest bars a decision reads are kept, so memory stays fixed.
     """
 
     def __init__(self, cfg: SignalConfig = SignalConfig()):
@@ -225,17 +227,22 @@ class SignalEngine:
         # one (levels,) row per bar, NaN while unsupported; enough rows for
         # the current and the displaced fit window
         self._coeffs = _Trailing(cfg.calib_len + cfg.shift_len + 1, (cfg.levels,))
-        # (bar, density or None) in slot bar % (shift_len + 1): the newest
-        # shift_len + 1 densities, enough to reach each decision's displaced one
-        self._densities = [(-1, None)] * (cfg.shift_len + 1)
+        # (bar, density or None, its DensityStack.status) in slot bar % (shift_len + 1):
+        # the newest shift_len + 1 densities, enough to reach each decision's displaced one
+        self._densities = [(-1, None, PASS)] * (cfg.shift_len + 1)
         self.n_bars = 0
-        self.degenerate_bars = 0
+        self.reason_counts = np.zeros(len(REASONS), dtype=np.int64)
 
     @property
     def min_history(self) -> int:
         """Bars needed before the first decision: coarsest wavelet support,
         a full fit window, and the displaced fit window."""
         return self._support + self.cfg.calib_len + self.cfg.shift_len - 1
+
+    @property
+    def degenerate_bars(self) -> int:
+        """Decided bars held without a density to gate: every code but ``pass`` and ``ks_reject``."""
+        return int(self.reason_counts[PASS + 1 : KS_REJECT].sum())
 
     @property
     def ready(self) -> bool:
@@ -261,25 +268,22 @@ class SignalEngine:
             raise NotWarmedUp(f"have {self.n_bars} bars, need {self.min_history}")
         return self._decide(self._coeffs.window(self.cfg.calib_len + self.cfg.shift_len + 1), self.n_bars - 1)[0]
 
-    def _decide_bar(self, window, d_now, d_shift) -> Signal:
-        """Gate and trade rule for the bar whose fit window is ``window``;
-        ``d_now``/``d_shift`` are one-row density stacks or None."""
+    def _decide_bar(self, window, d_now, d_shift, reason) -> Signal:
+        """Gate, trade rule and reason count for the bar whose fit window is ``window``;
+        ``reason`` is the first failure code of the windows of ``d_now``/``d_shift``, or 0."""
         dy1 = float(window[-1, 0] - window[-2, 0])
-        if d_now is None or d_shift is None:
-            self.degenerate_bars += 1
-            return Signal(Action.HOLD, 0.5, dy1, gated=True)
-        stat, ks_pass = ks_quasistationarity(
-            d_now, d_shift, window[:, 0], alpha2=self.cfg.alpha2, k_override=self.cfg.ks_k
-        )
-        if self.cfg.density_mode == "convolution":
+        if not reason and self.cfg.density_mode == "convolution":
             try:
                 p_s = convolution_p_s(d_now, d_shift)
-            except (NonIntegrable, GridMismatch):
-                # distributions too far apart to compare: treat as gated
-                self.degenerate_bars += 1
-                return Signal(Action.HOLD, 0.5, dy1, gated=True)
-        else:
+            except (NonIntegrable, GridMismatch) as exc:
+                reason = GRID_MISMATCH if isinstance(exc, GridMismatch) else CONV_NON_INTEGRABLE
+        elif not reason:
             p_s = float(d_now.p_s[0])
+        if reason:
+            self.reason_counts[reason] += 1
+            return Signal(Action.HOLD, 0.5, dy1, gated=True)
+        _, ks_pass = ks_quasistationarity(d_now, d_shift, window[:, 0], self.cfg.alpha2, self.cfg.ks_k)
+        self.reason_counts[PASS if ks_pass else KS_REJECT] += 1
         return decide(dy1, p_s, ks_pass, self.cfg)
 
     def run(self, series: PriceSeries) -> SignalTrace:
@@ -288,7 +292,7 @@ class SignalEngine:
         The engine takes the series' first ``n_bars`` bars as the ones it has
         already been fed. The batch path: the coefficient rows of the whole
         series come from one ``transform``, and ``_decide`` fits and decides
-        every later bar in chunks. Signals, ``degenerate_bars`` and the
+        every later bar in chunks. Signals, ``reason_counts`` and the
         engine state left behind equal those of feeding the same bars through
         ``extend`` and ``step``, so a live feed can go on with ``step``
         afterwards."""
@@ -329,12 +333,12 @@ class SignalEngine:
                 windows = np.array([rows[t - base - cfg.calib_len + 1 : t - base + 1] for t in part])
                 dens = stationary_densities(fit_windows(windows, degree=cfg.degree), mode=1, span=cfg.grid_span,
                                             n_grid=cfg.n_grid)
-                for i, t in enumerate(part):
+                for i, (t, reason) in enumerate(zip(part, dens.status.tolist())):
                     d_now = dens.row(i)
-                    self._densities[t % ring] = (t, d_now)
+                    self._densities[t % ring] = (t, d_now, reason)
                     if t >= first:
-                        d_shift = self._densities[(t - cfg.shift_len) % ring][1]
-                        signals.append(self._decide_bar(windows[i], d_now, d_shift))
+                        _, d_shift, shift_reason = self._densities[(t - cfg.shift_len) % ring]
+                        signals.append(self._decide_bar(windows[i], d_now, d_shift, reason or shift_reason))
         return signals
 
 

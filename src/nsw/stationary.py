@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch, NonIntegrable, TooFewPoints
+from .errors import (CONV_NON_INTEGRABLE, EDGE_MASS, GRID_MISMATCH, MESSAGES, NO_MASS, GridMismatch, NonIntegrable,
+                     TooFewPoints)
 from .sde_fit import FitStack, _collapse, _hermite_table
 
 DEFAULT_SPAN = 5.0
@@ -31,23 +32,23 @@ _EDGE_MASS_LIMIT = 0.01
 @dataclass(frozen=True)
 class DensityStack:
     """B gridded densities: row i of ``grid``/``pdf``/``cdf`` and ``p_s[i]``
-    belong to window i, unless ``failures[i]`` says why it has none. A single
-    window's density is a one-row stack."""
+    belong to window i; ``status[i]`` (uint8) is 0, or why it has no density:
+    its fit code, ``no_mass`` or ``edge_mass`` (``nsw.errors.REASONS``)."""
 
     grid: np.ndarray
     pdf: np.ndarray
     cdf: np.ndarray
     p_s: np.ndarray
-    failures: list
+    status: np.ndarray
 
     def row(self, i: int):
         """Row i as a one-row stack of views, or None when it failed."""
-        if self.failures[i]:
+        if self.status[i]:
             return None
-        if len(self.failures) == 1:  # a one-row stack is its own row
+        if len(self.status) == 1:  # a one-row stack is its own row
             return self
         rows = slice(i, i + 1)
-        return DensityStack(self.grid[rows], self.pdf[rows], self.cdf[rows], self.p_s[rows], [None])
+        return DensityStack(self.grid[rows], self.pdf[rows], self.cdf[rows], self.p_s[rows], self.status[rows])
 
 
 def _trapezoids(y, dx):
@@ -58,17 +59,16 @@ def _trapezoids(y, dx):
     return out
 
 
-def _finalize_rows(grid, dx, raw_pdf, failures) -> DensityStack:
+def _finalize_rows(grid, dx, raw_pdf, status) -> DensityStack:
     """Normalize each row of ``raw_pdf`` (B, n) on its row of ``grid``
     (spacings ``dx``) and integrate its CDF and ``p_s`` by the trapezoid rule.
-    A row without positive finite mass is recorded in ``failures`` and made
-    flat. ``raw_pdf`` is normalized in place."""
+    A row without positive finite mass is made flat and, unless ``status``
+    holds a failure already, marked ``no_mass``; both are updated in place."""
     inc = _trapezoids(raw_pdf, dx)
     total = inc.sum(axis=1)
     bad = ~((total > 0.0) & (total < math.inf))
     if bad.any():
-        for i in np.flatnonzero(bad):
-            failures[i] = failures[i] or "density has no positive finite mass on the grid"
+        status[bad & (status == 0)] = NO_MASS
         raw_pdf[bad] = 1.0
         inc = _trapezoids(raw_pdf, dx)
         total = inc.sum(axis=1)
@@ -82,7 +82,7 @@ def _finalize_rows(grid, dx, raw_pdf, failures) -> DensityStack:
     x0, f0 = grid[rows, j], cdf[rows, j]
     p_s = np.minimum(np.maximum((cdf[rows, j + 1] - f0) / dx[rows, j] * -x0 + f0, 0.0), 1.0)
     raw_pdf /= total[:, None]
-    return DensityStack(grid=grid, pdf=raw_pdf, cdf=cdf, p_s=p_s, failures=failures)
+    return DensityStack(grid=grid, pdf=raw_pdf, cdf=cdf, p_s=p_s, status=status)
 
 
 def _linspace_rows(lo, hi, n):
@@ -122,10 +122,9 @@ def stationary_densities(fits: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAU
     the same whatever stack it is computed in.
     """
     m = mode - 1
-    fitted = fits.status == 0
-    failures = [None if ok else "window not fitted" for ok in fitted]
-    mu = np.where(fitted, fits.mean[:, m], 0.0)
-    sigma = np.where(fitted, fits.std[:, m], 1.0)
+    status = fits.status.astype(np.uint8)
+    mu = np.where(status == 0, fits.mean[:, m], 0.0)
+    sigma = np.where(status == 0, fits.std[:, m], 1.0)
     grid = _linspace_rows(mu - span * sigma, mu + span * sigma, n_grid)
     dx = grid[:, 1:] - grid[:, :-1]
     # (B, 2, n_grid): drift and G^2 of every row along the mode, from their
@@ -143,13 +142,11 @@ def stationary_densities(fits: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAU
     np.cumsum(steps, axis=1, out=w[:, 1:])
     del on_grid, ratio, steps  # freed before _finalize_rows allocates: peak memory per chunk
     w -= w.max(axis=1, keepdims=True)
-    dens = _finalize_rows(grid, dx, np.exp(w, out=w), failures)
+    dens = _finalize_rows(grid, dx, np.exp(w, out=w), status)
     # mass over the outer edge nodes on either side, from the CDF
     edge = max(2, int(round(_EDGE_FRACTION * n_grid)))
     edge_mass = np.maximum(dens.cdf[:, edge - 1], 1.0 - dens.cdf[:, -edge])
-    for i in np.flatnonzero(edge_mass > _EDGE_MASS_LIMIT):
-        dens.failures[i] = dens.failures[i] or (f"boundary mass {edge_mass[i]:.3g} exceeds {_EDGE_MASS_LIMIT}; "
-                                                "drift not confining on this grid")
+    status[(edge_mass > _EDGE_MASS_LIMIT) & (status == 0)] = EDGE_MASS
     return dens
 
 
@@ -158,8 +155,8 @@ def stationary_density(fit: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAULT_
     of ``stationary_densities``. Raises NonIntegrable when the row failed, for
     instance when the drift is not confining on the grid."""
     dens = stationary_densities(fit, mode=mode, span=span, n_grid=n_grid)
-    if dens.failures[0]:
-        raise NonIntegrable(dens.failures[0])
+    if dens.status[0]:
+        raise NonIntegrable(MESSAGES[dens.status[0]])
     return dens
 
 
@@ -168,7 +165,7 @@ def _resampled(d_now: DensityStack, d_shifted: DensityStack):
     nodes, ``offset`` apart, onto the finer spacing h of two overlapping grids."""
     g_now, g_shifted = d_now.grid[0], d_shifted.grid[0]
     if g_now[-1] < g_shifted[0] or g_shifted[-1] < g_now[0]:
-        raise GridMismatch("density supports do not overlap")
+        raise GridMismatch(MESSAGES[GRID_MISMATCH])
     h = min(g_now[1] - g_now[0], g_shifted[1] - g_shifted[0])
 
     def resample(grid, pdf):
@@ -188,9 +185,9 @@ def density_convolution(d_now: DensityStack, d_shifted: DensityStack) -> Density
     offset, h, f1, f2 = _resampled(d_now, d_shifted)
     corr = h * np.correlate(f2, f1, mode="full")
     z = (offset + h * np.arange(-(len(f1) - 1), len(f2)))[None]
-    dens = _finalize_rows(z, np.diff(z, axis=1), np.maximum(corr, 0.0)[None], [None])
-    if dens.failures[0]:
-        raise NonIntegrable(dens.failures[0])
+    dens = _finalize_rows(z, np.diff(z, axis=1), np.maximum(corr, 0.0)[None], np.zeros(1, np.uint8))
+    if dens.status[0]:
+        raise NonIntegrable(MESSAGES[CONV_NON_INTEGRABLE])
     return dens
 
 
@@ -208,7 +205,7 @@ def convolution_p_s(d_now: DensityStack, d_shifted: DensityStack) -> float:
     c_first = f1[-1] * f2[0]
     total = f1.sum() * sum2 - 0.5 * (c_first + f1[0] * f2[-1])
     if not 0.0 < total < math.inf:
-        raise NonIntegrable("density has no positive finite mass on the grid")
+        raise NonIntegrable(MESSAGES[CONV_NON_INTEGRABLE])
     cum2 = np.cumsum(f2)
 
     def cdf(lag):
@@ -228,13 +225,7 @@ def ks_threshold_constant(alpha: float) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / 2.0)
 
 
-def ks_quasistationarity(
-    d_now: DensityStack,
-    d_shifted: DensityStack,
-    sample_points,
-    alpha2=0.05,
-    k_override=None,
-):
+def ks_quasistationarity(d_now: DensityStack, d_shifted: DensityStack, sample_points, alpha2=0.05, k_override=None):
     """Compare the CDFs of two one-row stacks at the given sample points.
 
     Returns ``(statistic, passed)``: the max absolute CDF difference and

@@ -9,15 +9,17 @@ stacks of every size, degenerate windows included.
 
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsw.errors import EDGE_MASS, NO_MASS, NON_FINITE, PASS, ZERO_VARIANCE
 from nsw.sde_fit import COND_WARN_THRESHOLD, FitStack, _collapse, _hermite_table, _term_list, fit_windows
-from nsw.stationary import (_EDGE_FRACTION, _EDGE_MASS_LIMIT, _finalize_rows, _grid_table, _linspace_rows,
-                            _trapezoids, stationary_densities)
+from nsw.stationary import (_EDGE_FRACTION, _EDGE_MASS_LIMIT, _grid_table, _linspace_rows, _trapezoids,
+                            stationary_densities)
 
 log = logging.getLogger("nsw.sde_fit")
 
@@ -72,6 +74,37 @@ def old_fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None):
     return FitStack(terms, degree, mean, std, lam.transpose(0, 2, 1), q.transpose(0, 2, 1), floor, status)
 
 
+@dataclass(frozen=True)
+class OldDensityStack:
+    grid: np.ndarray
+    pdf: np.ndarray
+    cdf: np.ndarray
+    p_s: np.ndarray
+    failures: list
+
+
+def old_finalize_rows(grid, dx, raw_pdf, failures):
+    inc = _trapezoids(raw_pdf, dx)
+    total = inc.sum(axis=1)
+    bad = ~((total > 0.0) & (total < math.inf))
+    if bad.any():
+        for i in np.flatnonzero(bad):
+            failures[i] = failures[i] or "density has no positive finite mass on the grid"
+        raw_pdf[bad] = 1.0
+        inc = _trapezoids(raw_pdf, dx)
+        total = inc.sum(axis=1)
+    cdf = np.empty_like(raw_pdf)
+    cdf[:, 0] = 0.0
+    np.cumsum(inc, axis=1, out=cdf[:, 1:])
+    cdf /= cdf[:, -1:]
+    j = (grid[:, 1:-1] <= 0.0).sum(axis=1)
+    rows = np.arange(len(grid))
+    x0, f0 = grid[rows, j], cdf[rows, j]
+    p_s = np.minimum(np.maximum((cdf[rows, j + 1] - f0) / dx[rows, j] * -x0 + f0, 0.0), 1.0)
+    raw_pdf /= total[:, None]
+    return OldDensityStack(grid=grid, pdf=raw_pdf, cdf=cdf, p_s=p_s, failures=failures)
+
+
 def old_stationary_densities(fits, mode=1, span=5.0, n_grid=1024):
     m = mode - 1
     fitted = fits.status == 0
@@ -89,7 +122,7 @@ def old_stationary_densities(fits, mode=1, span=5.0, n_grid=1024):
     w[:, 0] = 0.0
     np.cumsum(_trapezoids(integrand, dx), axis=1, out=w[:, 1:])
     w -= w.max(axis=1, keepdims=True)
-    dens = _finalize_rows(grid, dx, np.exp(w, out=w), failures)
+    dens = old_finalize_rows(grid, dx, np.exp(w, out=w), failures)
     edge = max(2, int(round(_EDGE_FRACTION * n_grid)))
     edge_mass = np.maximum(dens.cdf[:, edge - 1], 1.0 - dens.cdf[:, -edge])
     for i in np.flatnonzero(edge_mass > _EDGE_MASS_LIMIT):
@@ -154,12 +187,25 @@ def assert_fits_equal(got, want):
         assert np.array_equal(a, b, equal_nan=True), name
 
 
-def assert_densities_equal(got, want):
+def old_reason(failure, fit_status):
+    """The reason code of an old failure string; an unfitted window keeps its fit code."""
+    if failure is None:
+        return PASS
+    if failure == "window not fitted":
+        return fit_status
+    if failure.startswith("density has no positive"):
+        return NO_MASS
+    assert failure.startswith("boundary mass"), failure
+    return EDGE_MASS
+
+
+def assert_densities_equal(got, want, fit_status):
     for name in ("grid", "pdf", "cdf", "p_s"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.flags.c_contiguous == b.flags.c_contiguous, name
         assert np.array_equal(a, b, equal_nan=True), name
-    assert got.failures == want.failures
+    assert got.status.dtype == np.uint8
+    assert got.status.tolist() == [old_reason(f, s) for f, s in zip(want.failures, fit_status.tolist())]
 
 
 @given(
@@ -184,13 +230,13 @@ def test_kernels_equal_old_bodies(b, dims, degree, n, kinds, floor, n_grid, span
     assert messages == want_messages
     for mode in range(1, dims + 1):
         assert_densities_equal(stationary_densities(fits, mode=mode, span=span, n_grid=n_grid),
-                               old_stationary_densities(want, mode=mode, span=span, n_grid=n_grid))
+                               old_stationary_densities(want, mode=mode, span=span, n_grid=n_grid), fits.status)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stacks_cover_every_outcome():
     # the window kinds above reach every fit status, a rank warning, an edge-mass
-    # failure and a density that passes
+    # failure and a density that passes; fit codes carry through to the densities
     rng = np.random.default_rng(7)
     windows = np.stack([make_window(kind, 64, 2, rng) for kind in ("ou", "walk", "trend", "nan", "flat", "two_levels")])
     fits, messages = logged(fit_windows, windows)
@@ -198,8 +244,9 @@ def test_stacks_cover_every_outcome():
     assert set(fits.status.tolist()) == {0, 1, 2}
     assert any(m.startswith("ill-conditioned drift system: rank") for m in messages)
     dens = stationary_densities(fits)
-    assert dens.failures[0] is None
-    assert any(f and f.startswith("boundary mass") for f in dens.failures)
+    assert_densities_equal(dens, old_stationary_densities(fits), fits.status)
+    assert dens.status[0] == PASS
+    assert {NON_FINITE, ZERO_VARIANCE, EDGE_MASS} <= set(dens.status.tolist())
     # a finite window whose squared increments overflow fails the coefficient check
     huge = np.stack([make_window("huge", 64, 1, rng)])
     assert_fits_equal(fit_windows(huge), old_fit_windows(huge))

@@ -273,6 +273,13 @@ class TestEstimateMoments:
             assert (row.window, row.horizon, row.n_instruments) == (window, 3, m_count)
             assert not row.mean_returns.flags.writeable and not row.covariance.flags.writeable
 
+    def test_leaves_caller_arrays_writable(self):
+        x, lam = np.array([0.1, 0.2]), np.eye(2) * 0.01
+        m = MomentEstimate(x, lam, 16, 1)
+        x[0], lam[0, 0] = 0.3, 0.02
+        assert m.mean_returns.tolist() == [0.1, 0.2] and m.covariance[0, 0] == 0.01
+        assert not m.mean_returns.flags.writeable and not m.covariance.flags.writeable
+
     @pytest.mark.parametrize("bad", [0, 2])
     def test_bad_window_in_stack(self, rng, bad):
         stack = rng.normal(size=(3, 2, 16))

@@ -3,11 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsw import signals
-from nsw.errors import DegenerateWindow, GridMismatch, NonIntegrable, NotWarmedUp
+from nsw.errors import KS_REJECT, MESSAGES, PASS, REASONS, DegenerateWindow, GridMismatch, NonIntegrable, NotWarmedUp
 from nsw.sde_fit import fit_model, fit_windows
 from nsw.signals import Action, Signal, SignalConfig, SignalEngine, SignalTrace, decide, write_signals
 from nsw.stationary import convolution_p_s, ks_quasistationarity, stationary_density
@@ -97,55 +97,69 @@ def stream(eng, prices) -> SignalTrace:
 
 
 def window_density(cfg, rows, t):
-    """Mode-1 density of the fit window ending at bar t, fitted on its own,
-    or None when the window is degenerate or the density non-normalizable."""
+    """``(density, reason)`` of the fit window ending at bar t, fitted on its
+    own: its mode-1 density and ``pass``, or None and the reason code of the
+    degenerate window or the non-normalizable density."""
     try:
         fit = fit_model(rows[t - cfg.calib_len + 1 : t + 1], degree=cfg.degree)
-        return stationary_density(fit, mode=1, span=cfg.grid_span, n_grid=cfg.n_grid)
-    except (DegenerateWindow, NonIntegrable):
-        return None
+        return stationary_density(fit, mode=1, span=cfg.grid_span, n_grid=cfg.n_grid), PASS
+    except (DegenerateWindow, NonIntegrable) as exc:
+        return None, MESSAGES.index(str(exc))
 
 
 def per_bar_reference(cfg, prices):
-    """``(trace, degenerate_bars)`` of the pipeline decided one bar at a time
+    """``(trace, reason_counts)`` of the pipeline decided one bar at a time
     from the one-row public functions: each decided bar's window and its
-    displaced one are fitted alone, then gated, priced and decided."""
+    displaced one are fitted alone, then gated, priced and decided. A bar's
+    reason is its window's failure, else the displaced window's, else the
+    convolution's, else ``ks_reject`` or ``pass``."""
+    counts = np.zeros(len(REASONS), dtype=np.int64)
     filt = make_wavelet(cfg.wavelet)
     first = min(filt.support_at(cfg.levels) + cfg.calib_len + cfg.shift_len - 2, len(prices))
     if first == len(prices):
-        return SignalTrace(first, []), 0
+        return SignalTrace(first, []), counts
     rows = transform(prices, filt, cfg.levels, cfg.invert_sign)
     densities = {t: window_density(cfg, rows, t) for t in range(first - cfg.shift_len, len(prices))}
-    signals, degenerate = [], 0
+    signals = []
     for t in range(first, len(prices)):
         window = rows[t - cfg.calib_len + 1 : t + 1]
         dy1 = float(window[-1, 0] - window[-2, 0])
-        d_now, d_shift, p_s = densities[t], densities[t - cfg.shift_len], None
-        if d_now is not None and d_shift is not None:
+        (d_now, reason_now), (d_shift, reason_shift) = densities[t], densities[t - cfg.shift_len]
+        p_s, reason = None, reason_now or reason_shift
+        if not reason:
             _, ks_pass = ks_quasistationarity(d_now, d_shift, window[:, 0], alpha2=cfg.alpha2, k_override=cfg.ks_k)
             if cfg.density_mode == "plain":
                 p_s = float(d_now.p_s[0])
             else:
                 try:
                     p_s = convolution_p_s(d_now, d_shift)
-                except (NonIntegrable, GridMismatch):
-                    pass
+                except (NonIntegrable, GridMismatch) as exc:
+                    reason = MESSAGES.index(str(exc))
         if p_s is None:
-            degenerate += 1
             signals.append(Signal(Action.HOLD, 0.5, dy1, gated=True))
         else:
+            reason = PASS if ks_pass else KS_REJECT
             signals.append(decide(dy1, p_s, ks_pass, cfg))
-    return SignalTrace(first, signals), degenerate
+        counts[reason] += 1
+    return SignalTrace(first, signals), counts
+
+
+def assert_counts(eng, trace, counts):
+    """The engine's per-reason counts are ``counts``, one per decided bar,
+    and ``degenerate_bars`` sums the codes that leave a bar without a density."""
+    assert eng.reason_counts.tolist() == counts.tolist()
+    assert counts.sum() == len(trace.signals)
+    assert eng.degenerate_bars == counts[PASS + 1 : KS_REJECT].sum()
 
 
 def assert_same_state(a, b):
     """Engines a and b hold the same bars, rings and counters."""
-    assert (a.n_bars, a.degenerate_bars) == (b.n_bars, b.degenerate_bars)
+    assert a.n_bars == b.n_bars and a.reason_counts.tolist() == b.reason_counts.tolist()
     assert np.array_equal(a._prices.window(a._support), b._prices.window(b._support))
     rows = a.cfg.calib_len + a.cfg.shift_len + 1
     assert np.array_equal(a._coeffs.window(rows), b._coeffs.window(rows), equal_nan=True)
-    assert [bar for bar, _ in a._densities] == [bar for bar, _ in b._densities]
-    for (bar, da), (_, db) in zip(a._densities, b._densities):
+    assert [(bar, reason) for bar, _, reason in a._densities] == [(bar, reason) for bar, _, reason in b._densities]
+    for (bar, da, _), (_, db, _) in zip(a._densities, b._densities):
         assert (da is None) == (db is None), bar
         assert da is None or (da.p_s == db.p_s and np.array_equal(da.pdf, db.pdf)), bar
 
@@ -177,6 +191,23 @@ def batch_cases(draw):
     return cfg, series_from_prices(prices)
 
 
+def two_slope_case():
+    """A convolution engine on log prices that trend at 0.01 a bar, then go
+    flat: a window on either side of the kink has a narrow density, and the
+    two do not overlap (``grid_mismatch``)."""
+    rng = np.random.default_rng(1)
+    logp = np.cumsum(np.where(np.arange(260) < 130, 0.01, 0.0) + 1e-3 * rng.standard_normal(260))
+    return SignalConfig(calib_len=32, shift_len=40, density_mode="convolution"), series_from_prices(100 * np.exp(logp))
+
+
+def flat_stretch_case():
+    """An engine on a series with 80 equal prices: windows with zero variance
+    next to windows with edge mass, so some bars have two failed windows."""
+    prices = make_ou_price_series(220, seed=0, rate=0.05, vol=0.02).prices.copy()
+    prices[60:140] = prices[60]
+    return SignalConfig(calib_len=32, shift_len=4), series_from_prices(prices)
+
+
 def small_engine(**kw):
     return SignalEngine(SignalConfig(**{"calib_len": 32, "shift_len": 8, "n_grid": 256, **kw}))
 
@@ -201,12 +232,18 @@ class TestEngine:
 
     def test_reference_synthetic_trades_both_sides(self):
         series = make_ou_price_series(5000, seed=1, **REFERENCE_SYNTH)
-        trace = SignalEngine(**REFERENCE_ENGINE).run(series)
+        eng = SignalEngine(**REFERENCE_ENGINE)
+        trace = eng.run(series)
         kinds = [s.kind for s in trace.signals]
         assert kinds.count(Action.BUY) >= 1
         assert kinds.count(Action.SELL) >= 1
         fraction = (kinds.count(Action.BUY) + kinds.count(Action.SELL)) / len(kinds)
         assert 0 < fraction < 0.2
+        # why each of the 4914 decided bars is what it is: held bars lack a
+        # density through edge mass or fail the gate
+        counts = dict(zip(REASONS, eng.reason_counts.tolist()))
+        assert counts == {**dict.fromkeys(REASONS, 0), "pass": 1186, "ks_reject": 1642, "edge_mass": 2086}
+        assert eng.degenerate_bars == 2086 and sum(counts.values()) == len(trace.signals)
 
     def test_causality_prefix_replay(self):
         series = make_ou_price_series(400, seed=9, rate=0.05, vol=0.02)
@@ -274,7 +311,7 @@ class TestEngine:
 
         coeffs = transform(series, make_wavelet("haar"), 2)
         decided = range(trace.start, trace.start + len(trace.signals))
-        densities = {t: window_density(eng.cfg, coeffs, t) for t in range(trace.start - 8, decided[-1] + 1)}
+        densities = {t: window_density(eng.cfg, coeffs, t)[0] for t in range(trace.start - 8, decided[-1] + 1)}
         tested = [t for t in decided if densities[t] is not None and densities[t - 8] is not None]
         assert len(compared) == len(tested)
         for t, dens in zip(tested, compared):
@@ -312,31 +349,34 @@ class TestEngine:
             assert stacks == [1]
 
     @given(case=batch_cases())
+    @example(case=two_slope_case())
+    @example(case=flat_stretch_case())
     @settings(max_examples=30, deadline=None)
     def test_run_equals_stream(self, case):
         cfg, series = case
-        expected, degenerate = per_bar_reference(cfg, series.prices)
+        expected, counts = per_bar_reference(cfg, series.prices)
         batch, live = SignalEngine(cfg), SignalEngine(cfg)
-        for trace in (batch.run(series), stream(live, series.prices)):
+        for eng, trace in ((batch, batch.run(series)), (live, stream(live, series.prices))):
             assert trace.start == expected.start
             assert trace.signals == expected.signals  # kind, gated, p_s and dy1, exactly
-        assert batch.degenerate_bars == live.degenerate_bars == degenerate
+            assert_counts(eng, trace, counts)
         assert_same_state(batch, live)
 
     @pytest.mark.parametrize("density_mode", ["plain", "convolution"])
     def test_run_then_step_continues_stream(self, density_mode):
         cfg = SignalConfig(calib_len=32, shift_len=8, density_mode=density_mode)
         series = make_ou_price_series(300, seed=5, rate=0.05, vol=0.02)
-        expected, degenerate = per_bar_reference(cfg, series.prices)
+        expected, counts = per_bar_reference(cfg, series.prices)
         live = SignalEngine(cfg)
         assert stream(live, series.prices) == expected
-        assert live.degenerate_bars == degenerate
+        assert_counts(live, expected, counts)
 
         eng = SignalEngine(cfg)
         head = eng.run(series.prefix(150))
         tail = [eng.step(price) for price in series.prices[150:]]
         assert head.start == expected.start
         assert head.signals + tuple(tail) == expected.signals
+        assert_counts(eng, expected, counts)
         assert_same_state(eng, live)
 
         # a second run() goes on from bar 150, so its chunks start elsewhere

@@ -26,7 +26,7 @@ from conftest import analytic_model_1d
 def one_row(grid, pdf):
     """The one-row density stack of ``pdf`` normalized on ``grid``."""
     grid = grid[None]
-    return _finalize_rows(grid, np.diff(grid, axis=1), np.array(pdf, dtype=np.float64)[None], [None])
+    return _finalize_rows(grid, np.diff(grid, axis=1), np.array(pdf, dtype=np.float64)[None], np.zeros(1, np.uint8))
 
 
 def gaussian_density(mu, sigma, lo, hi, n=2001):
@@ -210,7 +210,7 @@ class TestConvolutionPs:
     def test_disjoint_and_massless(self):
         d1 = gaussian_density(0.0, 0.1, -1.0, 1.0)
         assert same_p_s(d1, gaussian_density(10.0, 0.1, 9.0, 11.0)) is GridMismatch
-        flat = DensityStack(d1.grid, np.zeros_like(d1.pdf), d1.cdf, d1.p_s, [None])
+        flat = DensityStack(d1.grid, np.zeros_like(d1.pdf), d1.cdf, d1.p_s, d1.status)
         assert same_p_s(d1, flat) is NonIntegrable
         assert same_p_s(d1, gaussian_density(0.5, 0.1, 0.0, 2.0)) is None
 
