@@ -65,19 +65,26 @@ class MomentEstimate:
 
 @dataclass(frozen=True)
 class ParcelWeights:
-    """Nonnegative instrument fractions with sum <= 1; the rest sits in cash."""
+    """Nonnegative instrument fractions with sum <= 1; the rest sits in cash.
+
+    Weights down to -1e-12 and sums up to 1 + 1e-12 are rounding: they are
+    clipped to 0 and scaled back to 1. The checks run on Python floats with
+    sums added left to right, as numpy adds fewer than 8 values."""
 
     n: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.n, dtype=np.float64)
-        if np.any(n < -1e-12):
-            raise ValueError(f"negative weight in {n}")
-        if n.sum() > 1.0 + 1e-12:
-            raise ValueError(f"weights sum to {n.sum()} > 1")
-        n = np.clip(n, 0.0, None)
-        if n.sum() > 1.0:
-            n = n / n.sum()
+        given = np.asarray(self.n, dtype=np.float64)
+        w = given.ravel().tolist()
+        if any(a < -1e-12 for a in w):
+            raise ValueError(f"negative weight in {given}")
+        if _total(w) > 1.0 + 1e-12:
+            raise ValueError(f"weights sum to {_total(w)} > 1")
+        w = [0.0 if a <= 0.0 else a for a in w]  # np.clip's: -0.0 becomes 0.0, NaN stays
+        total = _total(w)
+        if total > 1.0:
+            w = [a / total for a in w]
+        n = np.array(w).reshape(given.shape)
         n.setflags(write=False)
         object.__setattr__(self, "n", n)
 

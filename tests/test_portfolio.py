@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -561,7 +562,45 @@ class TestFloatAscent:
         assert np.array_equal(_project(v), old_project_weights(v))
 
 
+def old_parcel_weights(n):
+    """ParcelWeights' checks and clipping as numpy array operations."""
+    n = np.asarray(n, dtype=np.float64)
+    if np.any(n < -1e-12):
+        raise ValueError(f"negative weight in {n}")
+    if n.sum() > 1.0 + 1e-12:
+        raise ValueError(f"weights sum to {n.sum()} > 1")
+    n = np.clip(n, 0.0, None)
+    if n.sum() > 1.0:
+        n = n / n.sum()
+    return n
+
+
+EDGE_WEIGHTS = st.sampled_from([-1e-12, math.nextafter(-1e-12, 0.0), math.nextafter(-1e-12, -1.0), -0.0, 0.0, 1e-12,
+                                math.nan, math.inf, -math.inf])
+
+
 class TestParcelWeights:
+    @given(st.lists(st.floats(-1e-11, 1.0, allow_subnormal=True) | EDGE_WEIGHTS, min_size=1, max_size=7),
+           st.sampled_from([None, 1.0 + 1e-12, 1.0, 1.0 + 2e-12]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_array_checks(self, w, total, as_array):
+        # fewer than 8 weights, so numpy's sum adds left to right as the float checks do;
+        # scaling to a total lands sums on both sides of the 1 + 1e-12 edge
+        if total is not None and math.isfinite(s := sum(w)) and s > 0:
+            w = [a / s * total for a in w]
+        given = np.array(w) if as_array else w
+        try:
+            want = old_parcel_weights(w)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                ParcelWeights(given)
+            return
+        got = ParcelWeights(given).n
+        assert got.dtype == want.dtype and got.shape == want.shape and not got.flags.writeable
+        assert got.tobytes() == want.tobytes()  # bit for bit, the sign of zero included
+        if as_array:
+            assert given.flags.writeable
+
     def test_slack(self):
         w = ParcelWeights(np.array([0.2, 0.3]))
         assert w.slack == pytest.approx(0.5, abs=1e-15)

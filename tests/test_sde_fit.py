@@ -1,15 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsw.errors import DegenerateWindow, WindowTooShort
-from nsw.sde_fit import _design, _term_list, drift_polynomial, eval_diffusion, eval_drift, fit_model
+from nsw.sde_fit import (_QR_COND_LIMIT, COND_WARN_THRESHOLD, _design, _term_list, drift_polynomial, eval_diffusion,
+                         eval_drift, fit_model, fit_windows)
 from nsw.timeseries import simulate_sde
 
-from conftest import analytic_model_1d
+from conftest import analytic_model_1d, logged
 
 
 def _design_at(fit, y):
@@ -144,3 +146,113 @@ class TestEval:
     def test_diffusion_floor_everywhere(self, y):
         m = analytic_model_1d([0.0] * 4, [-2.0, 1.0, 0.5, -0.3], floor=1e-3)
         assert eval_diffusion(m, np.array([y]))[0] >= 1e-3
+
+
+# -- the QR solve and its SVD fallback ----------------------------------------
+
+def _ar1(n, rng):
+    w = np.zeros(n)
+    for t in range(1, n):
+        w[t] = 0.6 * w[t - 1] + rng.normal()
+    return w
+
+
+def _fitted_design(window, degree):
+    """The design fit_windows solves for one (T, dims) window."""
+    dev = window - window.mean(axis=0)
+    return _design(dev[:-1] / np.sqrt((dev * dev).mean(axis=0)), _term_list(window.shape[1], degree))
+
+
+def _collinear(base, degree, log_cond, rng):
+    """(base, base + eps * noise) with eps set by secant steps on log10
+    cond(design) against log10 eps, which land within 0.01 of a log_cond
+    from 4 to 14."""
+    noise = rng.normal(size=len(base))
+
+    def log_cond_at(log_eps):
+        return math.log10(np.linalg.cond(_fitted_design(np.column_stack([base, base + 10.0**log_eps * noise]), degree)))
+
+    a, b = -1.0, -3.0
+    fa, fb = log_cond_at(a), log_cond_at(b)
+    for _ in range(4):
+        if abs(fb - log_cond) < 1e-3:
+            break
+        a, fa, b = b, fb, b + (log_cond - fb) * (b - a) / (fb - fa)
+        fb = log_cond_at(b)
+    return np.column_stack([base, base + 10.0**b * noise])
+
+
+def _window(kind, n, degree, rng):
+    """A (n, 2) window: two independent AR(1) paths (a well conditioned
+    design), a path and its double (the same standardized column twice:
+    rank-deficient), three levels only (rank-deficient at degree 3), a
+    collinear pair at a condition number of 10**4 to 10**14, or a NaN."""
+    base = _ar1(n, rng)
+    if kind == "ar1":
+        return np.column_stack([base, _ar1(n, rng)])
+    if kind == "twin":
+        return np.column_stack([base, 2.0 * base])
+    if kind == "levels":
+        return rng.integers(0, 3, size=(n, 2)).astype(float)
+    if kind == "nan":
+        return np.column_stack([base, np.where(np.arange(n) == n // 2, np.nan, base)])
+    return _collinear(base, degree, rng.uniform(4.0, 14.0), rng)
+
+
+def svd_spy():
+    return mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd)
+
+
+@given(n=st.integers(32, 64), degree=st.integers(1, 3), log_cond=st.floats(4.0, 14.0), seed=st.integers(0, 2**32 - 1))
+@example(n=64, degree=3, log_cond=8.0, seed=1)  # cond ~ 1e8: the SVD's warning threshold
+@example(n=64, degree=3, log_cond=13.0, seed=2)  # near-singular
+@settings(max_examples=60, deadline=None)
+def test_svd_fallback_fires_only_on_ill_conditioned_designs(n, degree, log_cond, seed):
+    # the QR certificate ||R||_F ||R^-1||_F lies between cond_2 and n_terms * cond_2:
+    # a window at or past the limit must take the SVD, one below limit / n_terms must not
+    rng = np.random.default_rng(seed)
+    base = _ar1(n, rng)
+    windows = {"ar1": _window("ar1", n, degree, rng), "twin": _window("twin", n, degree, rng),
+               "levels": _window("levels", n, degree, rng), "collinear": _collinear(base, degree, log_cond, rng)}
+    n_terms = len(_term_list(2, degree))
+    for kind, window in windows.items():
+        cond = np.linalg.cond(_fitted_design(window, degree))
+        with svd_spy() as svd:
+            fit, messages = logged(fit_windows, window[None], degree=degree)
+        fired = svd.call_count == 1
+        assert svd.call_count <= 1 and fit.status[0] == 0
+        if cond >= _QR_COND_LIMIT:
+            assert fired, (kind, cond)
+        if cond * n_terms < _QR_COND_LIMIT:
+            assert not fired and not messages, (kind, cond)
+        # the fallback keeps the SVD's rank/condition warning
+        if cond > 1.01 * COND_WARN_THRESHOLD:
+            assert len(messages) == 1 and messages[0].startswith("ill-conditioned drift system"), (kind, cond)
+        if cond < 0.99 * COND_WARN_THRESHOLD:
+            assert not messages, (kind, cond)
+    # the cases are what they claim to be
+    assert np.linalg.cond(_fitted_design(windows["ar1"], degree)) * n_terms < _QR_COND_LIMIT
+    assert np.linalg.cond(_fitted_design(windows["twin"], degree)) >= _QR_COND_LIMIT
+    if degree == 3:
+        assert np.linalg.cond(_fitted_design(windows["levels"], degree)) >= _QR_COND_LIMIT
+    assert abs(math.log10(np.linalg.cond(_fitted_design(windows["collinear"], degree))) - log_cond) < 0.01
+
+
+@given(kinds=st.lists(st.sampled_from(["ar1", "twin", "levels", "collinear", "nan"]), max_size=8),
+       n=st.integers(32, 64), degree=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rows_do_not_depend_on_fallback_neighbours(kinds, n, degree, seed):
+    # run() fits chunks of windows and step() one window at a time, and they
+    # must agree bit for bit: a window's row and its warnings cannot depend on
+    # which of its neighbours the QR solves and which fall back to the SVD
+    rng = np.random.default_rng(seed)
+    kinds = ["ar1", "twin", *kinds]
+    windows = np.stack([_window(kind, n, degree, rng) for kind in rng.permutation(kinds)])
+    with svd_spy() as svd:
+        stack, messages = logged(fit_windows, windows, degree=degree)
+    assert 0 < sum(len(call.args[0]) for call in svd.call_args_list) < len(windows)
+    alone = [logged(fit_windows, window[None], degree=degree) for window in windows]
+    for i, (fit, _) in enumerate(alone):
+        for name in ("mean", "std", "drift", "diff", "floor", "status"):
+            assert np.array_equal(getattr(stack, name)[i], getattr(fit, name)[0], equal_nan=True), (name, i)
+    assert messages == [m for _, row_messages in alone for m in row_messages]

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,7 +234,11 @@ class TestEngine:
     def test_reference_synthetic_trades_both_sides(self):
         series = make_ou_price_series(5000, seed=1, **REFERENCE_SYNTH)
         eng = SignalEngine(**REFERENCE_ENGINE)
-        trace = eng.run(series)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            trace = eng.run(series)
+        # every window here is solved through its QR: a change that sends them
+        # to the SVD fallback fails here instead of only running slower
+        assert svd.call_count == 0
         kinds = [s.kind for s in trace.signals]
         assert kinds.count(Action.BUY) >= 1
         assert kinds.count(Action.SELL) >= 1
