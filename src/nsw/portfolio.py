@@ -4,7 +4,8 @@ Return moments are estimated over a trailing window of log returns; the
 parcel objective is the Gaussian-approximation probability that the parcel
 return exceeds theta times its mean, P(theta) = Phi((1 - theta) Z / sigma),
 maximized over nonnegative weights summing to at most one by projected
-gradient ascent from the equal-weight start.
+gradient ascent from the equal-weight start. Phi is the standard normal CDF,
+erfc(-u / sqrt 2) / 2 from the math module.
 """
 
 from __future__ import annotations
@@ -18,12 +19,6 @@ import numpy as np
 from .errors import DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPSD, TooShort, WindowTooShort
 
 log = logging.getLogger(__name__)
-
-# scipy.special.ndtr, bound by the first parcel objective that evaluates Phi.
-# Importing scipy.special costs a process about 24 MiB and 0.25 s, and only
-# parcel optimization needs it, so engine and backtest runs never load it.
-_ndtr = None
-
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -151,13 +146,10 @@ def _moments(w, x, lam):
 
 
 def _probability(z: float, sigma: float, theta: float) -> float:
-    global _ndtr
     margin = (1.0 - theta) * z
     if sigma == 0.0:
         return 1.0 if margin > 0 else (0.5 if margin == 0 else 0.0)
-    if _ndtr is None:
-        from scipy.special import ndtr as _ndtr
-    return float(_ndtr(margin / sigma))
+    return 0.5 * math.erfc(-(margin / sigma) * math.sqrt(0.5))  # Phi(margin / sigma)
 
 
 def objective_P(n, m: MomentEstimate, theta: float) -> float:

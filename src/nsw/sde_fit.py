@@ -147,7 +147,9 @@ def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
     std = np.sqrt((dev * dev).sum(axis=1) / n)
     status = np.where(finite, ZERO_VARIANCE * (std <= 0).any(axis=1), NON_FINITE)
 
-    design = _design(dev[:, :-1] / np.where(status[:, None] == 0, std, 1.0)[:, None], terms)  # (B, M, N)
+    # a constant dimension is scaled by 1.0 and the others by their own std, so
+    # a zero-variance window's design stays finite next to a huge dimension
+    design = _design(dev[:, :-1] / np.where(std > 0, std, 1.0)[:, None], terms)  # (B, M, N)
     dy = w[:, 1:] - w[:, :-1]
     q_mat, r = np.linalg.qr(design)
     with np.errstate(over="ignore"):  # the squares of a large R^-1

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SeriesTooShort, UnsupportedFamily
 from .timeseries import PriceSeries
@@ -59,6 +60,23 @@ def _daubechies_taps(order):
     return g
 
 
+def _bspline_at(k, x):
+    """The degree-k B-spline on knots 0..k+1 at x in [0, k+1], by de Boor's
+    recursion (BSPLVB) on the knot vector padded with k knots at -1 and at
+    k+2, the float steps scipy's ``BSpline.basis_element`` takes."""
+    t = [-1.0] * k + [float(i) for i in range(k + 2)] + [k + 2.0] * k
+    ell = min(k + int(x), 2 * k)  # t[ell] <= x < t[ell + 1]; x = k+1 takes the last interval
+    h = [1.0] + [0.0] * k
+    for j in range(1, k + 1):
+        prev, h[0] = h[:j], 0.0
+        for n in range(1, j + 1):
+            xa, xb = t[ell + n - j], t[ell + n]
+            w = prev[n - 1] / (xb - xa)
+            h[n - 1] += w * (xb - x)
+            h[n] = w * (x - xa)
+    return h[2 * k - ell]  # the one nonzero-coefficient basis function
+
+
 @lru_cache(maxsize=None)
 def _battle_lemarie_taps(degree):
     """Spline-wavelet filter of the given spline degree.
@@ -69,8 +87,6 @@ def _battle_lemarie_taps(degree):
     ``_TRUNC``. One sub-threshold tap is kept on each side so the retained
     tails are < _TRUNC, then zero mean and unit norm are re-imposed exactly.
     """
-    from scipy.interpolate import BSpline
-
     def bspline_hat(om):
         x = om / 2.0
         s = np.ones_like(x)
@@ -81,9 +97,8 @@ def _battle_lemarie_taps(degree):
     # integer samples of the degree 2d+1 B-spline give the autocorrelation
     # sum A(w) = sum_k |Bhat(w + 2 pi k)|^2 in closed form
     d2 = 2 * degree + 1
-    bs = BSpline.basis_element(np.arange(d2 + 2, dtype=float))
     offs = np.arange(-(d2 // 2 + 1), d2 // 2 + 2)
-    b_int = bs(offs + (d2 + 1) / 2.0)
+    b_int = [_bspline_at(d2, x) for x in (offs + (d2 + 1) / 2.0).tolist()]
 
     def acorr(om):
         out = np.zeros_like(om)
@@ -149,7 +164,7 @@ def coeff_row(prices, taps_by_mode, sign=1.0) -> np.ndarray:
     for j, taps in enumerate(taps_by_mode):
         s = len(taps)
         if n >= s:
-            row[j] = sign * float(taps @ prices[n - s :])  # taps[0] hits the oldest sample
+            row[j] = sign * float(np.vecdot(prices[n - s :], taps))  # taps[0] hits the oldest sample
     return row
 
 
@@ -157,16 +172,18 @@ def transform(series, filt: WaveletFilter, levels: int, invert_sign=False) -> np
     """Read-only (n, levels) array of the coefficient vectors Y(t) for
     ``levels`` dyadic scales, column 0 mode 1 (the coarsest): ``coeff_row`` at
     every bar from ``filt.support_at(levels) - 1``, the first one the coarsest
-    support covers, and NaN before it."""
+    support covers, and NaN before it. Each mode is one ``np.vecdot`` over the
+    sliding windows, the primitive ``coeff_row`` applies to one window."""
     x = series.prices if isinstance(series, PriceSeries) else np.asarray(series, dtype=np.float64)
     n = len(x)
     support = filt.support_at(levels)
     if n < support:
         raise SeriesTooShort(f"need at least {support} bars for {levels} levels, got {n}")
-    taps = mode_taps(filt, levels)
     sign = -1.0 if invert_sign else 1.0
     coeffs = np.full((n, levels), np.nan)
-    for t in range(support - 1, n):
-        coeffs[t] = coeff_row(x[: t + 1], taps, sign)
+    for j, taps in enumerate(mode_taps(filt, levels)):
+        # the window ending at bar t starts at t - len(taps) + 1
+        windows = sliding_window_view(x, len(taps))[support - len(taps) :]
+        coeffs[support - 1 :, j] = sign * np.vecdot(windows, taps)
     coeffs.setflags(write=False)
     return coeffs

@@ -53,7 +53,9 @@ def old_fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None):
     std = np.sqrt((dev * dev).sum(axis=1) / n)
     status = np.where(finite, 2 * (std <= 0).any(axis=1), 1)
 
-    design = old_design(dev[:, :-1] / np.where(status[:, None] == 0, std, 1.0)[:, None], terms)
+    # each dimension scaled by its own std, a constant one by 1.0, as fit_windows
+    # does: an unfitted window's placeholder coefficients come from this design
+    design = old_design(dev[:, :-1] / np.where(std > 0, std, 1.0)[:, None], terms)
     dy = np.diff(w, axis=1)
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
     keep = sv > np.finfo(np.float64).eps * max(n - 1, len(terms)) * sv[:, :1]
@@ -211,8 +213,7 @@ def assert_fits_agree(windows, got, want):
     assert_fits_equal(FitStack(**{**got.__dict__, "drift": want.drift, "diff": want.diff}), want)
     w = np.asarray(windows, dtype=np.float64)
     w = np.where(np.isfinite(w).all(axis=(1, 2), keepdims=True), w, 0.0)
-    designs = old_design((w[:, :-1] - want.mean[:, None]) / np.where(want.status[:, None] == 0, want.std, 1.0)[:, None],
-                         want.terms)
+    designs = old_design((w[:, :-1] - want.mean[:, None]) / np.where(want.std > 0, want.std, 1.0)[:, None], want.terms)
     dy = w[:, 1:] - w[:, :-1]
     backward = designs.shape[1] * np.finfo(np.float64).eps
     for i, kappa in enumerate(qr_bounds(designs)):

@@ -17,6 +17,7 @@ from nsw.portfolio import (
     estimate_moments,
     log_returns,
     objective_P,
+    _probability,
     _project,
     optimize_parcel,
 )
@@ -329,6 +330,14 @@ class TestObjective:
         assert objective_P([1.0], down, 0.25) == 0.0
         flat = moment([0.0], [[0.0]])
         assert objective_P([1.0], flat, 0.25) == 0.5
+
+    def test_phi_agrees_with_ndtr(self):
+        # Phi is erfc(-u / sqrt 2) / 2 from the math module, with scipy's ndtr as
+        # the oracle; against mpmath each is off by up to about 100 ulp here
+        u = np.random.default_rng(18).uniform(-10.0, 10.0, 20000)
+        phi = np.array([_probability(v, 1.0, 0.0) for v in u.tolist()])
+        assert (np.abs(phi - ndtr(u)) <= 256 * np.spacing(ndtr(u))).all()
+        assert _probability(0.0, 1.0, 0.0) == 0.5
 
     def test_negative_variance(self):
         m = moment([0.1, 0.1], [[1.0, -2.0], [-2.0, 1.0]])

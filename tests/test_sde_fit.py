@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsw.errors import DegenerateWindow, WindowTooShort
+from nsw.errors import ZERO_VARIANCE, DegenerateWindow, WindowTooShort
 from nsw.sde_fit import (_QR_COND_LIMIT, COND_WARN_THRESHOLD, _design, _term_list, drift_polynomial, eval_diffusion,
                          eval_drift, fit_model, fit_windows)
 from nsw.timeseries import simulate_sde
@@ -256,3 +257,20 @@ def test_rows_do_not_depend_on_fallback_neighbours(kinds, n, degree, seed):
         for name in ("mean", "std", "drift", "diff", "floor", "status"):
             assert np.array_equal(getattr(stack, name)[i], getattr(fit, name)[0], equal_nan=True), (name, i)
     assert messages == [m for _, row_messages in alone for m in row_messages]
+
+
+def test_constant_dimension_beside_a_huge_one():
+    # scaled by 1.0 with every dimension, the window's cubic terms overflowed its
+    # design to inf and the SVD of the whole stack raised LinAlgError
+    rng = np.random.default_rng(11)
+    flat = np.column_stack([np.full(64, 3.0), 1e150 * rng.standard_normal(64)])
+    ou = [np.column_stack([_ar1(64, rng), _ar1(64, rng)]) for _ in range(3)]
+    windows = np.stack([ou[0], flat, ou[1], ou[2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = fit_windows(windows)
+    assert stack.status.tolist() == [0, ZERO_VARIANCE, 0, 0]
+    for i in (0, 2, 3):
+        alone = fit_windows(windows[i][None])
+        for name in ("mean", "std", "drift", "diff", "floor", "status"):
+            assert np.array_equal(getattr(stack, name)[i], getattr(alone, name)[0]), (name, i)

@@ -7,11 +7,51 @@ from hypothesis import strategies as st
 
 from nsw.errors import SeriesTooShort, UnsupportedFamily
 from nsw.signals import SignalConfig, SignalEngine
-from nsw.wavelets import make_wavelet, transform
+from nsw.wavelets import _N_FFT, _TRUNC, _battle_lemarie_taps, make_wavelet, transform
 
 from conftest import series_from_prices
 
 NAMES = ["haar", "db2", "db3", "bl1", "bl2", "bl3"]
+
+
+def scipy_battle_lemarie_taps(degree):
+    """The Battle-Lemarie construction with the B-spline samples taken from
+    scipy.interpolate, kept as the oracle of the package's own samples."""
+    from scipy.interpolate import BSpline
+
+    def bspline_hat(om):
+        x = om / 2.0
+        s = np.ones_like(x)
+        nz = np.abs(x) > 1e-12
+        s[nz] = np.sin(x[nz]) / x[nz]
+        return s ** (degree + 1)
+
+    d2 = 2 * degree + 1
+    bs = BSpline.basis_element(np.arange(d2 + 2, dtype=float))
+    offs = np.arange(-(d2 // 2 + 1), d2 // 2 + 2)
+    b_int = bs(offs + (d2 + 1) / 2.0)
+
+    def acorr(om):
+        out = np.zeros_like(om)
+        for m, bm in zip(offs, b_int):
+            out += bm * np.cos(m * om)
+        return out
+
+    def phi_hat(om):
+        return np.abs(bspline_hat(om)) / np.sqrt(acorr(om))
+
+    w = 2.0 * np.pi * np.arange(_N_FFT) / _N_FFT
+    w = np.where(w > np.pi, w - 2.0 * np.pi, w)
+    h_hat = math.sqrt(2.0) * phi_hat(2.0 * w) / phi_hat(w)
+    h = np.real(np.fft.ifft(h_hat))
+
+    half = _N_FFT // 4
+    n_idx = np.arange(-half, half + 1)
+    g = np.where(n_idx % 2 == 0, 1.0, -1.0) * h[(1 - n_idx) % _N_FFT]
+    keep = np.nonzero(np.abs(g) >= _TRUNC)[0]
+    g = g[max(keep[0] - 1, 0) : min(keep[-1] + 1, len(g) - 1) + 1]
+    g = g - g.mean()
+    return g / np.linalg.norm(g)
 
 
 class TestFilters:
@@ -35,6 +75,10 @@ class TestFilters:
             assert len(f.taps) < 200
             assert abs(f.taps[0]) < 1e-6
             assert abs(f.taps[-1]) < 1e-6
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_battle_lemarie_equal_scipy_construction(self, degree):
+        assert np.array_equal(_battle_lemarie_taps(degree), scipy_battle_lemarie_taps(degree))
 
     def test_aliases(self):
         # a filter is its name: no family/order pair behind it
