@@ -1,14 +1,15 @@
 """Exception types shared across the package, and the reason table."""
 
-# The reason table: why a window has no density or a bar is held, one uint8 code each (1-3 are FitStack.status)
-REASONS = ("pass", "non_finite", "zero_variance", "non_finite_fit", "no_mass", "edge_mass", "conv_non_integrable",
-           "grid_mismatch", "ks_reject")
+# The reason table: why a window has no density or a bar is held, one uint8 code each (1-4 are FitStack.status)
+REASONS = ("pass", "non_finite", "zero_variance", "non_finite_fit", "ill_conditioned", "no_mass", "edge_mass",
+           "conv_non_integrable", "grid_mismatch", "ks_reject")
 MESSAGES = ("gate passed", "window contains non-finite values", "zero variance over the window",
-            "non-finite drift or diffusion coefficients", "density has no positive finite mass on the grid",
-            "drift not confining: boundary mass past the edge limit", "convolution density has no positive mass",
-            "density supports do not overlap", "densities differ: KS statistic at or past the gate threshold")
-(PASS, NON_FINITE, ZERO_VARIANCE, NON_FINITE_FIT, NO_MASS, EDGE_MASS, CONV_NON_INTEGRABLE, GRID_MISMATCH,
- KS_REJECT) = range(len(REASONS))
+            "non-finite drift or diffusion coefficients", "design rank-deficient or nearly so: no identified fit",
+            "density has no positive finite mass on the grid", "drift not confining: boundary mass past the edge limit",
+            "convolution density has no positive mass", "density supports do not overlap",
+            "densities differ: KS statistic at or past the gate threshold")
+(PASS, NON_FINITE, ZERO_VARIANCE, NON_FINITE_FIT, ILL_CONDITIONED, NO_MASS, EDGE_MASS, CONV_NON_INTEGRABLE,
+ GRID_MISMATCH, KS_REJECT) = range(len(REASONS))
 
 
 class NswError(Exception):

@@ -9,13 +9,12 @@ increment residuals give G^2. Standardizing each dimension keeps the design
 matrix well conditioned on the short (32-64 bar) calibration windows the
 model is meant for, so both systems are solved through a Householder QR of
 the design; a window whose QR carries no certificate of a good condition
-number (rank-deficient or nearly so) is solved through its SVD instead.
+number (rank-deficient or nearly so) is not fitted but ``ill_conditioned``.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,15 +22,12 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .errors import MESSAGES, NON_FINITE, NON_FINITE_FIT, ZERO_VARIANCE, DegenerateWindow, WindowTooShort
+from .errors import (ILL_CONDITIONED, MESSAGES, NON_FINITE, NON_FINITE_FIT, ZERO_VARIANCE, DegenerateWindow,
+                     InvalidStep, WindowTooShort)
 
-log = logging.getLogger(__name__)
-
-COND_WARN_THRESHOLD = 1e8
-# the QR solve is kept for a window whose condition bound stays below this
-# (so well inside the warning threshold); other windows take the SVD
+# a window is fitted only when its condition bound ||R||_F ||R^-1||_F is below
+# this; past it the least-squares coefficients are not identified
 _QR_COND_LIMIT = 1e7
-_EPS = np.finfo(np.float64).eps
 
 
 @lru_cache(maxsize=64)
@@ -79,9 +75,9 @@ class FitStack:
     per-dimension coefficient vectors over ``terms`` for F and G^2, in
     coordinates standardized by ``mean[i]``/``std[i]``; G^2 is floored at
     ``floor[i]**2`` wherever it is evaluated. ``status[i]`` is 0 for a fitted
-    window and otherwise why it was not fitted, a fit code (1-3) of
-    ``nsw.errors.REASONS``; its arrays then hold finite placeholders. A
-    single window's fit is a one-row stack.
+    window and otherwise why it was not fitted, a fit code (1-4) of
+    ``nsw.errors.REASONS``, with zero coefficients (a ``non_finite_fit``
+    window keeps the solve's). A single window's fit is a one-row stack.
     """
 
     terms: tuple
@@ -94,31 +90,6 @@ class FitStack:
     status: np.ndarray  # (B,)
 
 
-def _svd_solve(design, dy, dt, status):
-    """Drift and diffusion coefficients of a (B, M, N) design stack through its
-    SVD, with lstsq's cutoff (singular values up to eps*max(M, N)*s_max count
-    as zero), so a rank-deficient window gets the minimum-norm solution; a
-    warning is logged for every fitted window of rank < N or condition number
-    past COND_WARN_THRESHOLD."""
-    n_rows, n_terms = design.shape[1:]
-    u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    keep = sv > _EPS * max(n_rows, n_terms) * sv[:, :1]
-    inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
-
-    def solve(rhs):
-        return vt.mT @ (inv_sv[..., None] * (u.mT @ rhs))  # (B, N, dims)
-
-    lam = solve(dy / dt)
-    q = solve((dy - (design @ lam) * dt) ** 2 / dt)
-    # singular values run in descending order: rank < n_terms when the last one is cut
-    ill = ~keep[:, -1] | (sv[:, 0] > COND_WARN_THRESHOLD * sv[:, -1])
-    rank = keep.sum(axis=1)
-    for i in np.flatnonzero(ill & (status == 0)):
-        cond = sv[i, 0] / sv[i, -1] if sv[i, -1] > 0 else math.inf
-        log.warning("ill-conditioned drift system: rank %d/%d, cond %.3g", rank[i], n_terms, cond)
-    return lam, q
-
-
 def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
     """Fit every window of a (B, T, dims) stack of coefficient vectors.
 
@@ -126,14 +97,16 @@ def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
     Diffusion system: regress (increment residual)^2 / dt on the same basis;
     G is the square root of the fitted value floored at diffusion_floor^2.
     Both systems of all B windows are solved through one stacked Householder
-    QR, as R^-1 (Q^T rhs). A window is solved so only when ||R||_F ||R^-1||_F,
-    an upper bound on its condition number, is finite and below
-    _QR_COND_LIMIT (so its R diagonal is nonzero and finite); the other
-    windows are solved through their SVD (``_svd_solve``), which gives
-    rank-deficient windows the minimum-norm solution and logs the
-    rank/condition warning.
-    Each window's result is the same whatever stack it is fitted in.
+    QR, as R^-1 (Q^T rhs). A window is held for the first of: a non-finite
+    value, a zero-variance dimension, a condition bound ||R||_F ||R^-1||_F
+    not below _QR_COND_LIMIT (``ill_conditioned``), non-finite coefficients.
+    Each window's result is the same whatever stack it is fitted in. Raises
+    InvalidStep unless dt is positive and finite, ValueError if degree < 1.
     """
+    if not 0.0 < dt < math.inf:
+        raise InvalidStep(f"dt must be positive and finite, got {dt}")
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
     w = np.ascontiguousarray(windows, dtype=np.float64)
     b, n, dims = w.shape
     terms = _term_list(dims, degree)
@@ -152,31 +125,27 @@ def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
     design = _design(dev[:, :-1] / np.where(std > 0, std, 1.0)[:, None], terms)  # (B, M, N)
     dy = w[:, 1:] - w[:, :-1]
     q_mat, r = np.linalg.qr(design)
+    # the bound is at least |R_00| / |R_kk|: a window with a pivot that small
+    # is past the limit, and gets an identity R so that inv meets no zero pivot
+    pivots = np.abs(r.diagonal(0, 1, 2))
+    tiny = pivots * _QR_COND_LIMIT <= pivots[:, :1]
+    screened = True
+    if tiny.any():
+        screened = ~tiny.any(axis=1)
+        r[~screened] = np.eye(len(terms))
+    r_inv = np.linalg.inv(r)
+    r_flat, r_inv_flat = r.reshape(b, -1), r_inv.reshape(b, -1)
     with np.errstate(over="ignore"):  # the squares of a large R^-1
-        try:
-            r_inv = np.linalg.inv(r)
-            pivoted = True
-        except np.linalg.LinAlgError:  # a zero pivot, or one whose inverse overflows
-            # the bound is at least the ratio of the largest to the smallest pivot
-            # |R_kk|: a window past the limit there takes the SVD, and its R is
-            # replaced so that inv sees no tiny pivot
-            pivots = np.abs(r.diagonal(0, 1, 2))
-            pivoted = pivots.min(axis=1) * _QR_COND_LIMIT > pivots.max(axis=1)
-            r[~pivoted] = np.eye(len(terms))
-            r_inv = np.linalg.inv(r)
-        r_flat, r_inv_flat = r.reshape(b, -1), r_inv.reshape(b, -1)
         bound_sq = np.vecdot(r_flat, r_flat) * np.vecdot(r_inv_flat, r_inv_flat)
-    certified = pivoted & (bound_sq < _QR_COND_LIMIT**2)
-    all_certified = certified.all()
-    if not all_certified:
-        r_inv[~certified] = 0.0  # their rows are solved through the SVD below
+    certified = screened & (bound_sq < _QR_COND_LIMIT**2)
+    if not certified.all():
+        r_inv[~certified] = 0.0
+        status[(status == 0) & ~certified] = ILL_CONDITIONED
     lam = r_inv @ (q_mat.mT @ (dy / dt))  # (B, N, dims)
     q = r_inv @ (q_mat.mT @ ((dy - (design @ lam) * dt) ** 2 / dt))
-    if not all_certified:
-        rows = np.flatnonzero(~certified)
-        lam[rows], q[rows] = _svd_solve(design[rows], dy[rows], dt, status[rows])
 
     if not (np.isfinite(lam).all() and np.isfinite(q).all()):
+        lam[~certified], q[~certified] = 0.0, 0.0  # zero R^-1 rows times an overflowed rhs
         solved = np.isfinite(lam).reshape(b, -1).all(axis=1) & np.isfinite(q).reshape(b, -1).all(axis=1)
         status[(status == 0) & ~solved] = NON_FINITE_FIT
     if diffusion_floor is None:

@@ -62,14 +62,17 @@ def _trapezoids(y, dx):
 def _finalize_rows(grid, dx, raw_pdf, status) -> DensityStack:
     """Normalize each row of ``raw_pdf`` (B, n) on its row of ``grid``
     (spacings ``dx``) and integrate its CDF and ``p_s`` by the trapezoid rule.
-    A row without positive finite mass is made flat and, unless ``status``
-    holds a failure already, marked ``no_mass``; both are updated in place."""
+    A row without positive finite mass or positive spacings is made flat (on
+    unit spacings, if its own are not positive) and, unless ``status`` holds
+    a failure already, marked ``no_mass``; all three are updated in place."""
     inc = _trapezoids(raw_pdf, dx)
     total = inc.sum(axis=1)
-    bad = ~((total > 0.0) & (total < math.inf))
+    spaced = (dx > 0.0).all(axis=1)
+    bad = ~((total > 0.0) & (total < math.inf) & spaced)
     if bad.any():
         status[bad & (status == 0)] = NO_MASS
         raw_pdf[bad] = 1.0
+        dx[~spaced] = 1.0  # no division below meets a zero width
         inc = _trapezoids(raw_pdf, dx)
         total = inc.sum(axis=1)
     cdf = np.empty_like(raw_pdf)
@@ -87,13 +90,11 @@ def _finalize_rows(grid, dx, raw_pdf, status) -> DensityStack:
 
 def _linspace_rows(lo, hi, n):
     """Row i is ``np.linspace(lo[i], hi[i], n)`` bit for bit, in C order (the
-    transposed view of ``linspace(axis=1)`` makes row sums depend on B)."""
-    step = (hi - lo) / (n - 1)
-    if not step.all():  # linspace's own path for steps that underflow to 0
-        return np.ascontiguousarray(np.linspace(lo, hi, n, axis=1))
+    transposed view of ``linspace(axis=1)`` makes row sums depend on B); a
+    row whose step underflows to 0 is lo[i] up to a last hi[i]."""
     # linspace's arithmetic in its own (n, B) layout, then one C-order copy (a
     # no-op at B = 1); built row-major, run() measured 0.3 MiB more peak memory
-    grid = np.arange(n, dtype=np.float64)[:, None] * step
+    grid = np.arange(n, dtype=np.float64)[:, None] * ((hi - lo) / (n - 1))
     grid += lo
     grid[-1] = hi
     return np.ascontiguousarray(grid.T)

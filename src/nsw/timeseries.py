@@ -232,10 +232,9 @@ def make_ou_price_series(
         prices = base_price * np.exp(trend * t_idx + x)
     bad = np.flatnonzero(~((prices > 0) & (prices < math.inf)))
     if bad.size:
-        raise ConfigError(
-            f"trend={trend:g}, n_bars={n_bars}, base_price={base_price:g}: price {prices[bad[0]]:g} "
-            f"at bar {bad[0]}; use a smaller |trend| or fewer bars"
-        )
+        raise ConfigError(f"trend={trend:g}, ou_rate={rate:g}, ou_vol={vol:g}, n_bars={n_bars}, "
+                          f"base_price={base_price:g}: price {prices[bad[0]]:g} at bar {bad[0]}; use a smaller "
+                          "|trend| or ou_vol, an ou_rate in [0, 2] or fewer bars")
     step = int(round(bar_interval))
     if (int(n_bars) - 1) * step >= _INT64_BOUND:  # Python ints: checked before numpy wraps them
         raise ConfigError(

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -24,26 +22,6 @@ def series_from_prices(prices, symbol="TST", bar_interval=60.0, start=0):
     prices = np.asarray(prices, dtype=np.float64)
     ts = start + np.arange(len(prices)) * int(bar_interval)
     return PriceSeries(symbol=symbol, timestamps=ts, prices=prices, bar_interval=bar_interval)
-
-
-class _Messages(logging.Handler):
-    def __init__(self):
-        super().__init__()
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-
-def logged(fn, *args, **kwargs):
-    """fn's result and the messages it logged to ``nsw.sde_fit``, in order."""
-    handler = _Messages()
-    log = logging.getLogger("nsw.sde_fit")
-    log.addHandler(handler)
-    try:
-        return fn(*args, **kwargs), handler.messages
-    finally:
-        log.removeHandler(handler)
 
 
 @pytest.fixture

@@ -66,6 +66,19 @@ class TestBacktestCmd:
         assert report["trades"] == 0
         assert "decision_fraction" in report
 
+    @pytest.mark.parametrize("span", ["1e-300", "1e-15"])
+    def test_zero_width_grids_hold_without_warnings(self, runner, tmp_path, span):
+        # every spacing of a density grid (1e-300) or some of them (1e-15) round
+        # to 0: those densities fail as no_mass before a division by the width
+        bars = tmp_path / "b.csv"
+        write_bars(make_ou_price_series(300, seed=1), bars)
+        out = tmp_path / "bt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = invoke(runner, ["backtest", "--data", str(bars), "--out", str(out), "--set", f"grid_span={span}"])
+        assert res.exit_code == 0
+        assert json.loads((out / "report.json").read_text())["trades"] == 0
+
     def test_missing_file_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["backtest", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
@@ -235,6 +248,16 @@ class TestConfigFile:
             assert name in res.output
         assert "row" not in res.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_ou_path_out_of_range_names_ou_fields(self, runner, tmp_path):
+        # the OU parameters, not the trend, overflow this path; the message said
+        # only "use a smaller |trend| or fewer bars"
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["synth", "--out", str(out), "--set", "n_bars=3", "--set", "ou_vol=1e308"])
+        assert res.exit_code == 2
+        for name in ("ou_rate=0.05", "ou_vol=1e+308", "bar 1", "smaller |trend| or ou_vol"):
+            assert name in res.output
         assert not out.exists()
 
     @pytest.mark.parametrize("interval", ["1e18", "1e300"])

@@ -264,10 +264,9 @@ def old_make_ou_price_series(n_bars, seed, rate=0.05, vol=0.01, trend=0.0, base_
         prices = base_price * np.exp(trend * t_idx + x)
     bad = np.flatnonzero(~((prices > 0) & (prices < math.inf)))
     if bad.size:
-        raise ConfigError(
-            f"trend={trend:g}, n_bars={n_bars}, base_price={base_price:g}: price {prices[bad[0]]:g} "
-            f"at bar {bad[0]}; use a smaller |trend| or fewer bars"
-        )
+        raise ConfigError(f"trend={trend:g}, ou_rate={rate:g}, ou_vol={vol:g}, n_bars={n_bars}, "
+                          f"base_price={base_price:g}: price {prices[bad[0]]:g} at bar {bad[0]}; use a smaller "
+                          "|trend| or ou_vol, an ou_rate in [0, 2] or fewer bars")
     return t_idx * int(round(bar_interval)), prices
 
 
