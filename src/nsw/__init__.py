@@ -7,7 +7,7 @@ classical indicator baselines for comparison.
 """
 
 from .backtest import BacktestReport, compare_strategies, run_backtest, run_parcel_backtest
-from .baselines import IndicatorConfig, IndicatorStrategy, indicator_signal, tune_baseline
+from .baselines import IndicatorConfig, IndicatorStrategy, tune_baseline
 from .config import RunConfig, load_config, parse_config
 from .portfolio import (
     MomentEstimate,
@@ -47,7 +47,6 @@ __all__ = [
     "eval_diffusion",
     "eval_drift",
     "fit_model",
-    "indicator_signal",
     "ks_quasistationarity",
     "load_bars",
     "load_config",

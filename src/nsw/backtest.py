@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,7 +180,6 @@ def run_parcel_backtest(
     theta: float,
     rebalance_len: int,
     horizon: int,
-    tol: float = 1e-6,
     cost_bps: float = 0.0,
     config: dict | None = None,
 ) -> ParcelReport:
@@ -228,7 +227,7 @@ def run_parcel_backtest(
         growth = z[:, t] / z[:, ref_bar]
         ref_parcel = ref_parcel * (weights @ growth + (1.0 - weights.sum()))
         ref_bar = t
-        result = optimize_parcel(moments.row(k), theta, tol=tol)
+        result = optimize_parcel(moments.row(k), theta)
         weights = result.weights.n
         trajectory.append(WeightRecord(t, weights.copy(), result.weights.slack, result.p_theta))
     return ParcelReport(
@@ -326,7 +325,6 @@ def compare_strategies(series_list, engine_factory, baseline_grids=None, cost_bp
                 # the winner's tuning run is its backtest
                 best, report = tune_baseline(grids[col.lower()], series, cost_bps=cost_bps)
                 tuned[(series.symbol, col)] = best
-                report = replace(report, strategy=col)
             reports[(series.symbol, col)] = report
             table[i, j] = report.final_z
     return ComparisonTable(

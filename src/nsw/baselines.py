@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyGrid, NotWarmedUp, UsageError
-from .signals import CODE_BUY, CODE_HOLD, CODE_SELL, CODE_SIGNALS, Action, SignalTrace
+from .errors import EmptyGrid, UsageError
+from .signals import CODE_BUY, CODE_HOLD, CODE_SELL, SignalTrace
 from .timeseries import PriceSeries
 
 KINDS = ("pc", "bb", "macd", "rsi")
@@ -87,15 +87,6 @@ def macd_lines(prices, fast: int, slow: int, signal: int):
     return macd, ema(macd, signal)
 
 
-def bollinger(prices, lookback: int, width: float):
-    """(mean, lower, upper) rolling bands; NaN before a full window.
-
-    The window includes the current bar; std is the population std.
-    """
-    mean, sd = _band_stats(prices, lookback)
-    return mean, mean - width * sd, mean + width * sd
-
-
 def _band_stats(prices, lookback: int):
     """(mean, std) of the last ``lookback`` bars, current included (population
     std); NaN before a full window."""
@@ -155,13 +146,6 @@ def _rsi_from_averages(avg_gain, avg_loss):
     if avg_loss == 0.0:
         return 100.0
     return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
-
-
-def indicator_signal(cfg: IndicatorConfig, series: PriceSeries, t: int) -> Action:
-    """Signal of one indicator at bar ``t`` (uses bars <= t only)."""
-    if t < cfg.warmup or t >= len(series):
-        raise NotWarmedUp(f"{cfg.kind} needs t >= {cfg.warmup}, got {t}")
-    return CODE_SIGNALS[_signal_array(cfg, series.prices[: t + 1])[t]].kind
 
 
 def _indicator_line(cfg: IndicatorConfig, prices):

@@ -1,8 +1,9 @@
 """Command-line front end: synth | backtest | parcel | compare.
 
-Every command resolves a single config (file plus ``--set`` overrides),
-writes its outputs under a run directory, and drops a ``manifest.json``
-echoing the fully resolved configuration for reproducibility. Exit codes:
+Every command resolves a single config (file plus ``--set`` overrides)
+and, once its run has succeeded, writes its outputs under a run directory
+with a ``manifest.json`` echoing the fully resolved configuration for
+reproducibility; a failed command creates no directory. Exit codes:
 0 success, 1 runtime failure, 2 usage/config errors.
 """
 
@@ -32,30 +33,32 @@ from .signals import SignalEngine, write_signals
 from .timeseries import load_bars, make_ou_price_series, write_bars
 from .wavelets import make_wavelet
 
-log = logging.getLogger("nsw.cli")
-
 
 def _resolve_config(config_path, overrides) -> RunConfig:
     cfg = load_config(config_path) if config_path else RunConfig()
     return apply_overrides(cfg, overrides or ())
 
 
-def _write_manifest(out: Path, command: str, cfg: RunConfig, inputs, outputs) -> None:
+def _write_outputs(out, command: str, cfg: RunConfig, inputs, writers) -> Path:
+    """Create the run directory (default ``runs/<command>``), call each
+    ``{file name: writer(path)}`` in order and write ``manifest.json``
+    listing those files. Commands call it only once their run has
+    succeeded, so a failed command leaves no directory behind."""
+    out_dir = Path(out) if out else Path("runs") / command
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in writers]
+    for path, write in zip(paths, writers.values()):
+        write(path)
     manifest = {
         "command": command,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": cfg.as_dict(),
         "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(p) for p in paths],
     }
-    with open(out / "manifest.json", "w") as fh:
+    with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
-
-
-def _prepare_out(out, command) -> Path:
-    path = Path(out) if out else Path("runs") / command
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return out_dir
 
 
 class _Command(click.Command):
@@ -111,13 +114,12 @@ def synth(config_path, overrides, out, symbol):
         base_price=cfg.base_price,
         bar_interval=cfg.bar_interval,
     )
-    out_dir = _prepare_out(out, "synth")
-    bars_path = out_dir / f"bars_{symbol}.csv"
-    write_bars(series, bars_path)
-    with open(out_dir / "config.txt", "w") as fh:
-        fh.write(format_config(cfg))
-    _write_manifest(out_dir, "synth", cfg, [], [bars_path, out_dir / "config.txt"])
-    click.echo(f"wrote {cfg.n_bars} bars to {bars_path}")
+    bars_name = f"bars_{symbol}.csv"
+    out_dir = _write_outputs(out, "synth", cfg, [], {
+        bars_name: lambda path: write_bars(series, path),
+        "config.txt": lambda path: path.write_text(format_config(cfg)),
+    })
+    click.echo(f"wrote {cfg.n_bars} bars to {out_dir / bars_name}")
 
 
 @main.command(cls=_Command)
@@ -127,7 +129,6 @@ def backtest(config_path, overrides, out, data_path):
     """Run the causal model over one instrument."""
     cfg = _resolve_config(config_path, overrides)
     series = load_bars(data_path, gap_policy=cfg.gap_policy, bar_interval=cfg.bar_interval)
-    out_dir = _prepare_out(out, "backtest")
     trace = SignalEngine(cfg).run(series)
     report = run_backtest(
         TraceSource(trace),
@@ -137,11 +138,11 @@ def backtest(config_path, overrides, out, data_path):
         strategy_name="NSW",
         config=cfg.as_dict(),
     )
-    write_report_json(report, out_dir / "report.json")
-    write_equity(report, out_dir / "equity.csv")
-    write_signals(trace, out_dir / "signals.csv")
-    _write_manifest(out_dir, "backtest", cfg, [data_path],
-                    [out_dir / "report.json", out_dir / "equity.csv", out_dir / "signals.csv"])
+    _write_outputs(out, "backtest", cfg, [data_path], {
+        "report.json": lambda path: write_report_json(report, path),
+        "equity.csv": lambda path: write_equity(report, path),
+        "signals.csv": lambda path: write_signals(trace, path),
+    })
     click.echo(f"final_Z {report.final_z:.4f} over {len(series)} bars "
                f"({len(report.trades)} trades, decision fraction {report.decision_fraction:.4f})")
 
@@ -155,7 +156,6 @@ def parcel(config_path, overrides, out, data_paths):
     cfg = _resolve_config(config_path, overrides)
     series_list = [load_bars(p, gap_policy=cfg.gap_policy, bar_interval=cfg.bar_interval) for p in data_paths]
     horizon = cfg.resolved_horizon(make_wavelet(cfg.wavelet))
-    out_dir = _prepare_out(out, "parcel")
     report = run_parcel_backtest(
         [SignalEngine(cfg) for _ in series_list],
         series_list,
@@ -165,23 +165,19 @@ def parcel(config_path, overrides, out, data_paths):
         cost_bps=cfg.cost_bps,
         config=cfg.as_dict(),
     )
-    write_weights(report, out_dir / "weights.csv")
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(
-            {
-                "symbols": list(report.symbols),
-                "final_Z": report.final_z,
-                "theta": cfg.theta,
-                "rebalances": len(report.weight_trajectory),
-                "instruments": [r.summary() for r in report.instrument_reports],
-                "config": cfg.as_dict(),
-            },
-            fh,
-            indent=2,
-        )
-    write_equity(report, out_dir / "equity.csv")
-    _write_manifest(out_dir, "parcel", cfg, list(data_paths),
-                    [out_dir / "report.json", out_dir / "weights.csv", out_dir / "equity.csv"])
+    summary = {
+        "symbols": list(report.symbols),
+        "final_Z": report.final_z,
+        "theta": cfg.theta,
+        "rebalances": len(report.weight_trajectory),
+        "instruments": [r.summary() for r in report.instrument_reports],
+        "config": cfg.as_dict(),
+    }
+    _write_outputs(out, "parcel", cfg, data_paths, {
+        "report.json": lambda path: path.write_text(json.dumps(summary, indent=2)),
+        "weights.csv": lambda path: write_weights(report, path),
+        "equity.csv": lambda path: write_equity(report, path),
+    })
     click.echo(f"parcel final_Z {report.final_z:.4f} ({len(report.weight_trajectory)} rebalances)")
 
 
@@ -194,14 +190,13 @@ def compare(config_path, overrides, out, data_paths, show_reference):
     """Profitability table: tuned PC/BB/MACD/RSI baselines vs the causal model."""
     cfg = _resolve_config(config_path, overrides)
     series_list = [load_bars(p, gap_policy=cfg.gap_policy, bar_interval=cfg.bar_interval) for p in data_paths]
-    out_dir = _prepare_out(out, "compare")
     table = compare_strategies(series_list, lambda: SignalEngine(cfg), cost_bps=cfg.cost_bps)
     text = table.to_text(show_reference=show_reference)
     click.echo(text)
-    (out_dir / "comparison.txt").write_text(text + "\n")
-    (out_dir / "comparison.json").write_text(table.to_json() + "\n")
-    _write_manifest(out_dir, "compare", cfg, list(data_paths),
-                    [out_dir / "comparison.txt", out_dir / "comparison.json"])
+    _write_outputs(out, "compare", cfg, data_paths, {
+        "comparison.txt": lambda path: path.write_text(text + "\n"),
+        "comparison.json": lambda path: path.write_text(table.to_json() + "\n"),
+    })
 
 
 if __name__ == "__main__":

@@ -124,7 +124,7 @@ class EmptyGrid(UsageError):
     pass
 
 
-class MisalignedSeries(NswError):
+class MisalignedSeries(UsageError):
     pass
 
 

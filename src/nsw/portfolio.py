@@ -20,6 +20,9 @@ from .errors import DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPS
 
 log = logging.getLogger(__name__)
 
+MAX_ITERS = 20000  # ascent iteration cap of optimize_parcel
+
+
 @dataclass(frozen=True)
 class MomentEstimate:
     """Windowed mean log returns (..., M) and their covariances (..., M, M),
@@ -215,12 +218,12 @@ class ParcelResult:
     converged: bool
 
 
-def optimize_parcel(m: MomentEstimate, theta: float, tol=1e-6, max_iters=20000) -> ParcelResult:
+def optimize_parcel(m: MomentEstimate, theta: float, tol=1e-6) -> ParcelResult:
     """Projected gradient ascent of P(theta) from the equal-weight start.
 
     Backtracking keeps every accepted step non-decreasing in the objective;
     termination is on the unit-step gradient-mapping residual
-    ||project(n + grad) - n|| < tol. If the iteration cap is hit the best
+    ||project(n + grad) - n|| < tol. If ``MAX_ITERS`` is hit the best
     iterate comes back flagged.
 
     P is scale-free along rays (Z and sigma are both homogeneous of degree
@@ -263,7 +266,7 @@ def optimize_parcel(m: MomentEstimate, theta: float, tol=1e-6, max_iters=20000) 
     step = 1.0
     converged = False
     iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         g = _gradient(z, sigma, lam_w, x, theta)
         residual = _residual(w, g)
         if residual < tol:

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from nsw.backtest import DECISION_FRACTION_BAND, TraceSource, run_backtest
-from nsw.baselines import IndicatorConfig, IndicatorStrategy, bollinger, channel_extremes, macd_lines, rsi_values, tune_baseline
+from nsw.baselines import IndicatorConfig, IndicatorStrategy, _band_stats, channel_extremes, macd_lines, rsi_values, tune_baseline
 from nsw.cli import main as cli_main
 from nsw.config import RunConfig
 from nsw.errors import NonIntegrable
@@ -252,7 +252,8 @@ def test_criterion_8_baseline_correctness():
     macd_ref = ema_ref(fixture, 5) - ema_ref(fixture, 10)
     worst = max(worst, np.abs(macd - macd_ref).max(), np.abs(sig - ema_ref(macd_ref, 4)).max())
     # BB and PC directly against rolling windows
-    mean, lower, upper = bollinger(fixture, 20, 2.0)
+    mean, sd = _band_stats(fixture, 20)
+    lower, upper = mean - 2.0 * sd, mean + 2.0 * sd  # as the bb rule forms them
     hi, lo = channel_extremes(fixture, 10)
     for t in range(19, 30):
         w = fixture[t - 19 : t + 1]

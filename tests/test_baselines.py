@@ -10,17 +10,16 @@ from nsw.baselines import (
     KINDS,
     IndicatorConfig,
     IndicatorStrategy,
-    bollinger,
+    _band_stats,
     channel_extremes,
     default_grid,
     ema,
-    indicator_signal,
     macd_lines,
     rsi_values,
     tune_baseline,
 )
-from nsw.errors import EmptyGrid, NotWarmedUp, UsageError
-from nsw.signals import Action, Signal
+from nsw.errors import EmptyGrid, UsageError
+from nsw.signals import CODE_SIGNALS, Action, Signal
 from nsw.timeseries import make_ou_price_series
 
 from conftest import series_from_prices
@@ -64,7 +63,7 @@ def _ref_rsi_value(ag, al):
 
 
 def loop_bollinger(prices, lookback, width):
-    """The per-bar band loop bollinger replaced."""
+    """The per-bar band loop _band_stats replaced: (mean, lower, upper)."""
     p = np.asarray(prices, dtype=np.float64)
     mean, lower, upper = (np.full(len(p), np.nan) for _ in range(3))
     for t in range(lookback - 1, len(p)):
@@ -72,6 +71,17 @@ def loop_bollinger(prices, lookback, width):
         mu, sd = w.mean(), w.std()
         mean[t], lower[t], upper[t] = mu, mu - width * sd, mu + width * sd
     return mean, lower, upper
+
+
+def bb_bands(prices, lookback, width):
+    """(mean, lower, upper) as the bb rule of _signal_array forms them from _band_stats."""
+    mean, sd = _band_stats(prices, lookback)
+    return mean, mean - width * sd, mean + width * sd
+
+
+def signal_at(cfg, series, t):
+    """The indicator's action at bar t, from the bars up to t alone."""
+    return CODE_SIGNALS[IndicatorStrategy(cfg).run(series.prefix(t + 1)).codes[-1]].kind
 
 
 def loop_channel_extremes(prices, lookback):
@@ -221,7 +231,7 @@ class TestAgainstLoops:
     @given(prices=price_paths(), lookback=st.integers(2, 45), width=st.floats(0.1, 3.0))
     @settings(max_examples=150, deadline=None)
     def test_bands_equal_loops(self, prices, lookback, width):
-        for got, want in zip(bollinger(prices, lookback, width), loop_bollinger(prices, lookback, width)):
+        for got, want in zip(bb_bands(prices, lookback, width), loop_bollinger(prices, lookback, width)):
             assert np.array_equal(got, want, equal_nan=True)
         for got, want in zip(channel_extremes(prices, lookback), loop_channel_extremes(prices, lookback)):
             assert np.array_equal(got, want, equal_nan=True)
@@ -292,7 +302,7 @@ class TestIndicatorValues:
         assert np.allclose(sig, ref_sig, atol=1e-9)
 
     def test_bollinger_matches_reference(self):
-        mean, lower, upper = bollinger(FIXTURE_30, 20, 2.0)
+        mean, lower, upper = bb_bands(FIXTURE_30, 20, 2.0)
         for t in range(19, 30):
             w = FIXTURE_30[t - 19 : t + 1]
             assert mean[t] == pytest.approx(w.mean(), abs=1e-9)
@@ -306,7 +316,7 @@ class TestIndicatorValues:
             assert lo[t] == min(FIXTURE_30[t - 10 : t])
 
     def test_bb_bands_symmetric(self):
-        mean, lower, upper = bollinger(FIXTURE_30, 10, 1.7)
+        mean, lower, upper = bb_bands(FIXTURE_30, 10, 1.7)
         m = np.isfinite(mean)
         assert np.abs((upper[m] - mean[m]) - (mean[m] - lower[m])).max() < 1e-12
 
@@ -326,7 +336,7 @@ class TestIndicatorSignals:
     def test_rsi_never_buys_on_strict_uptrend(self):
         series = series_from_prices(np.linspace(100, 130, 40))
         cfg = IndicatorConfig("rsi", (14, 30.0, 70.0))
-        sigs = [indicator_signal(cfg, series, t) for t in range(cfg.warmup, 40)]
+        sigs = [signal_at(cfg, series, t) for t in range(cfg.warmup, 40)]
         assert Action.BUY not in sigs
 
     def test_constant_prices_macd_holds(self):
@@ -334,12 +344,12 @@ class TestIndicatorSignals:
         cfg = IndicatorConfig("macd", (12, 26, 9))
         macd, sig = macd_lines(series.prices, 12, 26, 9)
         assert np.allclose(macd, 0.0, atol=0) and np.allclose(sig, 0.0, atol=0)
-        assert all(indicator_signal(cfg, series, t) is Action.HOLD for t in range(cfg.warmup, 60))
+        assert all(signal_at(cfg, series, t) is Action.HOLD for t in range(cfg.warmup, 60))
 
     def test_bb_v_reversal_single_buy(self):
         series = series_from_prices(FIXTURE_30)
         cfg = IndicatorConfig("bb", (20, 2.0))
-        sigs = {t: indicator_signal(cfg, series, t) for t in range(cfg.warmup, 30)}
+        sigs = {t: signal_at(cfg, series, t) for t in range(cfg.warmup, 30)}
         buys = [t for t, s in sigs.items() if s is Action.BUY]
         assert buys == [24]  # exactly one, at the trough bar
 
@@ -347,13 +357,8 @@ class TestIndicatorSignals:
         prices = np.concatenate([100 + np.zeros(12), [101.0], [99.0]])
         series = series_from_prices(prices)
         cfg = IndicatorConfig("pc", (10,))
-        assert indicator_signal(cfg, series, 12) is Action.BUY
-        assert indicator_signal(cfg, series, 13) is Action.SELL
-
-    def test_not_warmed_up(self):
-        series = series_from_prices(FIXTURE_30)
-        with pytest.raises(NotWarmedUp):
-            indicator_signal(IndicatorConfig("rsi", (14, 30.0, 70.0)), series, 5)
+        assert signal_at(cfg, series, 12) is Action.BUY
+        assert signal_at(cfg, series, 13) is Action.SELL
 
     def test_causality_prefix(self):
         series = series_from_prices(FIXTURE_30)

@@ -180,8 +180,11 @@ class TestParcelCmd:
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_bars(a, pa)
         write_bars(b, pb)
-        res = runner.invoke(main, ["parcel", "--data", str(pa), "--data", str(pb), "--out", str(tmp_path / "o")])
-        assert res.exit_code == 1
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["parcel", "--data", str(pa), "--data", str(pb), "--out", str(out)])
+        assert res.exit_code == 2
+        assert "series have different timestamps" in res.output
+        assert not out.exists()
 
 
 class TestCompareCmd:
@@ -317,3 +320,20 @@ class TestBadDataWritesNothing:
         if bad == "missing":
             assert f"bar file not found: {path}" in res.output
         assert not out.exists()
+
+
+class TestManifest:
+    def test_outputs_list_the_run_directory(self, runner, tmp_path):
+        bars = tmp_path / "in" / "bars_SYN.csv"
+        runs = {
+            "synth": ["--set", "n_bars=400"],
+            "backtest": ["--data", str(bars), "--set", "shift_len=16"],
+            "parcel": ["--data", str(bars), "--set", "shift_len=16"],
+            "compare": ["--data", str(bars), "--set", "shift_len=16"],
+        }
+        for command, args in runs.items():
+            out = tmp_path / "in" if command == "synth" else tmp_path / command
+            assert invoke(runner, [command, "--out", str(out), *args]).exit_code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            assert sorted(manifest["outputs"]) == sorted(str(out / name) for name in written), command

@@ -1,8 +1,10 @@
-"""The README's library example runs and ``nsw.__all__`` names only what exists.
+"""The README's library example runs and ``nsw.__all__`` names only what
+exists, each name documented.
 
 A name removed from the package but still used in the first example under
 the README's "Library use" heading, or still listed in ``__all__``, fails
-here.
+here, as does a name of ``__all__`` that the Library use section never
+mentions.
 """
 
 import os
@@ -16,10 +18,14 @@ import nsw
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def library_section() -> str:
+    """The README's text under the Library use heading."""
+    return (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
 def library_example() -> str:
     """The first ```python block under the README's Library use heading."""
-    section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", library_section(), re.S).group(1)
 
 
 def test_readme_library_example_runs():
@@ -34,3 +40,8 @@ def test_readme_library_example_runs():
 def test_all_names_resolve():
     assert [name for name in nsw.__all__ if not hasattr(nsw, name)] == []
     assert len(set(nsw.__all__)) == len(nsw.__all__)
+
+
+def test_all_names_documented():
+    section = library_section()
+    assert [name for name in nsw.__all__ if not re.search(rf"\b{name}\b", section)] == []
