@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
 from .errors import (ILL_CONDITIONED, MESSAGES, NON_FINITE, NON_FINITE_FIT, ZERO_VARIANCE, DegenerateWindow,
                      InvalidStep, WindowTooShort)
@@ -39,12 +38,14 @@ def _term_list(dims, degree):
 
 @lru_cache(maxsize=64)
 def _term_index(terms):
-    """(degree, dimension indices, term orders) of a term list, the index
-    arrays ``_design`` reads its Hermite factors with."""
-    dims, orders = np.arange(len(terms[0])), np.array(terms)
-    dims.setflags(write=False)
-    orders.setflags(write=False)
-    return max(map(sum, terms)), dims, orders
+    """(degree, per-dimension columns) of a term list: entry i of column d is
+    where ``_design`` reads He_{terms[i][d]} of dimension d in a flattened
+    (dims * (degree + 1)) Hermite table."""
+    degree = max(map(sum, terms))
+    columns = tuple(d * (degree + 1) + np.array(orders) for d, orders in enumerate(zip(*terms)))
+    for col in columns:
+        col.setflags(write=False)
+    return degree, columns
 
 
 def _hermite_table(x, degree):
@@ -61,10 +62,14 @@ def _hermite_table(x, degree):
 
 def _design(z, terms) -> np.ndarray:
     """Every basis term at standardized points ``z`` (..., dims) -> (..., n_terms)."""
-    degree, dims, orders = _term_index(terms)
+    degree, columns = _term_index(terms)
     table = _hermite_table(z, degree)  # (..., dims, degree+1)
+    flat = table.reshape(*table.shape[:-2], -1)
     # term i's factors: He_{terms[i][d]} of dimension d, multiplied in order of d
-    return table[..., dims, orders].prod(axis=-1)
+    out = flat[..., columns[0]]
+    for col in columns[1:]:
+        out *= flat[..., col]
+    return out
 
 
 @dataclass(frozen=True)
@@ -200,10 +205,13 @@ def _collapse(terms, mode):
 def drift_polynomial(fit: FitStack, mode=1) -> np.ndarray:
     """Power-series coefficients (ascending) of a one-row stack's drift along
     one mode in raw coordinates, other modes at their means. Diagnostic helper."""
+    # imported on call: numpy.polynomial adds 0.7 MiB to every process that imports nsw
+    from numpy.polynomial import Polynomial, hermite_e
+
     he = (fit.drift[0, mode - 1, :, None] * _collapse(fit.terms, mode)).sum(axis=0)
-    poly_hat = np.polynomial.Polynomial(hermite_e.herme2poly(he))
+    poly_hat = Polynomial(hermite_e.herme2poly(he))
     mu = fit.mean[0, mode - 1]
     sigma = fit.std[0, mode - 1]
-    composed = poly_hat(np.polynomial.Polynomial([-mu / sigma, 1.0 / sigma]))
+    composed = poly_hat(Polynomial([-mu / sigma, 1.0 / sigma]))
     return composed.coef
 

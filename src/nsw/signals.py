@@ -10,7 +10,6 @@ one, the bar is held and marked gated.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -19,15 +18,18 @@ import numpy as np
 
 from .errors import (CONV_NON_INTEGRABLE, GRID_MISMATCH, KS_REJECT, PASS, REASONS, ConfigError, GridMismatch,
                      NonIntegrable, NonPositivePrice, NotWarmedUp, UnsupportedFamily)
-from .sde_fit import fit_windows
-from .stationary import convolution_p_s, ks_quasistationarity, stationary_densities
+from .sde_fit import FitStack, fit_windows
+from .stationary import convolution_p_s, ks_statistic, ks_threshold, stationary_densities
 from .timeseries import PriceSeries
 from .wavelets import coeff_row, make_wavelet, mode_taps, transform
 
-# windows are fitted and synthesized in chunks of about this many density
-# grid nodes (16 windows at n_grid=1024): enough to amortize the per-call cost
-# of the stacked kernels, small enough that peak memory stays flat
+# windows are synthesized in chunks of about this many density grid nodes (16
+# windows at n_grid=1024): enough to amortize the per-call cost of the stacked
+# kernels, small enough that peak memory stays flat
 _CHUNK_CELLS = 16 * 1024
+# windows are fitted this many at a time: the fit's cost per window still
+# falls past 16 windows, while the density's does not and its memory grows
+_FIT_WINDOWS = 32
 
 
 class Action(str, enum.Enum):
@@ -101,56 +103,81 @@ class SignalConfig:
             raise ConfigError(str(exc)) from exc
 
 
+# outcome code of a decided bar: the action, with holds split by the gate flag
+CODE_HOLD, CODE_BUY, CODE_SELL, CODE_GATED = range(4)
+# one shared, immutable Signal per outcome code, for traces that carry no p_s or dy1
+CODE_SIGNALS = (Signal(Action.HOLD, math.nan, math.nan), Signal(Action.BUY, math.nan, math.nan),
+                Signal(Action.SELL, math.nan, math.nan), Signal(Action.HOLD, math.nan, math.nan, gated=True))
+_CODE_ACTIONS = (Action.HOLD, Action.BUY, Action.SELL, Action.HOLD)
+
+
+def _outcome(dy1: float, p_s: float, ks_pass: bool, alpha1: float) -> int:
+    """The outcome code of the purchase/sale rules on one bar's inputs."""
+    if not 0.0 <= p_s <= 1.0:
+        raise ValueError(f"p_s must be in [0, 1], got {p_s}")
+    if not ks_pass:
+        return CODE_GATED
+    if -dy1 > 0 and p_s > 1.0 - alpha1:
+        return CODE_BUY
+    if -dy1 < 0 and p_s < alpha1:
+        return CODE_SELL
+    return CODE_HOLD
+
+
+def _code_signal(code: int, p_s: float, dy1: float) -> Signal:
+    return Signal(_CODE_ACTIONS[code], p_s, dy1, gated=code == CODE_GATED)
+
+
 def decide(dy1: float, p_s: float, ks_pass: bool, cfg: SignalConfig) -> Signal:
     """Apply the purchase/sale rules to one bar's inputs.
 
     Exactly one action comes back; a failed stationarity gate always holds.
     Both inequalities are strict, so dy1 == 0 never trades.
     """
-    if not 0.0 <= p_s <= 1.0:
-        raise ValueError(f"p_s must be in [0, 1], got {p_s}")
-    if not ks_pass:
-        return Signal(Action.HOLD, p_s, dy1, gated=True)
-    if -dy1 > 0 and p_s > 1.0 - cfg.alpha1:
-        return Signal(Action.BUY, p_s, dy1)
-    if -dy1 < 0 and p_s < cfg.alpha1:
-        return Signal(Action.SELL, p_s, dy1)
-    return Signal(Action.HOLD, p_s, dy1)
-
-
-# outcome code of a decided bar: the action, with holds split by the gate flag
-CODE_HOLD, CODE_BUY, CODE_SELL, CODE_GATED = range(4)
-# one shared, immutable Signal per outcome code, for traces that carry no p_s or dy1
-CODE_SIGNALS = (Signal(Action.HOLD, math.nan, math.nan), Signal(Action.BUY, math.nan, math.nan),
-                Signal(Action.SELL, math.nan, math.nan), Signal(Action.HOLD, math.nan, math.nan, gated=True))
-_ACTION_CODES = {Action.HOLD: CODE_HOLD, Action.BUY: CODE_BUY, Action.SELL: CODE_SELL}
+    return _code_signal(_outcome(dy1, p_s, ks_pass, cfg.alpha1), p_s, dy1)
 
 
 class SignalTrace:
     """Per-bar outcomes of bars ``start .. start + n - 1``, fixed when built.
 
-    Built from ``signals``, kept as a tuple, or from ``codes``, one outcome
-    code per bar (``CODE_HOLD``, ``CODE_BUY``, ``CODE_SELL``, ``CODE_GATED``).
-    ``codes`` is the accounting format: a read-only uint8 array, copied or
-    derived once at construction. ``signals`` of a code-built trace is built
-    on first read as a tuple of the shared ``CODE_SIGNALS``.
+    Built from ``signals``, kept as a tuple, or from columns: ``codes``, one
+    outcome code per bar (``CODE_HOLD``, ``CODE_BUY``, ``CODE_SELL``,
+    ``CODE_GATED``), with the bars' ``p_s`` and ``dy1`` or without both.
+    ``codes`` (the accounting format, uint8), ``p_s`` and ``dy1`` are
+    read-only arrays, copied or derived once at construction; a trace built
+    from codes alone has NaN ``p_s`` and ``dy1``. ``signals`` of a
+    column-built trace is built on first read: one ``Signal`` per bar, or
+    the shared ``CODE_SIGNALS`` when the trace has codes alone.
     """
 
-    def __init__(self, start: int, signals=(), *, codes=None):
+    def __init__(self, start: int, signals=(), *, codes=None, p_s=None, dy1=None):
         self.start = start
+        self._signals = None
         if codes is None:
+            if p_s is not None or dy1 is not None:
+                raise ValueError("p_s and dy1 come with codes")
             self._signals = tuple(signals)
-            self._codes = np.array([CODE_GATED if s.gated else _ACTION_CODES[s.kind] for s in self._signals],
-                                   dtype=np.uint8)
+            codes = [CODE_GATED if s.gated else _CODE_ACTIONS.index(s.kind) for s in self._signals]
+            p_s, dy1 = [s.p_s for s in self._signals], [s.dy1 for s in self._signals]
         elif signals:
             raise ValueError("give signals or codes, not both")
+        elif (p_s is None) != (dy1 is None):
+            raise ValueError("give p_s and dy1 together")
+        given = np.asarray(codes)
+        self._codes = given.astype(np.uint8)
+        bad = given[(self._codes != given) | (self._codes > CODE_GATED)]
+        if bad.size:
+            raise ValueError(f"outcome code {bad[0].item()} is not one of 0-3")
+        self._shared = p_s is None  # lazy signals are CODE_SIGNALS
+        n = len(self._codes)
+        if self._shared:
+            self._p_s = self._dy1 = np.full(n, math.nan)
         else:
-            self._signals, given = None, np.asarray(codes)
-            self._codes = given.astype(np.uint8)
-            bad = given[(self._codes != given) | (self._codes > CODE_GATED)]
-            if bad.size:
-                raise ValueError(f"outcome code {bad[0].item()} is not one of 0-3")
-        self._codes.setflags(write=False)
+            self._p_s, self._dy1 = np.array(p_s, dtype=np.float64), np.array(dy1, dtype=np.float64)
+        for col in (self._codes, self._p_s, self._dy1):
+            if col.shape != (n,):
+                raise ValueError(f"{n} codes but a column of shape {col.shape}")
+            col.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, SignalTrace):
@@ -163,12 +190,24 @@ class SignalTrace:
     @property
     def signals(self) -> tuple:
         if self._signals is None:
-            self._signals = tuple(CODE_SIGNALS[c] for c in self._codes.tolist())
+            if self._shared:
+                self._signals = tuple(CODE_SIGNALS[c] for c in self._codes.tolist())
+            else:
+                self._signals = tuple(map(_code_signal, self._codes.tolist(), self._p_s.tolist(),
+                                          self._dy1.tolist()))
         return self._signals
 
     @property
     def codes(self) -> np.ndarray:
         return self._codes
+
+    @property
+    def p_s(self) -> np.ndarray:
+        return self._p_s
+
+    @property
+    def dy1(self) -> np.ndarray:
+        return self._dy1
 
 
 class _Trailing:
@@ -227,9 +266,10 @@ class SignalEngine:
         # one (levels,) row per bar, NaN while unsupported; enough rows for
         # the current and the displaced fit window
         self._coeffs = _Trailing(cfg.calib_len + cfg.shift_len + 1, (cfg.levels,))
-        # (bar, density or None, its DensityStack.status) in slot bar % (shift_len + 1):
+        # (bar, its window's DensityStack, row in it, status) in slot bar % (shift_len + 1):
         # the newest shift_len + 1 densities, enough to reach each decision's displaced one
-        self._densities = [(-1, None, PASS)] * (cfg.shift_len + 1)
+        self._densities = [(-1, None, 0, PASS)] * (cfg.shift_len + 1)
+        self._ks_bound = ks_threshold(cfg.calib_len, cfg.alpha2, cfg.ks_k)  # on a window's mode-1 sample
         self.n_bars = 0
         self.reason_counts = np.zeros(len(REASONS), dtype=np.int64)
 
@@ -266,25 +306,9 @@ class SignalEngine:
         self.extend(price)
         if not self.ready:
             raise NotWarmedUp(f"have {self.n_bars} bars, need {self.min_history}")
-        return self._decide(self._coeffs.window(self.cfg.calib_len + self.cfg.shift_len + 1), self.n_bars - 1)[0]
-
-    def _decide_bar(self, window, d_now, d_shift, reason) -> Signal:
-        """Gate, trade rule and reason count for the bar whose fit window is ``window``;
-        ``reason`` is the first failure code of the windows of ``d_now``/``d_shift``, or 0."""
-        dy1 = float(window[-1, 0] - window[-2, 0])
-        if not reason and self.cfg.density_mode == "convolution":
-            try:
-                p_s = convolution_p_s(d_now, d_shift)
-            except (NonIntegrable, GridMismatch) as exc:
-                reason = GRID_MISMATCH if isinstance(exc, GridMismatch) else CONV_NON_INTEGRABLE
-        elif not reason:
-            p_s = float(d_now.p_s[0])
-        if reason:
-            self.reason_counts[reason] += 1
-            return Signal(Action.HOLD, 0.5, dy1, gated=True)
-        _, ks_pass = ks_quasistationarity(d_now, d_shift, window[:, 0], self.cfg.alpha2, self.cfg.ks_k)
-        self.reason_counts[PASS if ks_pass else KS_REJECT] += 1
-        return decide(dy1, p_s, ks_pass, self.cfg)
+        codes, p_s, dy1 = self._decide(self._coeffs.window(self.cfg.calib_len + self.cfg.shift_len + 1),
+                                       self.n_bars - 1)
+        return _code_signal(codes[0], p_s[0], dy1[0])
 
     def run(self, series: PriceSeries) -> SignalTrace:
         """Drive a whole series: warm up on the prefix, decide every later bar.
@@ -307,45 +331,81 @@ class SignalEngine:
         self._prices.push_all(prices[first:])
         self._coeffs.push_all(rows[first:])
         self.n_bars = len(prices)
-        return SignalTrace(first, self._decide(rows, first))
+        codes, p_s, dy1 = self._decide(rows, first)
+        return SignalTrace(first, codes=codes, p_s=p_s, dy1=dy1)
 
-    def _decide(self, rows, first: int) -> list:
-        """Signals of bars ``first .. n_bars - 1``; ``rows`` are coefficient
-        rows ending at bar ``n_bars - 1``.
+    def _windows(self, rows, base: int, bars):
+        """``(bar, DensityStack, row, status)`` of each bar's fit window, in
+        order, fitted in stacks and synthesized in chunks; ``rows[0]`` is bar ``base``."""
+        cfg = self.cfg
+        chunk = max(1, _CHUNK_CELLS // cfg.n_grid)
+        for lo in range(0, len(bars), _FIT_WINDOWS):
+            part = bars[lo : lo + _FIT_WINDOWS]
+            fits = fit_windows(np.array([rows[t - base - cfg.calib_len + 1 : t - base + 1] for t in part]),
+                               degree=cfg.degree)
+            for c in range(0, len(part), chunk):
+                sl = slice(c, c + chunk)
+                fits_c = fits if len(part) <= chunk else FitStack(fits.terms, fits.degree, *(
+                    a[sl] for a in (fits.mean, fits.std, fits.drift, fits.diff, fits.floor, fits.status)))
+                dens = stationary_densities(fits_c, mode=1, span=cfg.grid_span, n_grid=cfg.n_grid)
+                for i, (t, status) in enumerate(zip(part[sl], dens.status.tolist())):
+                    yield t, dens, i, status
+
+    def _decide(self, rows, first: int) -> tuple:
+        """``(codes, p_s, dy1)`` lists of bars ``first .. n_bars - 1``;
+        ``rows`` are coefficient rows ending at bar ``n_bars - 1``.
 
         The windows to fit are the displaced ones the density ring does not
-        hold yet, then one per decided bar. They are fitted and synthesized
-        in chunks by ``fit_windows`` and ``stationary_densities``; each
-        window's density goes into the ring at its bar's slot, where it
-        serves as the displaced density ``shift_len`` bars later. A ring
-        entry is a view that keeps its whole chunk alive, so displaced
-        windows, which leave the ring sooner, never share a chunk with
-        decided bars."""
+        hold yet, then one per decided bar. Each window's entry goes into the
+        ring at its bar's slot, where it serves as the displaced density
+        ``shift_len`` bars later (which may still be in its chunk), before
+        its bar is decided. A ring entry keeps its whole density chunk alive,
+        so displaced windows, which leave the ring sooner, never share a
+        chunk with decided bars."""
         cfg = self.cfg
         ring, n = len(self._densities), self.n_bars
         base = n - len(rows)  # the bar of rows[0]
+        mode1 = np.ascontiguousarray(rows[:, 0])  # each gate's sample points are a slice of it
+        dy1 = (mode1[first - base : n - base] - mode1[first - base - 1 : n - base - 1]).tolist()
+        convolution = cfg.density_mode == "convolution"
+        counts, codes, p_s = self.reason_counts, [], []
         displaced = range(first - cfg.shift_len, min(first, n - cfg.shift_len))
-        chunk = max(1, _CHUNK_CELLS // cfg.n_grid)
-        signals = []
         for bars in ([t for t in displaced if self._densities[t % ring][0] != t], range(first, n)):
-            for lo in range(0, len(bars), chunk):
-                part = bars[lo : lo + chunk]
-                windows = np.array([rows[t - base - cfg.calib_len + 1 : t - base + 1] for t in part])
-                dens = stationary_densities(fit_windows(windows, degree=cfg.degree), mode=1, span=cfg.grid_span,
-                                            n_grid=cfg.n_grid)
-                for i, (t, reason) in enumerate(zip(part, dens.status.tolist())):
-                    d_now = dens.row(i)
-                    self._densities[t % ring] = (t, d_now, reason)
-                    if t >= first:
-                        _, d_shift, shift_reason = self._densities[(t - cfg.shift_len) % ring]
-                        signals.append(self._decide_bar(windows[i], d_now, d_shift, reason or shift_reason))
-        return signals
+            for entry in self._windows(rows, base, bars):
+                t, dens, i, reason = entry
+                self._densities[t % ring] = entry
+                if t < first:
+                    continue
+                _, d_shift, j, shift_reason = self._densities[(t - cfg.shift_len) % ring]
+                reason = reason or shift_reason
+                if not reason and convolution:
+                    try:
+                        p = convolution_p_s(dens.row(i), d_shift.row(j))
+                    except (NonIntegrable, GridMismatch) as exc:
+                        reason = GRID_MISMATCH if isinstance(exc, GridMismatch) else CONV_NON_INTEGRABLE
+                elif not reason:
+                    p = float(dens.p_s[i])
+                if reason:
+                    counts[reason] += 1
+                    codes.append(CODE_GATED)
+                    p_s.append(0.5)
+                    continue
+                end = t - base + 1
+                ks_pass = ks_statistic(mode1[end - cfg.calib_len : end], dens.grid[i], dens.cdf[i], d_shift.grid[j],
+                                       d_shift.cdf[j]) < self._ks_bound
+                counts[PASS if ks_pass else KS_REJECT] += 1
+                codes.append(_outcome(dy1[t - first], p, ks_pass, cfg.alpha1))
+                p_s.append(p)
+        return codes, p_s, dy1
 
 
 def write_signals(trace: SignalTrace, path) -> None:
-    """Signal log, one row per decided bar: ``t,kind,p_s,dy1,gated``."""
+    """Signal log, one row per decided bar: ``t,kind,p_s,dy1,gated``, written
+    from the trace's columns as one text (csv.writer's rows: no field needs
+    quoting, lines end in CRLF)."""
+    fields = [(_CODE_ACTIONS[c].value, int(c == CODE_GATED)) for c in range(4)]
+    rows = [f"{t},{fields[c][0]},{p!r},{d!r},{fields[c][1]}\r\n"
+            for t, c, p, d in zip(range(trace.start, trace.start + len(trace.codes)), trace.codes.tolist(),
+                                  trace.p_s.tolist(), trace.dy1.tolist())]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "kind", "p_s", "dy1", "gated"])
-        for i, s in enumerate(trace.signals):
-            w.writerow([trace.start + i, s.kind.value, repr(float(s.p_s)), repr(float(s.dy1)), int(s.gated)])
+        fh.write("t,kind,p_s,dy1,gated\r\n" + "".join(rows))

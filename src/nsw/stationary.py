@@ -92,12 +92,11 @@ def _linspace_rows(lo, hi, n):
     """Row i is ``np.linspace(lo[i], hi[i], n)`` bit for bit, in C order (the
     transposed view of ``linspace(axis=1)`` makes row sums depend on B); a
     row whose step underflows to 0 is lo[i] up to a last hi[i]."""
-    # linspace's arithmetic in its own (n, B) layout, then one C-order copy (a
-    # no-op at B = 1); built row-major, run() measured 0.3 MiB more peak memory
-    grid = np.arange(n, dtype=np.float64)[:, None] * ((hi - lo) / (n - 1))
-    grid += lo
-    grid[-1] = hi
-    return np.ascontiguousarray(grid.T)
+    # linspace's arithmetic (index * step + lo, then the exact end point), row by row
+    grid = ((hi - lo) / (n - 1))[:, None] * np.arange(n, dtype=np.float64)
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
 
 
 @lru_cache(maxsize=16)
@@ -226,6 +225,21 @@ def ks_threshold_constant(alpha: float) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / 2.0)
 
 
+def ks_threshold(n: int, alpha2=0.05, k_override=None) -> float:
+    """The gate's bound k(alpha2)/sqrt(n) on the statistic of ``n`` sample points;
+    ``k_override`` replaces k(alpha2). Raises TooFewPoints below 8 points."""
+    if n < 8:
+        raise TooFewPoints(f"need at least 8 sample points, got {n}")
+    k = ks_threshold_constant(alpha2) if k_override is None else float(k_override)
+    return k / math.sqrt(n)
+
+
+def ks_statistic(pts, grid_now, cdf_now, grid_shifted, cdf_shifted) -> float:
+    """Max absolute difference of two gridded CDFs at the points ``pts``, each
+    CDF interpolated on its own grid and clamped to [0, 1] off it."""
+    return float(np.abs(np.interp(pts, grid_now, cdf_now) - np.interp(pts, grid_shifted, cdf_shifted)).max())
+
+
 def ks_quasistationarity(d_now: DensityStack, d_shifted: DensityStack, sample_points, alpha2=0.05, k_override=None):
     """Compare the CDFs of two one-row stacks at the given sample points.
 
@@ -235,11 +249,6 @@ def ks_quasistationarity(d_now: DensityStack, d_shifted: DensityStack, sample_po
     used k of about 1.
     """
     pts = np.asarray(sample_points, dtype=np.float64)
-    n = len(pts)
-    if n < 8:
-        raise TooFewPoints(f"need at least 8 sample points, got {n}")
-    cdf_now = np.interp(pts, d_now.grid[0], d_now.cdf[0])  # clamped to [0, 1] off the grid
-    stat = float(np.max(np.abs(cdf_now - np.interp(pts, d_shifted.grid[0], d_shifted.cdf[0]))))
-    k = ks_threshold_constant(alpha2) if k_override is None else float(k_override)
-    return stat, bool(stat < k / math.sqrt(n))
-
+    threshold = ks_threshold(len(pts), alpha2, k_override)
+    stat = ks_statistic(pts, d_now.grid[0], d_now.cdf[0], d_shifted.grid[0], d_shifted.cdf[0])
+    return stat, bool(stat < threshold)

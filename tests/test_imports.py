@@ -1,4 +1,5 @@
-"""The package runs on numpy and click alone: no scipy module is loaded.
+"""The package runs on numpy and click alone: no scipy module is loaded, and
+importing it loads no numpy module that only a diagnostic helper uses.
 
 Each check runs in a fresh interpreter so the test process's own imports
 (the tests use scipy as an oracle) do not leak in.
@@ -104,3 +105,12 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     nsw("parcel", "--out", str(tmp_path / "pc"), "--set", "wavelet=bl2", "--set", "rebalance_len=64", *bars)
     report = json.loads((tmp_path / "pc" / "report.json").read_text())
     assert report["rebalances"] > 0
+
+
+def test_import_loads_no_numpy_polynomial():
+    # only drift_polynomial uses numpy.polynomial, and it imports it when called
+    probe = ("import sys; import nsw, nsw.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

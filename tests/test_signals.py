@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from nsw import signals
 from nsw.errors import KS_REJECT, MESSAGES, PASS, REASONS, DegenerateWindow, GridMismatch, NonIntegrable, NotWarmedUp
 from nsw.sde_fit import fit_model, fit_windows
 from nsw.signals import Action, Signal, SignalConfig, SignalEngine, SignalTrace, decide, write_signals
-from nsw.stationary import convolution_p_s, ks_quasistationarity, stationary_density
+from nsw.stationary import convolution_p_s, ks_quasistationarity, ks_statistic, stationary_density
 from nsw.timeseries import make_ou_price_series
 from nsw.wavelets import make_wavelet, transform
 
@@ -158,32 +160,40 @@ def assert_same_state(a, b):
     assert np.array_equal(a._prices.window(a._support), b._prices.window(b._support))
     rows = a.cfg.calib_len + a.cfg.shift_len + 1
     assert np.array_equal(a._coeffs.window(rows), b._coeffs.window(rows), equal_nan=True)
-    assert [(bar, reason) for bar, _, reason in a._densities] == [(bar, reason) for bar, _, reason in b._densities]
-    for (bar, da, _), (_, db, _) in zip(a._densities, b._densities):
+    assert [(bar, reason) for bar, _, _, reason in a._densities] == [(bar, reason) for bar, _, _, reason in b._densities]
+    for (bar, da, i, _), (_, db, j, _) in zip(a._densities, b._densities):
+        da, db = da and da.row(i), db and db.row(j)
         assert (da is None) == (db is None), bar
         assert da is None or (da.p_s == db.p_s and np.array_equal(da.pdf, db.pdf)), bar
 
 
-# windows per run() chunk at the default 1024-node grid
+# windows per run() fit stack, and per density chunk at the default 1024-node grid
+FIT = signals._FIT_WINDOWS
 CHUNK = signals._CHUNK_CELLS // 1024
+
+
+# displacements below a density chunk, so a bar's displaced density can be in
+# its own chunk, and above it
+shift_lens = st.integers(1, CHUNK - 1) | st.integers(CHUNK + 1, 2 * CHUNK)
 
 
 @st.composite
 def batch_cases(draw):
     """A small engine config and a series: the edge lengths (shorter than
     the wavelet support, min_history - 1, min_history) or one whose windows
-    straddle several run() chunks, sometimes with a flat stretch that leaves
+    straddle several run() fit stacks and density chunks, with a shift_len
+    below or above the chunk, sometimes with a flat stretch that leaves
     windows rank-deficient or of zero variance."""
     cfg = SignalConfig(
         calib_len=32,
-        shift_len=draw(st.integers(1, 12)),
+        shift_len=draw(shift_lens),
         wavelet=draw(st.sampled_from(["haar", "db2"])),
         degree=draw(st.integers(1, 3)),
         density_mode=draw(st.sampled_from(["plain", "convolution"])),
     )
     eng = SignalEngine(cfg)
     edges = [2, eng.filter.support_at(cfg.levels) - 1, eng.min_history - 1, eng.min_history]
-    n = draw(st.sampled_from(edges) | st.integers(eng.min_history + 1, eng.min_history + 3 * CHUNK))
+    n = draw(st.sampled_from(edges) | st.integers(eng.min_history + 1, eng.min_history + 3 * FIT))
     prices = make_ou_price_series(n, seed=draw(st.integers(0, 10_000)), rate=0.05, vol=0.02).prices.copy()
     if draw(st.booleans()):
         lo = draw(st.integers(0, n - 1))
@@ -254,12 +264,13 @@ class TestEngine:
         assert full.signals[:overlap] == prefix.signals
 
     @given(rate=st.floats(0.002, 0.2), vol=st.floats(0.002, 0.05), seed=st.integers(0, 10_000),
-           n=st.integers(48, 48 + 3 * CHUNK), cut=st.integers(2, 48 + 3 * CHUNK))
+           shift_len=shift_lens, n=st.integers(1, 3 * FIT), cut=st.integers(2, 8 + 32 + 2 * CHUNK - 1 + 3 * FIT))
     @settings(max_examples=20, deadline=None)
-    def test_causality_prefix_property(self, rate, vol, seed, n, cut):
+    def test_causality_prefix_property(self, rate, vol, seed, shift_len, n, cut):
         # a prefix's decisions are the full run's, bit for bit, wherever the
-        # last run() chunk ends
-        cfg = SignalConfig(calib_len=32, shift_len=8)
+        # last run() fit stack and density chunk end
+        cfg = SignalConfig(calib_len=32, shift_len=shift_len)
+        n += SignalEngine(cfg).min_history  # up to min_history + 3 fit stacks
         series = make_ou_price_series(n, seed=seed, rate=rate, vol=vol)
         full = SignalEngine(cfg).run(series)
         prefix = SignalEngine(cfg).run(series.prefix(min(cut, n)))
@@ -295,25 +306,29 @@ class TestEngine:
         # its own window
         series = make_ou_price_series(600, seed=2, rate=0.05, vol=0.02)
         eng = small_engine()
+        coeffs = transform(series, make_wavelet("haar"), 2)
+        decided = range(eng.min_history - 1, 600)
+        densities = {t: window_density(eng.cfg, coeffs, t)[0] for t in range(decided[0] - 8, 600)}
+        tested = [t for t in decided if densities[t] is not None and densities[t - 8] is not None]
         fitted, compared = [0], []
 
         def counting_fit(windows, *args, **kw):
             fitted[0] += len(windows)
             return fit_windows(windows, *args, **kw)
 
-        def recording_ks(d_now, d_shift, *args, **kw):
-            compared.append(d_shift)
-            return ks_quasistationarity(d_now, d_shift, *args, **kw)
+        def recording_ks(pts, grid_now, cdf_now, grid_shifted, cdf_shifted):
+            # the gate of the next tested bar reads its displaced ring entry's grid row
+            _, dens, row, _ = eng._densities[(tested[len(compared)] - 8) % len(eng._densities)]
+            compared.append(dens.row(row))
+            assert np.array_equal(grid_shifted, compared[-1].grid[0]) and np.array_equal(cdf_shifted, compared[-1].cdf[0])
+            return ks_statistic(pts, grid_now, cdf_now, grid_shifted, cdf_shifted)
 
         monkeypatch.setattr(signals, "fit_windows", counting_fit)
-        monkeypatch.setattr(signals, "ks_quasistationarity", recording_ks)
+        monkeypatch.setattr(signals, "ks_statistic", recording_ks)
         trace = eng.run(series)
         assert fitted[0] == len(trace.signals) + 8
+        assert range(trace.start, trace.start + len(trace.signals)) == decided
 
-        coeffs = transform(series, make_wavelet("haar"), 2)
-        decided = range(trace.start, trace.start + len(trace.signals))
-        densities = {t: window_density(eng.cfg, coeffs, t)[0] for t in range(trace.start - 8, decided[-1] + 1)}
-        tested = [t for t in decided if densities[t] is not None and densities[t - 8] is not None]
         assert len(compared) == len(tested)
         for t, dens in zip(tested, compared):
             assert dens.p_s == densities[t - 8].p_s and np.array_equal(dens.pdf, densities[t - 8].pdf), t
@@ -446,6 +461,42 @@ class TestEngine:
         short, long = retained(2_000), retained(20_000)
         assert long - short < 4096, (short, long)
 
+    def test_trace_columns_build_step_signals(self):
+        # run()'s trace keeps codes, p_s and dy1 as read-only columns; its
+        # signals, built on first read, are the Signals step() returns
+        cfg = SignalConfig(calib_len=32, shift_len=8, density_mode="convolution")
+        series = make_ou_price_series(300, seed=5, rate=0.05, vol=0.02)
+        trace = SignalEngine(cfg).run(series)
+        assert trace._signals is None
+        stepped = stream(SignalEngine(cfg), series.prices).signals
+        assert len(trace.signals) == len(stepped) > 0
+        for s, want in zip(trace.signals, stepped):
+            assert (s.kind, s.p_s, s.dy1, s.gated) == (want.kind, want.p_s, want.dy1, want.gated)
+        assert trace.codes.tolist() == [signals.CODE_GATED if s.gated else
+                                        [Action.HOLD, Action.BUY, Action.SELL].index(s.kind) for s in stepped]
+        assert trace.p_s.tolist() == [s.p_s for s in stepped] and trace.dy1.tolist() == [s.dy1 for s in stepped]
+        for col in (trace.codes, trace.p_s, trace.dy1):
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 0
+
+    @pytest.mark.parametrize("kw", [dict(p_s=[0.5]), dict(codes=[0], p_s=[0.5]), dict(codes=[0], dy1=[0.1]),
+                                    dict(codes=[0, 1], p_s=[0.5], dy1=[0.1, 0.2])])
+    def test_trace_columns_need_codes_and_each_other(self, kw):
+        with pytest.raises(ValueError):
+            SignalTrace(0, **kw)
+
+    @pytest.mark.parametrize("trace", [
+        SignalTrace(3, [Signal(Action.BUY, 0.97, -0.25), Signal(Action.HOLD, 0.5, 1e-300, gated=True),
+                        Signal(Action.SELL, 0.0, 3.0), Signal(Action.HOLD, 1.0, -0.0)]),
+        SignalTrace(0, codes=[0, 1, 2, 3]),
+        SignalTrace(7),
+    ])
+    def test_write_signals_bytes(self, tmp_path, trace):
+        # the columns' one text is the csv.writer loop over the signals, byte for byte
+        write_signals(trace, tmp_path / "sig.csv")
+        assert (tmp_path / "sig.csv").read_bytes() == csv_signals(trace)
+
     def test_write_signals(self, tmp_path):
         series = series_from_prices(np.full(60, 12.0))
         trace = small_engine().run(series)
@@ -454,3 +505,17 @@ class TestEngine:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,kind,p_s,dy1,gated"
         assert len(lines) == len(trace.signals) + 1
+        series = make_ou_price_series(400, seed=9, rate=0.05, vol=0.02)
+        trace = small_engine(density_mode="convolution").run(series)
+        write_signals(trace, path)
+        assert path.read_bytes() == csv_signals(trace)
+
+
+def csv_signals(trace) -> bytes:
+    """The signal log as a csv.writer loop over ``trace.signals`` writes it."""
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(["t", "kind", "p_s", "dy1", "gated"])
+    for i, s in enumerate(trace.signals):
+        w.writerow([trace.start + i, s.kind.value, repr(float(s.p_s)), repr(float(s.dy1)), int(s.gated)])
+    return out.getvalue().encode()
