@@ -201,6 +201,16 @@ class TestCompareCmd:
         assert payload["columns"][-1] == "NSW"
         assert payload["rows"][0]["instrument"] == "CMP"
 
+    def test_synth_symbol_names_the_instrument(self, runner, tmp_path):
+        # synth writes bars_S1.csv; the series it loads back is named S1
+        assert invoke(runner, ["synth", "--out", str(tmp_path / "s"), "--set", "n_bars=600",
+                               "--symbol", "S1"]).exit_code == 0
+        out = tmp_path / "cc"
+        res = invoke(runner, ["compare", "--data", str(tmp_path / "s" / "bars_S1.csv"), "--out", str(out)])
+        assert res.exit_code == 0
+        payload = json.loads((out / "comparison.json").read_text())
+        assert [row["instrument"] for row in payload["rows"]] == ["S1"]
+
 
 class TestConfigFile:
     def test_config_file_plus_override(self, runner, tmp_path):

@@ -1,7 +1,14 @@
 import csv
+import errno
 import gc
 import io
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -509,6 +516,154 @@ class TestEngine:
         trace = small_engine(density_mode="convolution").run(series)
         write_signals(trace, path)
         assert path.read_bytes() == csv_signals(trace)
+
+
+SPLITS = sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that called ``os.fork`` (a child's own forks are not seen)."""
+    seen, fork = [], os.fork
+
+    def counting_fork():
+        seen.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return seen
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not SPLITS, reason="run() forks only on Linux with 2 or more CPUs")
+class TestSplitRun:
+    """``run()`` decides the first half of a long series in one forked child."""
+
+    @pytest.mark.parametrize("n, seed, cfg", [
+        (5000, 1, SignalConfig(shift_len=16)),
+        (4000, 1001, SignalConfig(shift_len=64, density_mode="convolution")),
+    ])
+    def test_split_run_equals_step(self, forks, n, seed, cfg):
+        prices = make_ou_price_series(n + 40, seed=seed, **REFERENCE_SYNTH).prices
+        eng, live = SignalEngine(cfg), SignalEngine(cfg)
+        trace = eng.run(series_from_prices(prices[:n]))
+        assert forks == [os.getpid()]
+        assert_no_child()
+        stepped = stream(live, prices[:n])
+        assert trace.start == stepped.start
+        for col in ("codes", "p_s", "dy1"):
+            assert np.array_equal(getattr(trace, col), getattr(stepped, col)), col
+        assert eng.reason_counts.tolist() == live.reason_counts.tolist()
+        assert [eng.step(price) for price in prices[n:]] == [live.step(price) for price in prices[n:]]
+        assert_same_state(eng, live)
+
+    @pytest.mark.parametrize("where", [("head",), ("tail",), ("head", "tail")])
+    def test_error_surfaces_head_first(self, forks, monkeypatch, where):
+        # a ValueError at one bar of either half surfaces from run() with its
+        # message, the head bar's when both raise, and leaves no child behind
+        eng = small_engine()
+        series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
+        trace = small_engine().run(series)
+        # the last head bar and the first tail bar whose trade rule runs (a
+        # degenerate bar's p_s is 0.5 exactly, and it skips the rule)
+        ruled, half = np.flatnonzero(trace.p_s != 0.5), len(trace.codes) // 2
+        bars = {"head": ruled[ruled < half][-1], "tail": ruled[ruled >= half][0]}
+        raise_at = {trace.dy1[bars[name]]: name for name in where}
+        outcome = signals._outcome
+
+        def failing_outcome(dy1, *args):
+            if dy1 in raise_at:
+                raise ValueError(f"injected at the {raise_at[dy1]} bar")
+            return outcome(dy1, *args)
+
+        forks.clear()
+        monkeypatch.setattr(signals, "_outcome", failing_outcome)
+        with pytest.raises(ValueError, match=f"injected at the {where[0]} bar"):
+            eng.run(series)
+        assert forks == [os.getpid()]
+        assert_no_child()
+
+    def test_interrupt_kills_child(self, forks, monkeypatch):
+        # an interrupt in this process's half stops the child, which would
+        # take a minute, instead of waiting for it
+        series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
+
+        def interrupted(self, rows, first):
+            if os.getpid() == forks[0]:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(SignalEngine, "_decide", interrupted)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            small_engine().run(series)
+        assert time.monotonic() - t0 < 30
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_sigchld_ignored(self, forks):
+        # with SIGCHLD ignored the kernel reaps the child, and waitpid finds none
+        series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
+        want = small_engine()
+        want_trace = stream(want, series.prices)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            eng = small_engine()
+            trace = eng.run(series)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 1
+        assert trace.signals == want_trace.signals
+        assert_same_state(eng, want)
+
+    def test_failed_fork_keeps_one_process(self, monkeypatch):
+        series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
+        want = small_engine().run(series)
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = os.listdir("/proc/self/fd")
+        assert small_engine().run(series) == want
+        assert os.listdir("/proc/self/fd") == fds
+
+    def test_fork_warning_is_not_raised(self, forks, monkeypatch):
+        # Python 3.12+ warns on a fork beside other OS threads (OpenBLAS's
+        # pool), and the test run turns DeprecationWarnings into errors
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
+        assert len(small_engine().run(series).codes) == 2400 - small_engine().min_history + 1
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_threaded_caller_keeps_one_process(self, forks):
+        series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            threaded = small_engine().run(series)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+        assert threaded == small_engine().run(series)
+        assert len(forks) == 1
 
 
 def csv_signals(trace) -> bytes:

@@ -37,6 +37,13 @@ class TestLoadBars:
         assert s.bar_interval == 60.0
         assert s.prices[1] == 1.1
 
+    @pytest.mark.parametrize("name, symbol", [("bars_S1.csv", "S1"), ("SYN-A.csv", "SYN-A"), ("bars_.csv", "bars_"),
+                                              ("my_bars_X.txt", "my_bars_X")])
+    def test_named_after_stem_without_synth_prefix(self, tmp_path, name, symbol):
+        p = _write(tmp_path, "timestamp,price\n0,1.0\n60,1.1\n", name)
+        assert load_bars(p).symbol == symbol
+        assert load_bars(p, symbol="GIVEN").symbol == "GIVEN"
+
     def test_negative_price_row_index(self, tmp_path):
         p = _write(tmp_path, "timestamp,price\n0,1.0\n60,1.1\n120,-1\n180,1.2\n")
         with pytest.raises(NonPositivePrice) as exc:
