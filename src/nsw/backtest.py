@@ -167,7 +167,6 @@ class ParcelReport:
     equity: np.ndarray
     weight_trajectory: tuple
     instrument_reports: tuple
-    config: dict = field(default_factory=dict)
 
     @property
     def final_z(self) -> float:
@@ -181,7 +180,6 @@ def run_parcel_backtest(
     rebalance_len: int,
     horizon: int,
     cost_bps: float = 0.0,
-    config: dict | None = None,
 ) -> ParcelReport:
     """Per-instrument runs plus periodic weight re-optimization.
 
@@ -235,7 +233,6 @@ def run_parcel_backtest(
         equity=parcel,
         weight_trajectory=tuple(trajectory),
         instrument_reports=tuple(reports),
-        config=dict(config or {}),
     )
 
 

@@ -163,7 +163,6 @@ def parcel(config_path, overrides, out, data_paths):
         rebalance_len=cfg.rebalance_len,
         horizon=horizon,
         cost_bps=cfg.cost_bps,
-        config=cfg.as_dict(),
     )
     summary = {
         "symbols": list(report.symbols),

@@ -11,7 +11,6 @@ one, the bar is held and marked gated.
 from __future__ import annotations
 
 import contextlib
-import copy
 import enum
 import math
 import os
@@ -269,6 +268,8 @@ class SignalEngine:
     bit. Only the newest bars a decision reads are kept, so memory stays fixed.
     """
 
+    name = "NSW"  # the strategy label of its backtest reports
+
     def __init__(self, cfg: SignalConfig = SignalConfig()):
         self.cfg = cfg
         self.filter = make_wavelet(cfg.wavelet)
@@ -319,9 +320,11 @@ class SignalEngine:
         self.extend(price)
         if not self.ready:
             raise NotWarmedUp(f"have {self.n_bars} bars, need {self.min_history}")
-        codes, p_s, dy1 = self._decide(self._coeffs.window(self.cfg.calib_len + self.cfg.shift_len + 1),
-                                       self.n_bars - 1)
-        return _code_signal(codes[0], p_s[0], dy1[0])
+        window = self._coeffs.window(self.cfg.calib_len + self.cfg.shift_len + 1)
+        code, reason, p_s, dy1 = self._decide(window, self.n_bars - len(window), self.n_bars - 1,
+                                              self._densities)[:, 0].tolist()
+        self.reason_counts[int(reason)] += 1
+        return _code_signal(int(code), p_s, dy1)
 
     def run(self, series: PriceSeries) -> SignalTrace:
         """Drive a whole series: warm up on the prefix, decide every later bar.
@@ -329,15 +332,16 @@ class SignalEngine:
         The engine takes the series' first ``n_bars`` bars as the ones it has
         already been fed. The batch path: the coefficient rows of the whole
         series come from one ``transform``, and ``_decide`` fits and decides
-        every later bar in chunks. Signals, ``reason_counts`` and the
-        engine state left behind equal those of feeding the same bars through
-        ``extend`` and ``step``, so a live feed can go on with ``step``
-        afterwards.
+        every later bar in chunks; ``reason_counts`` grows by the count of
+        its columns' reasons. Signals, ``reason_counts`` and the engine state
+        left behind equal those of feeding the same bars through ``extend``
+        and ``step``, so a live feed can go on with ``step`` afterwards.
 
         On Linux, with a second CPU in the process's affinity set, no other
         Python thread alive and at least ``_MIN_PART`` decided bars in each
-        half, ``run`` decides the first half in one forked child while this
-        process decides the second (``_decide_split``). The outputs stay bit
+        half, ``run`` decides the first half in one forked child, on a
+        snapshot of the density ring, while this process decides the second
+        (``_decide_split``). The outputs stay bit
         for bit the same: every window's fit and density are the same
         whatever stack computes them, and each decision reads only its own
         window's and its displaced window's. Threaded callers, other
@@ -355,27 +359,24 @@ class SignalEngine:
         n = self.n_bars = len(prices)
         mid = (first + n) // 2
         if min(mid - first, n - mid) >= _MIN_PART and _can_fork():
-            codes, p_s, dy1 = self._decide_split(rows, first, mid)
+            codes, reasons, p_s, dy1 = self._decide_split(rows, first, mid)
         else:
-            codes, p_s, dy1 = self._decide(rows, first)
+            codes, reasons, p_s, dy1 = self._decide(rows, 0, first, self._densities)
+        self.reason_counts += np.bincount(reasons.astype(np.intp), minlength=len(REASONS))
         return SignalTrace(first, codes=codes, p_s=p_s, dy1=dy1)
 
-    def _decide_split(self, rows, first: int, mid: int) -> tuple:
-        """``_decide(rows, first)``'s columns, bars ``first .. mid - 1``
+    def _decide_split(self, rows, first: int, mid: int) -> np.ndarray:
+        """``_decide(rows, 0, first, self._densities)``, bars ``first .. mid - 1``
         decided in a forked child while this process decides the rest.
 
-        The child decides on ``head``, a copy of the engine as the run found
-        it (its own list of the ring, zeroed counts, ``n_bars = mid``), and
-        sends its columns and counts back as raw float64 bytes. This process's
-        ``_decide`` from ``mid`` fits the displaced windows before ``mid``
-        itself, so its ring, counts and ``n_bars`` end where a one-process run
-        leaves them. If the child fails, ``head`` decides its bars here: an
-        error then surfaces as in one process, a head bar's first."""
-        head = copy.copy(self)
-        head._densities, head.n_bars = list(self._densities), mid
-        head.reason_counts = np.zeros_like(self.reason_counts)
-        m = mid - first
-        size = 8 * (3 * m + len(head.reason_counts))
+        The child decides on ``ring``, a snapshot of the density ring as the
+        run found it, and sends back only its ``(4, mid - first)`` float64
+        columns. This process's ``_decide`` from ``mid`` fits the displaced
+        windows before ``mid`` itself, so its ring ends where a one-process
+        run leaves it. If the child fails, the head is decided here on
+        ``ring``: an error then surfaces as in one process, a head bar's
+        first."""
+        ring, size = list(self._densities), 4 * 8 * (mid - first)  # four float64 rows
         r, w = os.pipe()
         try:
             with warnings.catch_warnings():
@@ -386,14 +387,13 @@ class SignalEngine:
         except OSError:  # no process to spare: decide every bar here
             os.close(r)
             os.close(w)
-            return self._decide(rows, first)
+            return self._decide(rows, 0, first, self._densities)
         if pid == 0:
             status = 1
             try:
                 os.close(r)
                 with open(w, "wb") as fh:
-                    fh.write(np.concatenate((*head._decide(rows[:mid], first), head.reason_counts),
-                                            dtype=np.float64).tobytes())
+                    fh.write(self._decide(rows[:mid], 0, first, ring).tobytes())
                 status = 0
             finally:
                 os._exit(status)
@@ -402,7 +402,7 @@ class SignalEngine:
         try:
             with open(r, "rb") as fh:
                 try:
-                    tail = self._decide(rows, mid)
+                    tail = self._decide(rows, 0, mid, self._densities)
                 except Exception as exc:  # a head bar's error, if any, comes first
                     error = exc
                 sent = fh.read(size)
@@ -416,15 +416,10 @@ class SignalEngine:
                     sent = b""
             except ChildProcessError:  # SIGCHLD is ignored: the child reaped itself, and a short read tells a failure
                 pass
-        if len(sent) == size:
-            cols = np.frombuffer(sent)
-            head_cols, head_counts = cols[: 3 * m].reshape(3, m), cols[3 * m :]
-        else:
-            head_cols, head_counts = head._decide(rows[:mid], first), head.reason_counts
+        head = np.frombuffer(sent).reshape(4, -1) if len(sent) == size else self._decide(rows[:mid], 0, first, ring)
         if error is not None:
             raise error
-        self.reason_counts += head_counts.astype(np.int64)
-        return tuple(np.concatenate(pair) for pair in zip(head_cols, tail))
+        return np.concatenate((head, tail), axis=1)
 
     def _windows(self, rows, base: int, bars):
         """``(bar, DensityStack, row, status)`` of each bar's fit window, in
@@ -443,32 +438,34 @@ class SignalEngine:
                 for i, (t, status) in enumerate(zip(part[sl], dens.status.tolist())):
                     yield t, dens, i, status
 
-    def _decide(self, rows, first: int) -> tuple:
-        """``(codes, p_s, dy1)`` lists of bars ``first .. n_bars - 1``;
-        ``rows`` are coefficient rows ending at bar ``n_bars - 1``.
+    def _decide(self, rows, base: int, first: int, ring: list) -> np.ndarray:
+        """``codes, reasons, p_s, dy1`` of bars ``first .. n - 1``, the rows of
+        one float64 array; ``rows`` are coefficient rows of bars ``base ..
+        n - 1``. A bar's reason is its code of ``nsw.errors.REASONS``; a
+        degenerate bar reads gated, with ``p_s = 0.5``.
 
-        The windows to fit are the displaced ones the density ring does not
-        hold yet, then one per decided bar. Each window's entry goes into the
-        ring at its bar's slot, where it serves as the displaced density
-        ``shift_len`` bars later (which may still be in its chunk), before
-        its bar is decided. A ring entry keeps its whole density chunk alive,
-        so displaced windows, which leave the ring sooner, never share a
-        chunk with decided bars."""
+        ``ring`` is a density ring (``_densities`` or a snapshot of it), and
+        nothing else changes. The windows to fit are the displaced ones the
+        ring does not hold yet, then one per decided bar. Each window's entry
+        goes into the ring at its bar's slot, where it serves as the displaced
+        density ``shift_len`` bars later (which may still be in its chunk),
+        before its bar is decided. A ring entry keeps its whole density chunk
+        alive, so displaced windows, which leave the ring sooner, never share
+        a chunk with decided bars."""
         cfg = self.cfg
-        ring, n = len(self._densities), self.n_bars
-        base = n - len(rows)  # the bar of rows[0]
+        slots, n = len(ring), base + len(rows)
         mode1 = np.ascontiguousarray(rows[:, 0])  # each gate's sample points are a slice of it
         dy1 = (mode1[first - base : n - base] - mode1[first - base - 1 : n - base - 1]).tolist()
+        codes, reasons, p_s = [CODE_GATED] * len(dy1), [PASS] * len(dy1), [0.5] * len(dy1)
         convolution = cfg.density_mode == "convolution"
-        counts, codes, p_s = self.reason_counts, [], []
         displaced = range(first - cfg.shift_len, min(first, n - cfg.shift_len))
-        for bars in ([t for t in displaced if self._densities[t % ring][0] != t], range(first, n)):
+        for bars in ([t for t in displaced if ring[t % slots][0] != t], range(first, n)):
             for entry in self._windows(rows, base, bars):
                 t, dens, i, reason = entry
-                self._densities[t % ring] = entry
+                ring[t % slots] = entry
                 if t < first:
                     continue
-                _, d_shift, j, shift_reason = self._densities[(t - cfg.shift_len) % ring]
+                _, d_shift, j, shift_reason = ring[(t - cfg.shift_len) % slots]
                 reason = reason or shift_reason
                 if not reason and convolution:
                     try:
@@ -477,18 +474,15 @@ class SignalEngine:
                         reason = GRID_MISMATCH if isinstance(exc, GridMismatch) else CONV_NON_INTEGRABLE
                 elif not reason:
                     p = float(dens.p_s[i])
-                if reason:
-                    counts[reason] += 1
-                    codes.append(CODE_GATED)
-                    p_s.append(0.5)
-                    continue
-                end = t - base + 1
-                ks_pass = ks_statistic(mode1[end - cfg.calib_len : end], dens.grid[i], dens.cdf[i], d_shift.grid[j],
-                                       d_shift.cdf[j]) < self._ks_bound
-                counts[PASS if ks_pass else KS_REJECT] += 1
-                codes.append(_outcome(dy1[t - first], p, ks_pass, cfg.alpha1))
-                p_s.append(p)
-        return codes, p_s, dy1
+                k = t - first
+                if not reason:
+                    end = t - base + 1
+                    ks_pass = ks_statistic(mode1[end - cfg.calib_len : end], dens.grid[i], dens.cdf[i],
+                                           d_shift.grid[j], d_shift.cdf[j]) < self._ks_bound
+                    reason = PASS if ks_pass else KS_REJECT
+                    codes[k], p_s[k] = _outcome(dy1[k], p, ks_pass, cfg.alpha1), p
+                reasons[k] = reason
+        return np.array((codes, reasons, p_s, dy1))
 
 
 def _can_fork() -> bool:

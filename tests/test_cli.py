@@ -164,6 +164,15 @@ class TestParcelCmd:
         header = (out / "weights.csv").read_text().splitlines()[0]
         assert header == "t,n_1,n_2,n_3,slack,P_theta"
 
+    def test_instruments_are_labeled_nsw(self, runner, tmp_path):
+        # the engine's label, as nsw backtest reports it
+        bars = tmp_path / "a.csv"
+        write_bars(make_ou_price_series(300, seed=1, symbol="A"), bars)
+        out = tmp_path / "o"
+        assert invoke(runner, ["parcel", "--data", str(bars), "--out", str(out)]).exit_code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [r["strategy"] for r in report["instruments"]] == ["NSW"]
+
     @pytest.mark.parametrize("cost_bps", ["10000", "20000"])
     def test_fee_of_100_percent_exits_2_and_writes_nothing(self, runner, tmp_path, cost_bps):
         bars = tmp_path / "a.csv"

@@ -587,12 +587,40 @@ class TestSplitRun:
         assert forks == [os.getpid()]
         assert_no_child()
 
+    def test_failed_child_is_decided_here(self, forks, monkeypatch):
+        # a child that dies leaves its half to this process, which decides it
+        # on the ring snapshot: the trace and counts are a one-process run's
+        series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
+        with monkeypatch.context() as m:
+            m.setattr(signals, "_can_fork", lambda: False)
+            one = small_engine()
+            want = one.run(series)
+        live = small_engine()
+        stream(live, series.prices)
+        decide = SignalEngine._decide
+
+        def dying_child(self, *args):
+            if forks and os.getpid() != forks[0]:
+                os._exit(3)
+            return decide(self, *args)
+
+        monkeypatch.setattr(SignalEngine, "_decide", dying_child)
+        eng = small_engine()
+        trace = eng.run(series)
+        assert forks == [os.getpid()]
+        assert_no_child()
+        assert trace.start == want.start
+        for col in ("codes", "p_s", "dy1"):
+            assert np.array_equal(getattr(trace, col), getattr(want, col)), col
+        assert eng.reason_counts.tolist() == one.reason_counts.tolist()
+        assert_same_state(eng, live)
+
     def test_interrupt_kills_child(self, forks, monkeypatch):
         # an interrupt in this process's half stops the child, which would
         # take a minute, instead of waiting for it
         series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
 
-        def interrupted(self, rows, first):
+        def interrupted(self, rows, base, first, ring):
             if os.getpid() == forks[0]:
                 raise KeyboardInterrupt
             time.sleep(60)
