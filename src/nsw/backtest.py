@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class BacktestReport:
     equity: np.ndarray
     trades: tuple
     eligible_bars: int
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         eq = np.asarray(self.equity, dtype=np.float64)
@@ -77,19 +76,12 @@ class BacktestReport:
             "trades": len(self.trades),
             "eligible_bars": self.eligible_bars,
             "decision_fraction": self.decision_fraction,
-            "config": self.config,
         }
 
 
-def run_backtest(
-    source,
-    series: PriceSeries,
-    cost_bps: float = 0.0,
-    decision_band=None,
-    strategy_name: str | None = None,
-    config: dict | None = None,
-) -> BacktestReport:
-    """Drive one signal source over one series.
+def run_backtest(source, series: PriceSeries, cost_bps: float = 0.0, decision_band=None) -> BacktestReport:
+    """Drive one signal source over one series; the report is named
+    ``source.name``.
 
     ``source.run(series)`` must yield a SignalTrace; bars before its start are
     warm-up and not decision-eligible. ``cost_bps`` in [0, 1e4) shaves each
@@ -132,15 +124,8 @@ def run_backtest(
             trades.append(Trade(t, Action.SELL, float(prices[t])))
         since = t
     equity[since:] = flat_z if entry is None else flat_z * prices[since:] / entry
-    name = strategy_name or getattr(source, "name", type(source).__name__)
-    report = BacktestReport(
-        symbol=series.symbol,
-        strategy=name,
-        equity=equity,
-        trades=trades,
-        eligible_bars=eligible,
-        config=dict(config or {}),
-    )
+    name = source.name
+    report = BacktestReport(series.symbol, name, equity, trades, eligible)
     log.info("%s on %s: final_Z %.4f, %d trades, decision fraction %.4f",
              name, series.symbol, report.final_z, len(trades), report.decision_fraction)
     if decision_band is not None:
@@ -314,10 +299,7 @@ def compare_strategies(series_list, engine_factory, baseline_grids=None, cost_bp
     for i, series in enumerate(series_list):
         for j, col in enumerate(STRATEGY_COLUMNS):
             if col == "NSW":
-                report = run_backtest(
-                    engine_factory(), series, cost_bps=cost_bps,
-                    decision_band=DECISION_FRACTION_BAND, strategy_name="NSW",
-                )
+                report = run_backtest(engine_factory(), series, cost_bps=cost_bps, decision_band=DECISION_FRACTION_BAND)
             else:
                 # the winner's tuning run is its backtest
                 best, report = tune_baseline(grids[col.lower()], series, cost_bps=cost_bps)

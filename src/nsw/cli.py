@@ -129,15 +129,10 @@ def backtest(config_path, overrides, out, data_path):
     """Run the causal model over one instrument."""
     cfg = _resolve_config(config_path, overrides)
     series = load_bars(data_path, gap_policy=cfg.gap_policy, bar_interval=cfg.bar_interval)
-    trace = SignalEngine(cfg).run(series)
-    report = run_backtest(
-        TraceSource(trace),
-        series,
-        cost_bps=cfg.cost_bps,
-        decision_band=DECISION_FRACTION_BAND,
-        strategy_name="NSW",
-        config=cfg.as_dict(),
-    )
+    engine = SignalEngine(cfg)
+    trace = engine.run(series)
+    report = run_backtest(TraceSource(trace, engine.name), series, cost_bps=cfg.cost_bps,
+                          decision_band=DECISION_FRACTION_BAND)
     _write_outputs(out, "backtest", cfg, [data_path], {
         "report.json": lambda path: write_report_json(report, path),
         "equity.csv": lambda path: write_equity(report, path),
@@ -170,7 +165,6 @@ def parcel(config_path, overrides, out, data_paths):
         "theta": cfg.theta,
         "rebalances": len(report.weight_trajectory),
         "instruments": [r.summary() for r in report.instrument_reports],
-        "config": cfg.as_dict(),
     }
     _write_outputs(out, "parcel", cfg, data_paths, {
         "report.json": lambda path: path.write_text(json.dumps(summary, indent=2)),

@@ -107,18 +107,18 @@ def _parse_lines(lines, base: RunConfig | None, label: str) -> RunConfig:
     return RunConfig(**values)
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` lines; ``#`` starts a comment; unknown keys are rejected."""
-    return _parse_lines(text.splitlines(), base, "line")
+    return _parse_lines(text.splitlines(), None, "line")
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             text = fh.read()
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    return parse_config(text, base=base)
+    return parse_config(text)
 
 
 def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:

@@ -95,12 +95,13 @@ class FitStack:
     status: np.ndarray  # (B,)
 
 
-def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
+def fit_windows(windows, degree=3, dt=1.0) -> FitStack:
     """Fit every window of a (B, T, dims) stack of coefficient vectors.
 
     Drift system: regress (Y(t+1) - Y(t))/dt on the basis evaluated at Y(t).
     Diffusion system: regress (increment residual)^2 / dt on the same basis;
-    G is the square root of the fitted value floored at diffusion_floor^2.
+    G is the square root of the fitted value floored at the square of
+    max(1e-6 std(increments), 1e-12), the window's own floor.
     Both systems of all B windows are solved through one stacked Householder
     QR, as R^-1 (Q^T rhs). A window is held for the first of: a non-finite
     value, a zero-variance dimension, a condition bound ||R||_F ||R^-1||_F
@@ -153,23 +154,20 @@ def fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
         lam[~certified], q[~certified] = 0.0, 0.0  # zero R^-1 rows times an overflowed rhs
         solved = np.isfinite(lam).reshape(b, -1).all(axis=1) & np.isfinite(q).reshape(b, -1).all(axis=1)
         status[(status == 0) & ~solved] = NON_FINITE_FIT
-    if diffusion_floor is None:
-        # np.std's arithmetic without its call overhead
-        flat = dy.reshape(b, -1)
-        centred = flat - flat.sum(axis=1, keepdims=True) / flat.shape[1]
-        floor = np.maximum(1e-6 * np.sqrt((centred * centred).sum(axis=1) / flat.shape[1]), 1e-12)
-    else:
-        floor = np.full(b, float(diffusion_floor))
+    # np.std's arithmetic without its call overhead
+    flat = dy.reshape(b, -1)
+    centred = flat - flat.sum(axis=1, keepdims=True) / flat.shape[1]
+    floor = np.maximum(1e-6 * np.sqrt((centred * centred).sum(axis=1) / flat.shape[1]), 1e-12)
     return FitStack(terms, degree, mean, std, lam.transpose(0, 2, 1), q.transpose(0, 2, 1), floor, status)
 
 
-def fit_model(window, degree=3, dt=1.0, diffusion_floor=None) -> FitStack:
+def fit_model(window, degree=3, dt=1.0) -> FitStack:
     """Fit one (T, dims) window of coefficient vectors: the one-row stack of
     ``fit_windows``. Raises DegenerateWindow when the window was not fitted."""
     w = np.asarray(window, dtype=np.float64)
     if w.ndim == 1:
         w = w[:, None]
-    fit = fit_windows(w[None], degree=degree, dt=dt, diffusion_floor=diffusion_floor)
+    fit = fit_windows(w[None], degree=degree, dt=dt)
     if fit.status[0]:
         raise DegenerateWindow(MESSAGES[fit.status[0]])
     return fit

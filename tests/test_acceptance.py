@@ -117,7 +117,7 @@ def test_criterion_4_signal_rules():
     )
 
     series = series_from_prices(np.full(200, 73.0))
-    report = run_backtest(SignalEngine(SignalConfig()), series, strategy_name="NSW")
+    report = run_backtest(SignalEngine(SignalConfig()), series)
     flat_ok = report.final_z == 1.0 and len(report.trades) == 0
     ok = table_ok and gate_ok and flat_ok
     _report(4, ok, f"9-cell rule table exact, gate forces hold, constant series: "
@@ -308,7 +308,7 @@ def test_criterion_10_decision_fraction_diagnostic(caplog):
     series = make_ou_price_series(5000, seed=1, rate=0.003, vol=0.01, symbol="REF")
     engine = SignalEngine(SignalConfig(shift_len=16))
     with caplog.at_level(logging.INFO, logger="nsw.backtest"):
-        report = run_backtest(engine, series, decision_band=DECISION_FRACTION_BAND, strategy_name="NSW")
+        report = run_backtest(engine, series, decision_band=DECISION_FRACTION_BAND)
     frac = report.decision_fraction
     logged = any("decision fraction" in r.message for r in caplog.records)
     in_band = DECISION_FRACTION_BAND[0] <= frac <= DECISION_FRACTION_BAND[1]

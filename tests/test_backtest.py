@@ -316,6 +316,20 @@ class TestRunBacktest:
             run_backtest(scripted(series, {}), series, decision_band=DECISION_FRACTION_BAND)
         assert any("decision fraction" in r.message for r in caplog.records)
 
+    def test_report_named_by_source(self):
+        from nsw.baselines import IndicatorStrategy
+        from nsw.signals import SignalConfig, SignalEngine
+
+        series = series_from_prices(100 + np.sin(np.arange(200) / 5))
+        trace = SignalTrace(start=0, signals=[Signal(Action.HOLD, 0.5, 0.0)] * 200)
+        sources = [SignalEngine(SignalConfig()), IndicatorStrategy(IndicatorConfig("rsi", (14, 30.0, 70.0))),
+                   TraceSource(trace, "replayed")]
+        for source, name in zip(sources, ["NSW", "RSI", "replayed"]):
+            report = run_backtest(source, series)
+            assert report.strategy == source.name == name
+            assert report.summary()["strategy"] == name
+            assert "config" not in report.summary()
+
     def test_writers(self, tmp_path):
         series = series_from_prices([1.0, 1.2, 1.1])
         report = run_backtest(scripted(series, {0: Action.BUY}), series)
@@ -518,11 +532,11 @@ class TestCompare:
         for i, series in enumerate(series_list):
             for j, col in enumerate(table.columns[:-1]):
                 cfg = table.tuned[(series.symbol, col)]
-                rerun = run_backtest(IndicatorStrategy(cfg), series, cost_bps=5.0, strategy_name=col)
+                rerun = run_backtest(IndicatorStrategy(cfg), series, cost_bps=5.0)
                 report = table.reports[(series.symbol, col)]
                 assert np.array_equal(report.equity, rerun.equity)
-                assert (report.symbol, report.strategy, report.trades, report.eligible_bars, report.config) == (
-                    rerun.symbol, rerun.strategy, rerun.trades, rerun.eligible_bars, rerun.config)
+                assert (report.symbol, report.strategy, report.trades, report.eligible_bars) == (
+                    series.symbol, col, rerun.trades, rerun.eligible_bars)
                 assert report.summary() == rerun.summary()
                 assert table.final_z[i, j] == rerun.final_z
 

@@ -196,6 +196,30 @@ class TestParcelCmd:
         assert not out.exists()
 
 
+class TestRunDirectories:
+    def test_manifest_is_the_one_config_echo(self, runner, tmp_path):
+        def keys(node):
+            if isinstance(node, dict):
+                return set(node).union(*map(keys, node.values()))
+            return set().union(*map(keys, node)) if isinstance(node, list) else set()
+
+        for i in (1, 2):
+            assert invoke(runner, ["synth", "--out", str(tmp_path / f"s{i}"), "--set", "n_bars=600",
+                                   "--set", f"seed={i}", "--symbol", f"S{i}"]).exit_code == 0
+        bars = [str(tmp_path / f"s{i}" / f"bars_S{i}.csv") for i in (1, 2)]
+        overrides = ["--set", "shift_len=16", "--set", "rebalance_len=128"]
+        assert invoke(runner, ["backtest", "--out", str(tmp_path / "bt"), "--data", bars[0]] + overrides).exit_code == 0
+        assert invoke(runner, ["parcel", "--out", str(tmp_path / "pc"), "--data", bars[0], "--data", bars[1]]
+                      + overrides).exit_code == 0
+        for run in ("bt", "pc"):
+            report = json.loads((tmp_path / run / "report.json").read_text())
+            assert "config" not in keys(report)
+            manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+            assert manifest["config"]["shift_len"] == 16 and manifest["config"]["rebalance_len"] == 128
+        assert report["symbols"] == ["S1", "S2"]
+        assert [r["strategy"] for r in report["instruments"]] == ["NSW", "NSW"]
+
+
 class TestCompareCmd:
     def test_table_has_nsw_column(self, runner, tmp_path):
         series = make_ou_price_series(800, seed=4, rate=0.01, vol=0.01, symbol="CMP")

@@ -39,7 +39,7 @@ def old_mode_series(terms, coeffs, mode):
     return (np.asarray(coeffs)[..., None] * _collapse(tuple(terms), mode)).sum(axis=-2)
 
 
-def old_fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None):
+def old_fit_windows(windows, degree=3, dt=1.0):
     w = np.ascontiguousarray(windows, dtype=np.float64)
     b, n, dims = w.shape
     terms = _term_list(dims, degree)
@@ -68,10 +68,7 @@ def old_fit_windows(windows, degree=3, dt=1.0, diffusion_floor=None):
 
     solved = np.isfinite(lam).reshape(b, -1).all(axis=1) & np.isfinite(q).reshape(b, -1).all(axis=1)
     status[(status == 0) & ~solved] = 3
-    if diffusion_floor is None:
-        floor = np.maximum(1e-6 * dy.reshape(b, -1).std(axis=1), 1e-12)
-    else:
-        floor = np.full(b, float(diffusion_floor))
+    floor = np.maximum(1e-6 * dy.reshape(b, -1).std(axis=1), 1e-12)
     return FitStack(terms, degree, mean, std, lam.transpose(0, 2, 1), q.transpose(0, 2, 1), floor, status)
 
 
@@ -267,18 +264,17 @@ def assert_densities_equal(got, want, fit_status):
     degree=st.integers(1, 3),
     n=st.integers(32, 64),
     kinds=st.lists(st.sampled_from(KINDS), min_size=16, max_size=16),
-    floor=st.sampled_from([None, None, 1e-3]),
     n_grid=st.sampled_from([64, 257, 1024]),
     span=st.sampled_from([3.0, 5.0]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing windows
-def test_kernels_equal_old_bodies(b, dims, degree, n, kinds, floor, n_grid, span, seed):
+def test_kernels_equal_old_bodies(b, dims, degree, n, kinds, n_grid, span, seed):
     rng = np.random.default_rng(seed)
     windows = np.stack([make_window(kind, n, dims, rng) for kind in kinds[:b]])
-    fits = fit_windows(windows, degree=degree, diffusion_floor=floor)
-    assert_fits_agree(windows, fits, old_fit_windows(windows, degree=degree, diffusion_floor=floor))
+    fits = fit_windows(windows, degree=degree)
+    assert_fits_agree(windows, fits, old_fit_windows(windows, degree=degree))
     for mode in range(1, dims + 1):
         assert_densities_equal(stationary_densities(fits, mode=mode, span=span, n_grid=n_grid),
                                old_stationary_densities(fits, mode=mode, span=span, n_grid=n_grid), fits.status)

@@ -65,11 +65,14 @@ class TestFitModel:
         c = 0.37
         n = 40
         y = (c * 0.5) * np.arange(n)  # pure drift path with dt = 0.5
-        m = fit_model(y[:, None], degree=3, dt=0.5, diffusion_floor=1e-4)
+        m = fit_model(y[:, None], degree=3, dt=0.5)
         assert m.drift[0, 0, 0] == pytest.approx(c, abs=1e-8)
         assert np.allclose(m.drift[0, 0, 1:], 0.0, atol=1e-8)
+        # no noise to fit: G is the floor derived from the window's own increments
+        floor = max(1e-6 * np.diff(y).std(), 1e-12)
+        assert m.floor[0] == pytest.approx(floor, rel=1e-9)
         g = eval_diffusion(m, np.array([[y.mean()]]))[0, 0]
-        assert g == pytest.approx(1e-4, rel=1e-9)
+        assert g == pytest.approx(floor, rel=1e-9)
 
     def test_double_well_sign_pattern(self):
         path = simulate_sde(lambda y: y - y**3, lambda y: 0.5, [1.0], 0.01, 200_000, seed=23)
