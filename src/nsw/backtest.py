@@ -286,12 +286,12 @@ def compare_strategies(series_list, engine_factory, baseline_grids=None, cost_bp
     ``baseline_grids`` maps kind -> config grid (defaults per kind when
     omitted).
     """
-    from .baselines import default_grid, tune_baseline
+    from .baselines import KINDS, default_grid, tune_baseline
 
     if not series_list:
         raise MisalignedSeries("need at least one series")
     grids = dict(baseline_grids or {})
-    for kind in ("pc", "bb", "macd", "rsi"):
+    for kind in KINDS:
         grids.setdefault(kind, default_grid(kind))
     instruments = tuple(s.symbol for s in series_list)
     table = np.zeros((len(series_list), len(STRATEGY_COLUMNS)))

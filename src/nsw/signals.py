@@ -117,9 +117,6 @@ class SignalConfig:
 
 # outcome code of a decided bar: the action, with holds split by the gate flag
 CODE_HOLD, CODE_BUY, CODE_SELL, CODE_GATED = range(4)
-# one shared, immutable Signal per outcome code, for traces that carry no p_s or dy1
-CODE_SIGNALS = (Signal(Action.HOLD, math.nan, math.nan), Signal(Action.BUY, math.nan, math.nan),
-                Signal(Action.SELL, math.nan, math.nan), Signal(Action.HOLD, math.nan, math.nan, gated=True))
 _CODE_ACTIONS = (Action.HOLD, Action.BUY, Action.SELL, Action.HOLD)
 
 
@@ -157,9 +154,10 @@ class SignalTrace:
     ``CODE_GATED``), with the bars' ``p_s`` and ``dy1`` or without both.
     ``codes`` (the accounting format, uint8), ``p_s`` and ``dy1`` are
     read-only arrays, copied or derived once at construction; a trace built
-    from codes alone has NaN ``p_s`` and ``dy1``. ``signals`` of a
-    column-built trace is built on first read: one ``Signal`` per bar, or
-    the shared ``CODE_SIGNALS`` when the trace has codes alone.
+    from codes alone has NaN ``p_s`` and ``dy1``. ``signals`` is the tuple
+    the trace was built from, or else one ``Signal`` per bar built from the
+    columns on first read. ``==`` and ``repr`` read the columns, NaN equal
+    to NaN.
     """
 
     def __init__(self, start: int, signals=(), *, codes=None, p_s=None, dy1=None):
@@ -180,9 +178,8 @@ class SignalTrace:
         bad = given[(self._codes != given) | (self._codes > CODE_GATED)]
         if bad.size:
             raise ValueError(f"outcome code {bad[0].item()} is not one of 0-3")
-        self._shared = p_s is None  # lazy signals are CODE_SIGNALS
         n = len(self._codes)
-        if self._shared:
+        if p_s is None:
             self._p_s = self._dy1 = np.full(n, math.nan)
         else:
             self._p_s, self._dy1 = np.array(p_s, dtype=np.float64), np.array(dy1, dtype=np.float64)
@@ -194,19 +191,18 @@ class SignalTrace:
     def __eq__(self, other):
         if not isinstance(other, SignalTrace):
             return NotImplemented
-        return self.start == other.start and self.signals == other.signals
+        return (self.start == other.start and np.array_equal(self._codes, other._codes)
+                and np.array_equal(self._p_s, other._p_s, equal_nan=True)
+                and np.array_equal(self._dy1, other._dy1, equal_nan=True))
 
     def __repr__(self):
-        return f"SignalTrace(start={self.start!r}, signals={self.signals!r})"
+        return (f"SignalTrace(start={self.start!r}, codes={self._codes.tolist()!r}, p_s={self._p_s.tolist()!r}, "
+                f"dy1={self._dy1.tolist()!r})")
 
     @property
     def signals(self) -> tuple:
         if self._signals is None:
-            if self._shared:
-                self._signals = tuple(CODE_SIGNALS[c] for c in self._codes.tolist())
-            else:
-                self._signals = tuple(map(_code_signal, self._codes.tolist(), self._p_s.tolist(),
-                                          self._dy1.tolist()))
+            self._signals = tuple(map(_code_signal, self._codes.tolist(), self._p_s.tolist(), self._dy1.tolist()))
         return self._signals
 
     @property
@@ -469,7 +465,7 @@ class SignalEngine:
                 reason = reason or shift_reason
                 if not reason and convolution:
                     try:
-                        p = convolution_p_s(dens.row(i), d_shift.row(j))
+                        p = convolution_p_s(dens.grid[i], dens.pdf[i], d_shift.grid[j], d_shift.pdf[j])
                     except (NonIntegrable, GridMismatch) as exc:
                         reason = GRID_MISMATCH if isinstance(exc, GridMismatch) else CONV_NON_INTEGRABLE
                 elif not reason:

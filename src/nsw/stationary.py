@@ -41,15 +41,6 @@ class DensityStack:
     p_s: np.ndarray
     status: np.ndarray
 
-    def row(self, i: int):
-        """Row i as a one-row stack of views, or None when it failed."""
-        if self.status[i]:
-            return None
-        if len(self.status) == 1:  # a one-row stack is its own row
-            return self
-        rows = slice(i, i + 1)
-        return DensityStack(self.grid[rows], self.pdf[rows], self.cdf[rows], self.p_s[rows], self.status[rows])
-
 
 def _trapezoids(y, dx):
     """Trapezoid areas 0.5 * (y[j] + y[j + 1]) * dx[j] along every row."""
@@ -160,10 +151,9 @@ def stationary_density(fit: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAULT_
     return dens
 
 
-def _resampled(d_now: DensityStack, d_shifted: DensityStack):
-    """``(offset, h, f_now, f_shifted)``: both pdfs resampled from their first
-    nodes, ``offset`` apart, onto the finer spacing h of two overlapping grids."""
-    g_now, g_shifted = d_now.grid[0], d_shifted.grid[0]
+def _resampled(g_now, pdf_now, g_shifted, pdf_shifted):
+    """``(offset, h, f_now, f_shifted)``: both pdf rows resampled from their first
+    nodes, ``offset`` apart, onto the finer spacing h of two overlapping grid rows."""
     if g_now[-1] < g_shifted[0] or g_shifted[-1] < g_now[0]:
         raise GridMismatch(MESSAGES[GRID_MISMATCH])
     h = min(g_now[1] - g_now[0], g_shifted[1] - g_shifted[0])
@@ -172,7 +162,7 @@ def _resampled(d_now: DensityStack, d_shifted: DensityStack):
         n = int(math.floor((grid[-1] - grid[0]) / h)) + 1
         return np.interp(grid[0] + h * np.arange(n), grid, pdf, left=0.0, right=0.0)
 
-    return g_shifted[0] - g_now[0], h, resample(g_now, d_now.pdf[0]), resample(g_shifted, d_shifted.pdf[0])
+    return g_shifted[0] - g_now[0], h, resample(g_now, pdf_now), resample(g_shifted, pdf_shifted)
 
 
 def density_convolution(d_now: DensityStack, d_shifted: DensityStack) -> DensityStack:
@@ -182,7 +172,7 @@ def density_convolution(d_now: DensityStack, d_shifted: DensityStack) -> Density
     Both inputs are resampled onto the finer of the two spacings; their grids
     must overlap (they describe the same coefficient variable).
     """
-    offset, h, f1, f2 = _resampled(d_now, d_shifted)
+    offset, h, f1, f2 = _resampled(d_now.grid[0], d_now.pdf[0], d_shifted.grid[0], d_shifted.pdf[0])
     corr = h * np.correlate(f2, f1, mode="full")
     z = (offset + h * np.arange(-(len(f1) - 1), len(f2)))[None]
     dens = _finalize_rows(z, np.diff(z, axis=1), np.maximum(corr, 0.0)[None], np.zeros(1, np.uint8))
@@ -191,15 +181,16 @@ def density_convolution(d_now: DensityStack, d_shifted: DensityStack) -> Density
     return dens
 
 
-def convolution_p_s(d_now: DensityStack, d_shifted: DensityStack) -> float:
-    """``density_convolution(d_now, d_shifted).p_s[0]`` in O(n): same resampling,
-    z grid and failures, without the correlation itself.
+def convolution_p_s(grid_now, pdf_now, grid_shifted, pdf_shifted) -> float:
+    """``density_convolution(d_now, d_shifted).p_s[0]`` in O(n), where the two
+    densities are given as their grid and pdf rows: same resampling, z grid
+    and failures, without the correlation itself.
 
     With c[L] = sum_i f1[i] f2[i + L] and C2 = cumsum(f2) (0 below its grid,
     sum(f2) above), the c up to lag L sum to S(L) = sum_i f1[i] C2[i + L], so
     the trapezoid CDF at lag L is (S(L) - c_first/2 - c[L]/2) divided by
     sum(f1) sum(f2) - (c_first + c_last)/2, interpolated at z = 0."""
-    offset, h, f1, f2 = _resampled(d_now, d_shifted)
+    offset, h, f1, f2 = _resampled(grid_now, pdf_now, grid_shifted, pdf_shifted)
     n1, n2 = len(f1), len(f2)
     sum2 = f2.sum()
     c_first = f1[-1] * f2[0]

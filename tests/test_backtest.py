@@ -22,10 +22,15 @@ from nsw.backtest import (
 from nsw.baselines import IndicatorConfig
 from nsw.errors import ConfigError, MisalignedSeries
 from nsw.portfolio import estimate_moments, log_returns, optimize_parcel
-from nsw.signals import CODE_BUY, CODE_GATED, CODE_HOLD, CODE_SELL, CODE_SIGNALS, Action, Signal, SignalTrace
+from nsw.signals import CODE_BUY, CODE_GATED, CODE_HOLD, CODE_SELL, Action, Signal, SignalTrace
 from nsw.timeseries import make_ou_price_series
 
 from conftest import series_from_prices
+
+# the Signal of each outcome code, without p_s and dy1
+OUTCOME_SIGNALS = {CODE_HOLD: Signal(Action.HOLD, math.nan, math.nan), CODE_BUY: Signal(Action.BUY, math.nan, math.nan),
+                   CODE_SELL: Signal(Action.SELL, math.nan, math.nan),
+                   CODE_GATED: Signal(Action.HOLD, math.nan, math.nan, gated=True)}
 
 
 def scripted(series, moves, start=0):
@@ -234,10 +239,10 @@ class TestRunBacktest:
     def test_codes_equal_per_signal_walk(self, case):
         prices, start, codes, cost_bps = case
         series = series_from_prices(prices)
-        equity, trades, eligible = old_run_backtest(
-            SignalTrace(start, [CODE_SIGNALS[c] for c in codes.tolist()]), prices, cost_bps)
+        signals = [OUTCOME_SIGNALS[c] for c in codes.tolist()]
+        equity, trades, eligible = old_run_backtest(SignalTrace(start, signals), prices, cost_bps)
         # the same outcomes as a code array and as the engine's Signal list
-        for trace in (SignalTrace(start, codes=codes), SignalTrace(start, [CODE_SIGNALS[c] for c in codes.tolist()])):
+        for trace in (SignalTrace(start, codes=codes), SignalTrace(start, signals)):
             report = run_backtest(TraceSource(trace), series, cost_bps=cost_bps)
             assert np.array_equal(report.equity, equity)
             assert report.trades == tuple(trades)
@@ -247,9 +252,10 @@ class TestRunBacktest:
         codes = np.array([CODE_BUY, CODE_HOLD, CODE_GATED, CODE_SELL], dtype=np.uint8)
         trace = SignalTrace(2, codes=codes)
         assert not trace.codes.flags.writeable
-        assert trace.signals == tuple(CODE_SIGNALS[c] for c in codes)
         assert [(s.kind, s.gated) for s in trace.signals] == [
             (Action.BUY, False), (Action.HOLD, False), (Action.HOLD, True), (Action.SELL, False)]
+        assert all(math.isnan(s.p_s) and math.isnan(s.dy1) for s in trace.signals)
+        assert trace.p_s is trace.dy1 and np.isnan(trace.p_s).all() and len(trace.p_s) == len(codes)
         assert trace == SignalTrace(2, list(trace.signals))
 
     def test_trace_keeps_what_it_was_built_from(self):

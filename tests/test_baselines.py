@@ -19,7 +19,7 @@ from nsw.baselines import (
     tune_baseline,
 )
 from nsw.errors import EmptyGrid, UsageError
-from nsw.signals import CODE_SIGNALS, Action, Signal
+from nsw.signals import Action, Signal, SignalTrace
 from nsw.timeseries import make_ou_price_series
 
 from conftest import series_from_prices
@@ -81,7 +81,7 @@ def bb_bands(prices, lookback, width):
 
 def signal_at(cfg, series, t):
     """The indicator's action at bar t, from the bars up to t alone."""
-    return CODE_SIGNALS[IndicatorStrategy(cfg).run(series.prefix(t + 1)).codes[-1]].kind
+    return IndicatorStrategy(cfg).run(series.prefix(t + 1)).signals[-1].kind
 
 
 def loop_channel_extremes(prices, lookback):
@@ -253,7 +253,8 @@ class TestAgainstLoops:
         assert trace.codes.dtype == np.uint8
         assert trace.codes.tolist() == [{Action.HOLD: 0, Action.BUY: 1, Action.SELL: 2}[a] for a in actions]
         # the list the strategy built per bar before it kept codes
-        assert trace.signals == tuple(Signal(a, math.nan, math.nan) for a in actions)
+        assert trace == SignalTrace(trace.start, [Signal(a, math.nan, math.nan) for a in actions])
+        assert [(s.kind, s.gated) for s in trace.signals] == [(a, False) for a in actions]
 
     @pytest.mark.parametrize("cfg, step, action", [
         (IndicatorConfig("macd", (5, 10, 4)), 0.01, Action.BUY),
@@ -276,7 +277,7 @@ class TestAgainstLoops:
         k = max(2, round(cut * len(prices)))
         full = IndicatorStrategy(cfg).run(series_from_prices(prices))
         pre = IndicatorStrategy(cfg).run(series_from_prices(prices[:k]))
-        assert full.signals[: len(pre.signals)] == pre.signals
+        assert np.array_equal(full.codes[: len(pre.codes)], pre.codes)
         if cfg.kind == "pc" and k > cfg.params[0]:
             # the channel at bar k - 1 ignores that bar: an outlier there breaks out
             spiked = np.append(prices[: k - 1], 1e6)
@@ -365,14 +366,14 @@ class TestIndicatorSignals:
         cfg = IndicatorConfig("bb", (10, 1.5))
         full = IndicatorStrategy(cfg).run(series)
         pre = IndicatorStrategy(cfg).run(series.prefix(25))
-        assert full.signals[: len(pre.signals)] == pre.signals
+        assert np.array_equal(full.codes[: len(pre.codes)], pre.codes)
 
     def test_determinism(self):
         series = series_from_prices(FIXTURE_30)
         cfg = IndicatorConfig("macd", (5, 10, 4))
         a = IndicatorStrategy(cfg).run(series)
         b = IndicatorStrategy(cfg).run(series)
-        assert a.signals == b.signals
+        assert a == b
 
 
 class TestConfigValidation:

@@ -19,7 +19,7 @@ from nsw import signals
 from nsw.errors import KS_REJECT, MESSAGES, PASS, REASONS, DegenerateWindow, GridMismatch, NonIntegrable, NotWarmedUp
 from nsw.sde_fit import fit_model, fit_windows
 from nsw.signals import Action, Signal, SignalConfig, SignalEngine, SignalTrace, decide, write_signals
-from nsw.stationary import convolution_p_s, ks_quasistationarity, ks_statistic, stationary_density
+from nsw.stationary import DensityStack, convolution_p_s, ks_quasistationarity, ks_statistic, stationary_density
 from nsw.timeseries import make_ou_price_series
 from nsw.wavelets import make_wavelet, transform
 
@@ -141,7 +141,7 @@ def per_bar_reference(cfg, prices):
                 p_s = float(d_now.p_s[0])
             else:
                 try:
-                    p_s = convolution_p_s(d_now, d_shift)
+                    p_s = convolution_p_s(d_now.grid[0], d_now.pdf[0], d_shift.grid[0], d_shift.pdf[0])
                 except (NonIntegrable, GridMismatch) as exc:
                     reason = MESSAGES.index(str(exc))
         if p_s is None:
@@ -168,10 +168,9 @@ def assert_same_state(a, b):
     rows = a.cfg.calib_len + a.cfg.shift_len + 1
     assert np.array_equal(a._coeffs.window(rows), b._coeffs.window(rows), equal_nan=True)
     assert [(bar, reason) for bar, _, _, reason in a._densities] == [(bar, reason) for bar, _, _, reason in b._densities]
-    for (bar, da, i, _), (_, db, j, _) in zip(a._densities, b._densities):
-        da, db = da and da.row(i), db and db.row(j)
+    for (bar, da, i, reason), (_, db, j, _) in zip(a._densities, b._densities):
         assert (da is None) == (db is None), bar
-        assert da is None or (da.p_s == db.p_s and np.array_equal(da.pdf, db.pdf)), bar
+        assert da is None or reason or (da.p_s[i] == db.p_s[j] and np.array_equal(da.pdf[i], db.pdf[j])), bar
 
 
 # windows per run() fit stack, and per density chunk at the default 1024-node grid
@@ -325,9 +324,9 @@ class TestEngine:
 
         def recording_ks(pts, grid_now, cdf_now, grid_shifted, cdf_shifted):
             # the gate of the next tested bar reads its displaced ring entry's grid row
-            _, dens, row, _ = eng._densities[(tested[len(compared)] - 8) % len(eng._densities)]
-            compared.append(dens.row(row))
-            assert np.array_equal(grid_shifted, compared[-1].grid[0]) and np.array_equal(cdf_shifted, compared[-1].cdf[0])
+            _, dens, i, _ = eng._densities[(tested[len(compared)] - 8) % len(eng._densities)]
+            compared.append((dens.p_s[i], dens.pdf[i]))
+            assert np.array_equal(grid_shifted, dens.grid[i]) and np.array_equal(cdf_shifted, dens.cdf[i])
             return ks_statistic(pts, grid_now, cdf_now, grid_shifted, cdf_shifted)
 
         monkeypatch.setattr(signals, "fit_windows", counting_fit)
@@ -337,8 +336,8 @@ class TestEngine:
         assert range(trace.start, trace.start + len(trace.signals)) == decided
 
         assert len(compared) == len(tested)
-        for t, dens in zip(tested, compared):
-            assert dens.p_s == densities[t - 8].p_s and np.array_equal(dens.pdf, densities[t - 8].pdf), t
+        for t, (p_s, pdf) in zip(tested, compared):
+            assert p_s == densities[t - 8].p_s[0] and np.array_equal(pdf, densities[t - 8].pdf[0]), t
 
     def test_step_fits_only_new_windows(self, monkeypatch):
         # after an extend() warm-up, each of the first shift_len steps fits the
@@ -486,6 +485,43 @@ class TestEngine:
             assert not col.flags.writeable
             with pytest.raises(ValueError):
                 col[0] = 0
+
+    def test_trace_equality_reads_columns(self):
+        # == and repr of run() traces read their columns and build no Signal;
+        # one differing p_s or another start makes traces unequal
+        cfg = SignalConfig(calib_len=32, shift_len=8)
+        series = make_ou_price_series(300, seed=5, rate=0.05, vol=0.02)
+        a, b = SignalEngine(cfg).run(series), SignalEngine(cfg).run(series)
+        assert a == b and repr(a) == repr(b)
+        assert a._signals is None and b._signals is None
+        p_s = a.p_s.copy()
+        p_s[len(p_s) // 2] = np.nextafter(p_s[len(p_s) // 2], 1.0)
+        assert a != SignalTrace(a.start, codes=a.codes, p_s=p_s, dy1=a.dy1)
+        assert a != SignalTrace(a.start + 1, codes=a.codes, p_s=a.p_s, dy1=a.dy1)
+
+    def test_codes_trace_equals_its_nan_signals(self):
+        # a codes-only trace has NaN p_s and dy1, and NaN equals NaN whichever
+        # NaN objects the trace was built from
+        codes = [signals.CODE_BUY, signals.CODE_GATED, signals.CODE_HOLD, signals.CODE_SELL]
+        trace, nan = SignalTrace(4, codes=codes), np.full(4, np.nan)
+        fresh = SignalTrace(4, [Signal(s.kind, float("nan"), float("nan"), s.gated) for s in trace.signals])
+        assert trace == SignalTrace(4, trace.signals) == fresh == SignalTrace(4, codes=codes, p_s=nan, dy1=nan)
+        assert repr(trace) == repr(fresh)
+
+    def test_convolution_gate_reads_density_rows(self, monkeypatch):
+        # run() and step() price the convolution gate on the two density rows,
+        # never through a one-row DensityStack
+        def no_row(self, i):
+            raise AssertionError("a density row was wrapped in a stack")
+
+        monkeypatch.setattr(DensityStack, "row", no_row, raising=False)
+        cfg = SignalConfig(calib_len=32, shift_len=8, density_mode="convolution")
+        series = make_ou_price_series(300, seed=5, rate=0.05, vol=0.02)
+        ran, stepped = SignalEngine(cfg), SignalEngine(cfg)
+        trace = ran.run(series)
+        assert trace == stream(stepped, series.prices)
+        assert ran.reason_counts.tolist() == stepped.reason_counts.tolist()
+        assert ran.reason_counts[PASS] + ran.reason_counts[KS_REJECT] > 0
 
     @pytest.mark.parametrize("kw", [dict(p_s=[0.5]), dict(codes=[0], p_s=[0.5]), dict(codes=[0], dy1=[0.1]),
                                     dict(codes=[0, 1], p_s=[0.5], dy1=[0.1, 0.2])])

@@ -104,18 +104,17 @@ def test_stack_rows_equal_single_windows(dims):
         try:
             model = fit_model(window, degree=2)
         except DegenerateWindow:
-            assert fits.status[i] != 0 and stack.row(i) is None
+            assert fits.status[i] != 0 and stack.status[i] != 0
             continue
         assert np.array_equal(model.drift[0], fits.drift[i]) and np.array_equal(model.diff[0], fits.diff[i])
         try:
             single = stationary_density(model, n_grid=512)
         except NonIntegrable:
-            assert stack.row(i) is None
+            assert stack.status[i] != 0
             continue
-        row = stack.row(i)
-        assert row.p_s[0] == single.p_s[0]
-        assert np.array_equal(row.grid, single.grid) and np.array_equal(row.pdf, single.pdf)
-        assert np.array_equal(row.cdf, single.cdf)
+        assert stack.status[i] == 0 and stack.p_s[i] == single.p_s[0]
+        assert np.array_equal(stack.grid[i], single.grid[0]) and np.array_equal(stack.pdf[i], single.pdf[0])
+        assert np.array_equal(stack.cdf[i], single.cdf[0])
 
 
 class TestConvolution:
@@ -188,15 +187,16 @@ def density_pairs(draw):
 
 
 def same_p_s(d1, d2, tol=1e-13):
-    """convolution_p_s equals its oracle, density_convolution's p_s, or both
-    raise the same exception."""
+    """convolution_p_s on the rows of two one-row stacks equals its oracle,
+    density_convolution's p_s of the stacks, or both raise the same exception."""
+    rows = (d1.grid[0], d1.pdf[0], d2.grid[0], d2.pdf[0])
     try:
         want = density_convolution(d1, d2).p_s[0]
     except (GridMismatch, NonIntegrable) as exc:
         with pytest.raises(type(exc)):
-            convolution_p_s(d1, d2)
+            convolution_p_s(*rows)
         return type(exc)
-    got = convolution_p_s(d1, d2)
+    got = convolution_p_s(*rows)
     assert isinstance(got, float) and abs(got - want) <= tol, (got, want)
     return None
 
@@ -222,9 +222,11 @@ class TestConvolutionPs:
 
         pairs = []
 
-        def recorded(d_now, d_shift):
-            pairs.append((d_now, d_shift))
-            return convolution_p_s(d_now, d_shift)
+        def recorded(grid_now, pdf_now, grid_shift, pdf_shift):
+            # each row pair as the one-row stacks density_convolution reads
+            pairs.append([DensityStack(g[None], f[None], None, None, None)
+                          for g, f in ((grid_now, pdf_now), (grid_shift, pdf_shift))])
+            return convolution_p_s(grid_now, pdf_now, grid_shift, pdf_shift)
 
         monkeypatch.setattr(nsw.signals, "convolution_p_s", recorded)
         engine = SignalEngine(SignalConfig(shift_len=64, density_mode="convolution"))
