@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import math
+import mmap
 import os
 import signal
 import sys
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import (CONV_NON_INTEGRABLE, GRID_MISMATCH, KS_REJECT, PASS, REASONS, ConfigError, GridMismatch,
                      NonIntegrable, NonPositivePrice, NotWarmedUp, UnsupportedFamily)
 from .sde_fit import FitStack, fit_windows
-from .stationary import convolution_p_s, ks_statistic, ks_threshold, stationary_densities
+from .stationary import DEFAULT_GRID, DEFAULT_SPAN, convolution_p_s, ks_statistic, ks_threshold, stationary_densities
 from .timeseries import PriceSeries
 from .wavelets import coeff_row, make_wavelet, mode_taps, transform
 
@@ -84,8 +85,8 @@ class SignalConfig:
     shift_len: int = 64  # stationarity displacement T
     density_mode: str = "plain"  # plain | convolution
     ks_k: float | None = None  # override for the Kolmogorov constant
-    grid_span: float = 5.0
-    n_grid: int = 1024
+    grid_span: float = DEFAULT_SPAN
+    n_grid: int = DEFAULT_GRID
     # trade rules
     alpha1: float = 0.05
     alpha2: float = 0.05
@@ -366,55 +367,43 @@ class SignalEngine:
         decided in a forked child while this process decides the rest.
 
         The child decides on ``ring``, a snapshot of the density ring as the
-        run found it, and sends back only its ``(4, mid - first)`` float64
-        columns. This process's ``_decide`` from ``mid`` fits the displaced
-        windows before ``mid`` itself, so its ring ends where a one-process
-        run leaves it. If the child fails, the head is decided here on
-        ``ring``: an error then surfaces as in one process, a head bar's
-        first."""
+        run found it, writes its ``(4, mid - first)`` float64 columns into an
+        anonymous shared mapping made before the fork, and only then sets the
+        mapping's last byte. This process's ``_decide`` from ``mid`` fits the
+        displaced windows before ``mid`` itself, so its ring ends where a
+        one-process run leaves it. If the byte is unset once the child is
+        gone, the head is decided here on ``ring``: an error then surfaces as
+        in one process, a head bar's first."""
         ring, size = list(self._densities), 4 * 8 * (mid - first)  # four float64 rows
-        r, w = os.pipe()
         try:
+            block = mmap.mmap(-1, size + 1)
             with warnings.catch_warnings():
                 # Python 3.12+ warns on a fork beside any other OS thread, such
                 # as OpenBLAS's pool, which stops itself at a fork
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
-        except OSError:  # no process to spare: decide every bar here
-            os.close(r)
-            os.close(w)
+        except OSError:  # no memory or process to spare: decide every bar here
             return self._decide(rows, 0, first, self._densities)
         if pid == 0:
-            status = 1
             try:
-                os.close(r)
-                with open(w, "wb") as fh:
-                    fh.write(self._decide(rows[:mid], 0, first, ring).tobytes())
-                status = 0
+                block[:size] = self._decide(rows[:mid], 0, first, ring).tobytes()
+                block[size] = 1
             finally:
-                os._exit(status)
-        os.close(w)
-        sent, error, done = b"", None, False
+                os._exit(0)
         try:
-            with open(r, "rb") as fh:
-                try:
-                    tail = self._decide(rows, 0, mid, self._densities)
-                except Exception as exc:  # a head bar's error, if any, comes first
-                    error = exc
-                sent = fh.read(size)
-            done = True
+            tail = self._decide(rows, 0, mid, self._densities)
+        except Exception as exc:  # a head bar's error, if any, comes first
+            tail = exc
+        except BaseException:  # an interrupt: stop the child instead of waiting for it
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            if not done:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-            try:
-                if os.waitpid(pid, 0)[1]:
-                    sent = b""
-            except ChildProcessError:  # SIGCHLD is ignored: the child reaped itself, and a short read tells a failure
-                pass
-        head = np.frombuffer(sent).reshape(4, -1) if len(sent) == size else self._decide(rows[:mid], 0, first, ring)
-        if error is not None:
-            raise error
+            with contextlib.suppress(ChildProcessError):  # SIGCHLD is ignored: the child reaped itself
+                os.waitpid(pid, 0)
+        head = np.frombuffer(block[:size]).reshape(4, -1) if block[size] else self._decide(rows[:mid], 0, first, ring)
+        if isinstance(tail, Exception):
+            raise tail
         return np.concatenate((head, tail), axis=1)
 
     def _windows(self, rows, base: int, bars):

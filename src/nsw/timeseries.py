@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,13 +71,6 @@ class PriceSeries:
 
     def __len__(self):
         return len(self.prices)
-
-    def prefix(self, n: int) -> "PriceSeries":
-        """First ``n`` bars as a new series (used for causality audits)."""
-        return replace(self, timestamps=self.timestamps[:n].copy(), prices=self.prices[:n].copy())
-
-    def scaled(self, factor: float) -> "PriceSeries":
-        return replace(self, prices=self.prices * factor)
 
 
 def load_bars(path, symbol=None, gap_policy="reject", bar_interval=None) -> PriceSeries:

@@ -215,7 +215,7 @@ def test_criterion_7_backtest_accounting():
     full_series = make_ou_price_series(400, seed=9, rate=0.05, vol=0.02)
     eng_cfg = SignalConfig(calib_len=32, shift_len=8, n_grid=256)
     full = SignalEngine(eng_cfg).run(full_series)
-    pre = SignalEngine(eng_cfg).run(full_series.prefix(300))
+    pre = SignalEngine(eng_cfg).run(series_from_prices(full_series.prices[:300]))
     replay_ok = full.signals[: len(pre.signals)] == pre.signals
     ok = product_err < 1e-12 and replay_ok
     _report(7, ok, f"three-round-trip product error {product_err:.2e} < 1e-12, prefix replay bit-identical")

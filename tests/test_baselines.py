@@ -81,7 +81,7 @@ def bb_bands(prices, lookback, width):
 
 def signal_at(cfg, series, t):
     """The indicator's action at bar t, from the bars up to t alone."""
-    return IndicatorStrategy(cfg).run(series.prefix(t + 1)).signals[-1].kind
+    return IndicatorStrategy(cfg).run(series_from_prices(series.prices[:t + 1])).signals[-1].kind
 
 
 def loop_channel_extremes(prices, lookback):
@@ -365,7 +365,7 @@ class TestIndicatorSignals:
         series = series_from_prices(FIXTURE_30)
         cfg = IndicatorConfig("bb", (10, 1.5))
         full = IndicatorStrategy(cfg).run(series)
-        pre = IndicatorStrategy(cfg).run(series.prefix(25))
+        pre = IndicatorStrategy(cfg).run(series_from_prices(series.prices[:25]))
         assert np.array_equal(full.codes[: len(pre.codes)], pre.codes)
 
     def test_determinism(self):

@@ -265,7 +265,7 @@ class TestEngine:
     def test_causality_prefix_replay(self):
         series = make_ou_price_series(400, seed=9, rate=0.05, vol=0.02)
         full = small_engine().run(series)
-        prefix = small_engine().run(series.prefix(300))
+        prefix = small_engine().run(series_from_prices(series.prices[:300]))
         overlap = 300 - full.start
         assert full.signals[:overlap] == prefix.signals
 
@@ -279,14 +279,14 @@ class TestEngine:
         n += SignalEngine(cfg).min_history  # up to min_history + 3 fit stacks
         series = make_ou_price_series(n, seed=seed, rate=rate, vol=vol)
         full = SignalEngine(cfg).run(series)
-        prefix = SignalEngine(cfg).run(series.prefix(min(cut, n)))
+        prefix = SignalEngine(cfg).run(series_from_prices(series.prices[:min(cut, n)]))
         assert prefix.start == min(full.start, min(cut, n))
         assert full.signals[: len(prefix.signals)] == prefix.signals
 
     def test_price_scale_invariance_dyadic(self):
         series = make_ou_price_series(360, seed=14, rate=0.05, vol=0.02)
         a = small_engine().run(series)
-        b = small_engine().run(series.scaled(4.0))
+        b = small_engine().run(series_from_prices(series.prices * 4.0))
         assert [s.kind for s in a.signals] == [s.kind for s in b.signals]
         # p_s and the gate are scale-free; dy1 itself scales with price
         assert [s.p_s for s in a.signals] == [s.p_s for s in b.signals]
@@ -296,7 +296,7 @@ class TestEngine:
     def test_price_scale_invariance_general(self):
         series = make_ou_price_series(360, seed=15, rate=0.05, vol=0.02)
         a = small_engine().run(series)
-        b = small_engine().run(series.scaled(3.0))
+        b = small_engine().run(series_from_prices(series.prices * 3.0))
         assert [s.kind for s in a.signals] == [s.kind for s in b.signals]
 
     def test_convolution_mode_runs(self):
@@ -394,7 +394,7 @@ class TestEngine:
         assert_counts(live, expected, counts)
 
         eng = SignalEngine(cfg)
-        head = eng.run(series.prefix(150))
+        head = eng.run(series_from_prices(series.prices[:150]))
         tail = [eng.step(price) for price in series.prices[150:]]
         assert head.start == expected.start
         assert head.signals + tuple(tail) == expected.signals
@@ -404,7 +404,7 @@ class TestEngine:
         # a second run() goes on from bar 150, so its chunks start elsewhere
         # and the displaced densities come from the ring
         eng = SignalEngine(cfg)
-        eng.run(series.prefix(150))
+        eng.run(series_from_prices(series.prices[:150]))
         rest = eng.run(series)
         assert rest.start == 150
         assert rest.signals == expected.signals[150 - expected.start :]
@@ -586,9 +586,11 @@ class TestSplitRun:
     def test_split_run_equals_step(self, forks, n, seed, cfg):
         prices = make_ou_price_series(n + 40, seed=seed, **REFERENCE_SYNTH).prices
         eng, live = SignalEngine(cfg), SignalEngine(cfg)
+        fds = os.listdir("/proc/self/fd")
         trace = eng.run(series_from_prices(prices[:n]))
         assert forks == [os.getpid()]
         assert_no_child()
+        assert os.listdir("/proc/self/fd") == fds
         stepped = stream(live, prices[:n])
         assert trace.start == stepped.start
         for col in ("codes", "p_s", "dy1"):
@@ -623,9 +625,11 @@ class TestSplitRun:
         assert forks == [os.getpid()]
         assert_no_child()
 
-    def test_failed_child_is_decided_here(self, forks, monkeypatch):
-        # a child that dies leaves its half to this process, which decides it
-        # on the ring snapshot: the trace and counts are a one-process run's
+    @pytest.mark.parametrize("status", [0, 3])
+    def test_failed_child_is_decided_here(self, forks, monkeypatch, status):
+        # a child that exits before handing its half back, with any status,
+        # leaves that half to this process, which decides it on the ring
+        # snapshot: the trace and counts are a one-process run's
         series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
         with monkeypatch.context() as m:
             m.setattr(signals, "_can_fork", lambda: False)
@@ -637,7 +641,7 @@ class TestSplitRun:
 
         def dying_child(self, *args):
             if forks and os.getpid() != forks[0]:
-                os._exit(3)
+                os._exit(status)
             return decide(self, *args)
 
         monkeypatch.setattr(SignalEngine, "_decide", dying_child)

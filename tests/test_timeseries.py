@@ -152,10 +152,6 @@ class TestPriceSeries:
         with pytest.raises(NonPositivePrice):
             series_from_prices([1.0, 0.0, 2.0])
 
-    def test_prefix(self):
-        s = series_from_prices([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(s.prefix(3).prices, [1.0, 2.0, 3.0])
-
 
 def _via_price_series(tmp_path, bad):
     series_from_prices([1.0, bad, 2.0])
