@@ -38,7 +38,7 @@ class TraceSource:
     """Signal source that replays a precomputed trace (engines are stateful
     and consume their series once; this lets one run feed several consumers)."""
 
-    def __init__(self, trace, name="scripted"):
+    def __init__(self, trace, name):
         self.trace = trace
         self.name = name
 
@@ -193,7 +193,7 @@ def run_parcel_backtest(
         # to (k + 1) * rebalance_len, the last rebalance_len realized by its bar
         returns = log_returns(z[:, : rebalances[-1] + 1], horizon)[:, 1:]
         windows = returns.reshape(m_count, len(rebalances), rebalance_len).transpose(1, 0, 2)
-        moments = estimate_moments(windows, rebalance_len, horizon)
+        moments = estimate_moments(windows, rebalance_len)
 
     weights = np.full(m_count, 1.0 / m_count)
     trajectory = []
@@ -279,20 +279,16 @@ class ComparisonTable:
         return json.dumps(payload, indent=2)
 
 
-def compare_strategies(series_list, engine_factory, baseline_grids=None, cost_bps=0.0) -> ComparisonTable:
+def compare_strategies(series_list, engine_factory, cost_bps=0.0) -> ComparisonTable:
     """Final-Z comparison table: in-sample-tuned baselines vs the causal model.
 
-    ``engine_factory()`` must return a fresh signal engine per series;
-    ``baseline_grids`` maps kind -> config grid (defaults per kind when
-    omitted).
+    ``engine_factory()`` must return a fresh signal engine per series; each
+    baseline kind is tuned over its ``default_grid``.
     """
-    from .baselines import KINDS, default_grid, tune_baseline
+    from .baselines import default_grid, tune_baseline
 
     if not series_list:
         raise MisalignedSeries("need at least one series")
-    grids = dict(baseline_grids or {})
-    for kind in KINDS:
-        grids.setdefault(kind, default_grid(kind))
     instruments = tuple(s.symbol for s in series_list)
     table = np.zeros((len(series_list), len(STRATEGY_COLUMNS)))
     reports, tuned = {}, {}
@@ -302,7 +298,7 @@ def compare_strategies(series_list, engine_factory, baseline_grids=None, cost_bp
                 report = run_backtest(engine_factory(), series, cost_bps=cost_bps, decision_band=DECISION_FRACTION_BAND)
             else:
                 # the winner's tuning run is its backtest
-                best, report = tune_baseline(grids[col.lower()], series, cost_bps=cost_bps)
+                best, report = tune_baseline(default_grid(col.lower()), series, cost_bps=cost_bps)
                 tuned[(series.symbol, col)] = best
             reports[(series.symbol, col)] = report
             table[i, j] = report.final_z

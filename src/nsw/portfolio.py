@@ -27,12 +27,11 @@ MAX_ITERS = 20000  # ascent iteration cap of optimize_parcel
 class MomentEstimate:
     """Windowed mean log returns (..., M) and their covariances (..., M, M),
     1/window normalization; leading axes index windows, and a single window
-    has none."""
+    has none. Each window is checked once: a NotPSD for an eigenvalue below
+    -1e-10 (1 + max|diag|) names the first such window by its flat index."""
 
     mean_returns: np.ndarray
     covariance: np.ndarray
-    window: int
-    horizon: int
 
     def __post_init__(self):
         x = np.array(self.mean_returns, dtype=np.float64)  # copies: the caller's arrays stay writable
@@ -41,8 +40,13 @@ class MomentEstimate:
             raise DegenerateWindow("non-finite moment estimates")
         if np.any(np.abs(lam - lam.mT) > 1e-12):
             raise NotPSD("covariance not symmetric within 1e-12")
-        if np.any(np.diagonal(lam, axis1=-2, axis2=-1) < -1e-15):
+        diag = np.diagonal(lam, axis1=-2, axis2=-1)
+        if np.any(diag < -1e-15):
             raise NotPSD("negative variance on the diagonal")
+        eig_min = np.linalg.eigvalsh(lam).min(axis=-1)
+        failing = np.flatnonzero(eig_min < -1e-10 * (1.0 + np.abs(diag).max(axis=-1)))
+        if failing.size:
+            raise NotPSD(f"covariance of window {failing[0]} has eigenvalue {eig_min.flat[failing[0]]}")
         x.setflags(write=False)
         lam.setflags(write=False)
         object.__setattr__(self, "mean_returns", x)
@@ -56,8 +60,7 @@ class MomentEstimate:
         """Window k of a stack as a single-window estimate of read-only views,
         not checked again: the stack's checks covered it."""
         one = object.__new__(MomentEstimate)
-        one.__dict__.update(mean_returns=self.mean_returns[k], covariance=self.covariance[k],
-                            window=self.window, horizon=self.horizon)
+        one.__dict__.update(mean_returns=self.mean_returns[k], covariance=self.covariance[k])
         return one
 
 
@@ -102,7 +105,7 @@ def log_returns(equity, horizon: int) -> np.ndarray:
     return np.log(e[..., horizon:] / e[..., :-horizon])
 
 
-def estimate_moments(returns, window: int, horizon: int) -> MomentEstimate:
+def estimate_moments(returns, window: int) -> MomentEstimate:
     """Trailing-window means and covariances of (..., M, T) return streams.
 
     The last ``window`` values of every stream are used, so T must be at
@@ -119,7 +122,7 @@ def estimate_moments(returns, window: int, horizon: int) -> MomentEstimate:
     centered = tail - x[..., None]
     lam = (centered @ centered.mT) / window
     lam = 0.5 * (lam + lam.mT)
-    return MomentEstimate(mean_returns=x, covariance=lam, window=window, horizon=horizon)
+    return MomentEstimate(mean_returns=x, covariance=lam)
 
 
 def _total(v) -> float:
@@ -242,10 +245,6 @@ def optimize_parcel(m: MomentEstimate, theta: float, tol=1e-6) -> ParcelResult:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     if m.mean_returns.ndim != 1:
         raise ValueError(f"optimize_parcel takes one window, got a stack of {m.mean_returns.shape[:-1]}; pass row(k)")
-    eig_min = float(np.linalg.eigvalsh(m.covariance).min())
-    scale = 1.0 + float(np.abs(np.diag(m.covariance)).max())
-    if eig_min < -1e-10 * scale:
-        raise NotPSD(f"covariance has eigenvalue {eig_min}")
 
     x, lam = m.mean_returns.tolist(), m.covariance.tolist()
     mm = len(x)

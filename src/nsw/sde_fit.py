@@ -188,28 +188,28 @@ def eval_diffusion(fit: FitStack, y) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _collapse(terms, mode):
+def _collapse(terms):
     """(n_terms, degree + 1) map from per-term coefficients to a 1-D Hermite
-    series in ``mode``, the other modes held at hat-y = 0."""
+    series in mode 1, the other modes held at hat-y = 0."""
     degree = max(map(sum, terms))
     he_at_0 = _hermite_table(np.float64(0.0), degree)
     out = np.zeros((len(terms), degree + 1))
     for i, term in enumerate(terms):
-        out[i, term[mode - 1]] = math.prod(he_at_0[k] for d, k in enumerate(term) if d != mode - 1)
+        out[i, term[0]] = math.prod(he_at_0[k] for k in term[1:])
     out.setflags(write=False)
     return out
 
 
-def drift_polynomial(fit: FitStack, mode=1) -> np.ndarray:
-    """Power-series coefficients (ascending) of a one-row stack's drift along
-    one mode in raw coordinates, other modes at their means. Diagnostic helper."""
+def drift_polynomial(fit: FitStack) -> np.ndarray:
+    """Power-series coefficients (ascending) of a one-row stack's mode-1 drift
+    in raw coordinates, other modes at their means. Diagnostic helper."""
     # imported on call: numpy.polynomial adds 0.7 MiB to every process that imports nsw
     from numpy.polynomial import Polynomial, hermite_e
 
-    he = (fit.drift[0, mode - 1, :, None] * _collapse(fit.terms, mode)).sum(axis=0)
+    he = (fit.drift[0, 0, :, None] * _collapse(fit.terms)).sum(axis=0)
     poly_hat = Polynomial(hermite_e.herme2poly(he))
-    mu = fit.mean[0, mode - 1]
-    sigma = fit.std[0, mode - 1]
+    mu = fit.mean[0, 0]
+    sigma = fit.std[0, 0]
     composed = poly_hat(Polynomial([-mu / sigma, 1.0 / sigma]))
     return composed.coef
 

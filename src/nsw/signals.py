@@ -43,6 +43,9 @@ _FIT_WINDOWS = 32
 # CPUs, a split run of 600 bars took 1.21x the one-process time, of 1100 bars
 # 0.72x and of 2200 bars 0.56x
 _MIN_PART = 1024
+# rejected from here up: a fit squares its window's deviations, which overflow
+# from about 1e154 (2**511); below it, prices scaled by 2**k decide alike
+MAX_PRICE = 2.0**500
 
 
 class Action(str, enum.Enum):
@@ -300,10 +303,10 @@ class SignalEngine:
         return self.n_bars >= self.min_history
 
     def extend(self, price: float) -> None:
-        """Append one bar without deciding (warm-up feeding)."""
+        """Append one bar without deciding (warm-up feeding); 0 < price < ``MAX_PRICE``."""
         price = float(price)
-        if not 0.0 < price < math.inf:
-            raise NonPositivePrice(self.n_bars + 1, f"price {price}")
+        if not 0.0 < price < MAX_PRICE:
+            raise NonPositivePrice(self.n_bars + 1, f"price {price} is not in (0, 2**500)")
         self._prices.push(price)
         self._coeffs.push(coeff_row(self._prices.window(self._support), self._taps, self._sign))
         self.n_bars += 1
@@ -344,6 +347,9 @@ class SignalEngine:
         window's and its displaced window's. Threaded callers, other
         platforms and shorter runs keep one process."""
         prices = series.prices
+        if prices.max() >= MAX_PRICE:  # the series' prices are positive and finite
+            t = int(np.argmax(prices >= MAX_PRICE))
+            raise NonPositivePrice(t + 1, f"price {prices[t]} is not in (0, 2**500)")
         warm_end = min(self.min_history - 1, len(prices))
         while self.n_bars < warm_end:
             self.extend(prices[self.n_bars])
@@ -419,7 +425,7 @@ class SignalEngine:
                 sl = slice(c, c + chunk)
                 fits_c = fits if len(part) <= chunk else FitStack(fits.terms, fits.degree, *(
                     a[sl] for a in (fits.mean, fits.std, fits.drift, fits.diff, fits.floor, fits.status)))
-                dens = stationary_densities(fits_c, mode=1, span=cfg.grid_span, n_grid=cfg.n_grid)
+                dens = stationary_densities(fits_c, span=cfg.grid_span, n_grid=cfg.n_grid)
                 for i, (t, status) in enumerate(zip(part[sl], dens.status.tolist())):
                     yield t, dens, i, status
 

@@ -2,8 +2,8 @@
 
 For a single mode the stationary density of dY = F dt + G dW is
 exp(W(y)) up to normalization with W(y) the cumulative quadrature of
-2 F / G^2; multi-mode models are reduced to the chosen mode by holding the
-other modes at their calibration means. Two synthesized densities are
+2 F / G^2; multi-mode models are reduced to mode 1 by holding the other
+modes at their calibration means. Two synthesized densities are
 compared with a Kolmogorov-type statistic on a set of sample points; trading
 logic only runs while the two are statistically indistinguishable.
 """
@@ -99,10 +99,10 @@ def _grid_table(span, n_grid, degree):
     return table
 
 
-def stationary_densities(fits: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAULT_GRID) -> DensityStack:
-    """Quadrature densities for one mode of every fit in a stack.
+def stationary_densities(fits: FitStack, span=DEFAULT_SPAN, n_grid=DEFAULT_GRID) -> DensityStack:
+    """Quadrature densities for mode 1 of every fit in a stack.
 
-    Each grid covers mean +/- span*std of the mode's calibration sample. If
+    Each grid covers mean +/- span*std of mode 1's calibration sample. If
     more than 1% of the mass lands in the outer 5% of the span on either side
     the drift is not confining at this scale and the row fails; widening the
     grid only helps when the underlying density really decays. Drift and G^2
@@ -112,17 +112,15 @@ def stationary_densities(fits: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAU
     convolution density resamples on the grid's width). Each row's result is
     the same whatever stack it is computed in.
     """
-    m = mode - 1
     status = fits.status.astype(np.uint8)
-    mu = np.where(status == 0, fits.mean[:, m], 0.0)
-    sigma = np.where(status == 0, fits.std[:, m], 1.0)
+    mu = np.where(status == 0, fits.mean[:, 0], 0.0)
+    sigma = np.where(status == 0, fits.std[:, 0], 1.0)
     grid = _linspace_rows(mu - span * sigma, mu + span * sigma, n_grid)
     dx = grid[:, 1:] - grid[:, :-1]
-    # (B, 2, n_grid): drift and G^2 of every row along the mode, from their
-    # Hermite series in the mode (the other modes at hat-y = 0)
-    coeffs = np.empty((len(mu), 2, fits.drift.shape[-1]))
-    coeffs[:, 0], coeffs[:, 1] = fits.drift[:, m], fits.diff[:, m]
-    on_grid = (coeffs[..., None] * _collapse(fits.terms, mode)).sum(axis=-2) @ _grid_table(span, n_grid, fits.degree)
+    # (B, 2, n_grid): drift and G^2 of every row along mode 1, from their
+    # Hermite series in mode 1 (the other modes at hat-y = 0)
+    coeffs = np.stack([fits.drift[:, 0], fits.diff[:, 0]], axis=1)
+    on_grid = (coeffs[..., None] * _collapse(fits.terms)).sum(axis=-2) @ _grid_table(span, n_grid, fits.degree)
     ratio = on_grid[:, 0]
     ratio /= np.maximum(on_grid[:, 1], (fits.floor**2)[:, None], out=on_grid[:, 1])
     # with a = F/G^2 the trapezoid of 2a is (a[j] + a[j + 1]) * dx[j]: x2 and x0.5 are exact
@@ -141,11 +139,11 @@ def stationary_densities(fits: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAU
     return dens
 
 
-def stationary_density(fit: FitStack, mode=1, span=DEFAULT_SPAN, n_grid=DEFAULT_GRID) -> DensityStack:
-    """Quadrature density for one mode of a one-row stack: the one-row case
+def stationary_density(fit: FitStack, span=DEFAULT_SPAN, n_grid=DEFAULT_GRID) -> DensityStack:
+    """Quadrature density for mode 1 of a one-row stack: the one-row case
     of ``stationary_densities``. Raises NonIntegrable when the row failed, for
     instance when the drift is not confining on the grid."""
-    dens = stationary_densities(fit, mode=mode, span=span, n_grid=n_grid)
+    dens = stationary_densities(fit, span=span, n_grid=n_grid)
     if dens.status[0]:
         raise NonIntegrable(MESSAGES[dens.status[0]])
     return dens
@@ -211,17 +209,13 @@ def convolution_p_s(grid_now, pdf_now, grid_shifted, pdf_shifted) -> float:
     return float(min(max((cdf(j + 2 - n1) - f0) / (z[j + 1] - x0) * -x0 + f0, 0.0), 1.0))
 
 
-def ks_threshold_constant(alpha: float) -> float:
-    """Asymptotic two-sided Kolmogorov quantile k(alpha) = sqrt(-ln(alpha/2)/2)."""
-    return math.sqrt(-math.log(alpha / 2.0) / 2.0)
-
-
 def ks_threshold(n: int, alpha2=0.05, k_override=None) -> float:
-    """The gate's bound k(alpha2)/sqrt(n) on the statistic of ``n`` sample points;
-    ``k_override`` replaces k(alpha2). Raises TooFewPoints below 8 points."""
+    """The gate's bound k/sqrt(n) on the statistic of ``n`` sample points: k is
+    ``k_override``, else the asymptotic two-sided Kolmogorov quantile
+    sqrt(-ln(alpha2/2)/2). Raises TooFewPoints below 8 points."""
     if n < 8:
         raise TooFewPoints(f"need at least 8 sample points, got {n}")
-    k = ks_threshold_constant(alpha2) if k_override is None else float(k_override)
+    k = math.sqrt(-math.log(alpha2 / 2.0) / 2.0) if k_override is None else float(k_override)
     return k / math.sqrt(n)
 
 

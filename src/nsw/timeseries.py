@@ -73,15 +73,15 @@ class PriceSeries:
         return len(self.prices)
 
 
-def load_bars(path, symbol=None, gap_policy="reject", bar_interval=None) -> PriceSeries:
+def load_bars(path, gap_policy="reject", bar_interval=None) -> PriceSeries:
     """Read a delimited bar file (header row, ``timestamp,price`` columns).
 
     ``gap_policy`` is ``reject`` (default) or ``forward_fill`` which
     re-inserts missing bars at the last seen price. The bar spacing is the
     smallest timestamp step in the file; a given ``bar_interval`` that
     differs from it raises ConfigError. Row numbers in errors are 1-based
-    data rows (header excluded). The series is named ``symbol``, else after
-    the file's stem without the ``bars_`` prefix that ``nsw synth`` writes:
+    data rows (header excluded). The series is named after the file's stem
+    without the ``bars_`` prefix that ``nsw synth`` writes:
     ``bars_S1.csv`` loads as ``S1``, ``SYN-A.csv`` as ``SYN-A``.
     """
     if not os.path.exists(path):
@@ -126,7 +126,7 @@ def load_bars(path, symbol=None, gap_policy="reject", bar_interval=None) -> Pric
     elif gap_policy != "reject":
         raise ParseError(0, f"unknown gap_policy {gap_policy!r}")
     stem = os.path.splitext(os.path.basename(path))[0]
-    name = symbol or stem.removeprefix("bars_") or stem
+    name = stem.removeprefix("bars_") or stem
     return PriceSeries(symbol=name, timestamps=np.array(ts), prices=np.array(px), bar_interval=float(interval))
 
 

@@ -152,7 +152,7 @@ def mode_taps(filt: WaveletFilter, levels: int) -> list:
     return [filt.dilated(levels - j) for j in range(levels)]
 
 
-def coeff_row(prices, taps_by_mode, sign=1.0) -> np.ndarray:
+def coeff_row(prices, taps_by_mode, sign: float) -> np.ndarray:
     """Coefficient vector Y(t) of the newest bar in ``prices``.
 
     Each mode is the inner product of its dilated taps with the most recent

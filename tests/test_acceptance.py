@@ -156,7 +156,7 @@ def test_criterion_5_optimizer_vs_brute_force():
         a = rng.normal(size=(m_count, m_count))
         lam = a @ a.T * 4e-4 + np.eye(m_count) * 1e-6
         x = np.abs(rng.normal(0.03, 0.03, size=m_count)) + 0.005
-        m = MomentEstimate(x, lam, 256, 8)
+        m = MomentEstimate(x, lam)
         for theta in (0.1, 0.25, 0.5):
             res = optimize_parcel(m, theta, tol=1e-7)
             best, ties = _grid_best(grids[m_count], m, theta)
@@ -183,7 +183,7 @@ def test_criterion_6_objective_closed_form():
         w = rng.uniform(0, 1, size=m_count)
         w = w / max(1.0, w.sum())
         theta = float(rng.uniform(0, 1))
-        m = MomentEstimate(x, lam, 256, 8)
+        m = MomentEstimate(x, lam)
         z = float(w @ x)
         sigma = math.sqrt(float(w @ lam @ w))
         # direct quadrature of the Gaussian tail above theta*Z
@@ -196,7 +196,7 @@ def test_criterion_6_objective_closed_form():
         )
         worst = max(worst, abs(objective_P(w, m, theta) - tail))
     zero_case = objective_P(
-        np.zeros(2), MomentEstimate(np.array([0.1, 0.2]), np.eye(2) * 0.01, 256, 8), 0.25
+        np.zeros(2), MomentEstimate(np.array([0.1, 0.2]), np.eye(2) * 0.01), 0.25
     )
     ok = worst < 1e-9 and zero_case == 0.5
     _report(6, ok, f"max |Phi - quadrature| {worst:.2e} < 1e-9 over 20 instances, Z=0 case returns exactly 0.5")
@@ -207,7 +207,7 @@ def test_criterion_7_backtest_accounting():
     series = series_from_prices(prices)
     moves = {0: Action.BUY, 1: Action.SELL, 2: Action.BUY, 3: Action.SELL, 4: Action.BUY, 5: Action.SELL}
     signals = [Signal(moves.get(t, Action.HOLD), 0.5, 0.0) for t in range(len(prices))]
-    source = TraceSource(SignalTrace(start=0, signals=signals))
+    source = TraceSource(SignalTrace(start=0, signals=signals), "scripted")
     report = run_backtest(source, series)
     expected = (2.0 / 1.0) * (1.8 / 1.5) * (1.2 / 0.9)
     product_err = abs(report.final_z - expected)
@@ -320,7 +320,7 @@ def test_criterion_10_decision_fraction_diagnostic(caplog):
     flat = series_from_prices(np.ones(30))
     hold_trace = SignalTrace(start=0, signals=[Signal(Action.HOLD, 0.5, 0.0)] * 30)
     with caplog.at_level(logging.WARNING, logger="nsw.backtest"):
-        run_backtest(TraceSource(hold_trace), flat, decision_band=DECISION_FRACTION_BAND)
+        run_backtest(TraceSource(hold_trace, "scripted"), flat, decision_band=DECISION_FRACTION_BAND)
     forced_ok = any("decision fraction" in r.message for r in caplog.records)
     ok = soft_ok and forced_ok
     _report(10, ok, f"reference run decision fraction {frac:.4f} logged "

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsw.backtest
+import nsw.baselines
 from nsw.backtest import (
     DECISION_FRACTION_BAND,
     TraceSource,
@@ -39,7 +40,7 @@ def scripted(series, moves, start=0):
     for t in range(start, len(series)):
         kind = moves.get(t, Action.HOLD)
         signals.append(Signal(kind, 0.5, 0.0))
-    return TraceSource(SignalTrace(start=start, signals=signals))
+    return TraceSource(SignalTrace(start=start, signals=signals), "scripted")
 
 
 def equity_oracle(prices, moves, start=0):
@@ -220,7 +221,7 @@ class TestRunBacktest:
     def test_equity_equals_per_bar_loop(self, case):
         prices, trace, cost_bps = case
         series = series_from_prices(prices)
-        report = run_backtest(TraceSource(trace), series, cost_bps=cost_bps)
+        report = run_backtest(TraceSource(trace, "scripted"), series, cost_bps=cost_bps)
         equity, trades = per_bar_equity(trace, prices, cost_bps)
         assert np.array_equal(report.equity, equity)
         assert report.trades == tuple(trades)
@@ -243,7 +244,7 @@ class TestRunBacktest:
         equity, trades, eligible = old_run_backtest(SignalTrace(start, signals), prices, cost_bps)
         # the same outcomes as a code array and as the engine's Signal list
         for trace in (SignalTrace(start, codes=codes), SignalTrace(start, signals)):
-            report = run_backtest(TraceSource(trace), series, cost_bps=cost_bps)
+            report = run_backtest(TraceSource(trace, "scripted"), series, cost_bps=cost_bps)
             assert np.array_equal(report.equity, equity)
             assert report.trades == tuple(trades)
             assert report.eligible_bars == eligible
@@ -291,7 +292,7 @@ class TestRunBacktest:
     def test_eligible_bars_stop_at_series_end(self):
         series = series_from_prices([1.0, 1.1, 1.2, 1.3])
         trace = SignalTrace(start=0, signals=[Signal(Action.HOLD, 0.5, 0.0)] * 10)
-        assert run_backtest(TraceSource(trace), series).eligible_bars == 4
+        assert run_backtest(TraceSource(trace, "scripted"), series).eligible_bars == 4
 
     def test_replay_determinism(self):
         series = series_from_prices([1.0, 1.3, 0.9, 1.4, 1.2])
@@ -382,7 +383,7 @@ def old_run_parcel_backtest(reports, theta, rebalance_len, horizon, tol=1e-6):
             ref_parcel = ref_parcel * (weights @ growth + (1.0 - weights.sum()))
             ref_bar = t
             returns = [log_returns(z[i, : t + 1], horizon) for i in range(m_count)]
-            moments = estimate_moments(returns, rebalance_len, horizon)
+            moments = estimate_moments(returns, rebalance_len)
             result = optimize_parcel(moments, theta, tol=tol)
             weights = result.weights.n
             trajectory.append((t, weights.copy()))
@@ -491,8 +492,13 @@ class TestParcel:
         assert calls == {"estimate_moments": 1, "optimize_parcel": 18}
 
 
+def use_grids(monkeypatch, grids):
+    """Make compare_strategies tune each kind over ``grids[kind]`` instead of its default grid."""
+    monkeypatch.setattr(nsw.baselines, "default_grid", grids.__getitem__)
+
+
 class TestCompare:
-    def test_composition_and_nsw_column(self):
+    def test_composition_and_nsw_column(self, monkeypatch):
         t = np.arange(260)
         series = series_from_prices(100 + 5 * np.sin(t * 2 * np.pi / 40), symbol="SINE")
         grids = {k: [cfg] for k, cfg in {
@@ -505,7 +511,8 @@ class TestCompare:
         def factory():
             return scripted(series, {10: Action.BUY, 20: Action.SELL})
 
-        table = compare_strategies([series], factory, baseline_grids=grids)
+        use_grids(monkeypatch, grids)
+        table = compare_strategies([series], factory)
         assert table.columns == ("PC", "BB", "MACD", "RSI", "NSW")
         assert table.instruments == ("SINE",)
         from nsw.baselines import IndicatorStrategy
@@ -546,36 +553,39 @@ class TestCompare:
                 assert report.summary() == rerun.summary()
                 assert table.final_z[i, j] == rerun.final_z
 
-    def test_negative_trend_renders_below_one(self):
+    def test_negative_trend_renders_below_one(self, monkeypatch):
         t = np.arange(300)
         prices = 100 * np.exp(-0.002 * t) * (1 + 0.02 * np.sin(t * 0.8))
         series = series_from_prices(prices, symbol="DOWN")
         grids = {"pc": [IndicatorConfig("pc", (5,))], "bb": [IndicatorConfig("bb", (10, 1.0))],
                  "macd": [IndicatorConfig("macd", (5, 10, 4))], "rsi": [IndicatorConfig("rsi", (7, 30.0, 70.0))]}
-        table = compare_strategies([series], lambda: scripted(series, {}), baseline_grids=grids)
+        use_grids(monkeypatch, grids)
+        table = compare_strategies([series], lambda: scripted(series, {}))
         text = table.to_text()
         assert "DOWN" in text
         assert table.final_z[0, 4] == 1.0  # inactive model holds Z at 1
         assert "0." in text  # sub-unity cells rendered
 
-    def test_reference_table_rendering(self):
+    def test_reference_table_rendering(self, monkeypatch):
         series = series_from_prices([1.0, 1.1, 1.2] * 40, symbol="X")
         grids = {k: [c] for k, c in {
             "pc": IndicatorConfig("pc", (10,)), "bb": IndicatorConfig("bb", (10, 2.0)),
             "macd": IndicatorConfig("macd", (5, 10, 4)), "rsi": IndicatorConfig("rsi", (7, 30.0, 70.0)),
         }.items()}
-        table = compare_strategies([series], lambda: scripted(series, {}), baseline_grids=grids)
+        use_grids(monkeypatch, grids)
+        table = compare_strategies([series], lambda: scripted(series, {}))
         text = table.to_text(show_reference=True)
         assert "1.852" in text and "1.078" in text  # published reference cells
         assert "NSW" in text
 
-    def test_json_output(self):
+    def test_json_output(self, monkeypatch):
         series = series_from_prices([1.0, 1.1, 1.2] * 30, symbol="J")
         grids = {k: [c] for k, c in {
             "pc": IndicatorConfig("pc", (10,)), "bb": IndicatorConfig("bb", (10, 2.0)),
             "macd": IndicatorConfig("macd", (5, 10, 4)), "rsi": IndicatorConfig("rsi", (7, 30.0, 70.0)),
         }.items()}
-        table = compare_strategies([series], lambda: scripted(series, {}), baseline_grids=grids)
+        use_grids(monkeypatch, grids)
+        table = compare_strategies([series], lambda: scripted(series, {}))
         import json
 
         payload = json.loads(table.to_json())

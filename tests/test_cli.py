@@ -90,6 +90,21 @@ class TestBacktestCmd:
         assert res.exit_code == 2
         assert "row 2" in res.output
 
+    def test_price_past_engine_bound_exit_2(self, runner, tmp_path):
+        # synth and load_bars take prices near 1e200; the engine rejects them
+        # before a fit squares their coefficients past the float range
+        bars, out = tmp_path / "s" / "bars_SYN.csv", tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = invoke(runner, ["synth", "--out", str(tmp_path / "s"), "--set", "n_bars=400",
+                                  "--set", "base_price=1e200"])
+            assert res.exit_code == 0
+            res = runner.invoke(main, ["backtest", "--data", str(bars), "--out", str(out)])
+        assert res.exit_code == 2
+        assert "row 1: price 1e+200" in res.output and "is not in (0, 2**500)" in res.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     @pytest.mark.parametrize("stamp", ["inf", "1e300"])
     def test_timestamp_outside_int64_exit_2(self, runner, tmp_path, stamp):
         bars = tmp_path / "stamp.csv"

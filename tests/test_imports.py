@@ -30,14 +30,14 @@ series = make_ou_price_series(600, seed=3, rate=0.003, vol=0.01)
 traces = {name: SignalEngine(SignalConfig(wavelet=name, shift_len=16)).run(series)
           for name in ("haar", "db2", "db3", "bl1", "bl2", "bl3")}
 seen["decided"] = {name: len(trace.codes) for name, trace in traces.items()}
-run_backtest(TraceSource(traces["haar"]), series)
-compare_strategies([series], lambda: TraceSource(traces["haar"]))
+run_backtest(TraceSource(traces["haar"], "NSW"), series)
+compare_strategies([series], lambda: TraceSource(traces["haar"], "NSW"))
 pair = [series, make_ou_price_series(600, seed=4, rate=0.003, vol=0.01)]
 run_parcel_backtest([SignalEngine(SignalConfig(wavelet="bl2", shift_len=16)) for _ in pair], pair,
                     theta=0.25, rebalance_len=64, horizon=1)
 
 rng = np.random.Generator(np.random.PCG64(5))
-m = estimate_moments(0.001 + 0.01 * rng.standard_normal((3, 80)), window=64, horizon=1)
+m = estimate_moments(0.001 + 0.01 * rng.standard_normal((3, 80)), window=64)
 theta = 0.25
 w = optimize_parcel(m, theta).weights.n
 seen["runs"] = scipy_modules()

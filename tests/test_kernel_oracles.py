@@ -35,8 +35,8 @@ def old_design(z, terms):
     return table[..., np.arange(z.shape[-1]), np.array(terms)].prod(axis=-1)
 
 
-def old_mode_series(terms, coeffs, mode):
-    return (np.asarray(coeffs)[..., None] * _collapse(tuple(terms), mode)).sum(axis=-2)
+def old_mode_series(terms, coeffs):
+    return (np.asarray(coeffs)[..., None] * _collapse(tuple(terms))).sum(axis=-2)
 
 
 def old_fit_windows(windows, degree=3, dt=1.0):
@@ -103,15 +103,14 @@ def old_finalize_rows(grid, dx, raw_pdf, failures):
     return OldDensityStack(grid=grid, pdf=raw_pdf, cdf=cdf, p_s=p_s, failures=failures)
 
 
-def old_stationary_densities(fits, mode=1, span=5.0, n_grid=1024):
-    m = mode - 1
+def old_stationary_densities(fits, span=5.0, n_grid=1024):
     fitted = fits.status == 0
     failures = [None if ok else "window not fitted" for ok in fitted]
-    mu = np.where(fitted, fits.mean[:, m], 0.0)
-    sigma = np.where(fitted, fits.std[:, m], 1.0)
+    mu = np.where(fitted, fits.mean[:, 0], 0.0)
+    sigma = np.where(fitted, fits.std[:, 0], 1.0)
     grid = np.ascontiguousarray(np.linspace(mu - span * sigma, mu + span * sigma, n_grid, axis=1))
     dx = grid[:, 1:] - grid[:, :-1]
-    on_grid = old_mode_series(fits.terms, np.stack([fits.drift[:, m], fits.diff[:, m]], axis=1), mode) @ _grid_table(
+    on_grid = old_mode_series(fits.terms, np.stack([fits.drift[:, 0], fits.diff[:, 0]], axis=1)) @ _grid_table(
         span, n_grid, fits.degree)
     integrand = on_grid[:, 0]
     integrand *= 2.0
@@ -275,9 +274,8 @@ def test_kernels_equal_old_bodies(b, dims, degree, n, kinds, n_grid, span, seed)
     windows = np.stack([make_window(kind, n, dims, rng) for kind in kinds[:b]])
     fits = fit_windows(windows, degree=degree)
     assert_fits_agree(windows, fits, old_fit_windows(windows, degree=degree))
-    for mode in range(1, dims + 1):
-        assert_densities_equal(stationary_densities(fits, mode=mode, span=span, n_grid=n_grid),
-                               old_stationary_densities(fits, mode=mode, span=span, n_grid=n_grid), fits.status)
+    assert_densities_equal(stationary_densities(fits, span=span, n_grid=n_grid),
+                           old_stationary_densities(fits, span=span, n_grid=n_grid), fits.status)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -25,8 +25,8 @@ from nsw.signals import SignalConfig, SignalEngine
 from nsw.timeseries import make_ou_price_series
 
 
-def moment(x, lam, window=256, horizon=8):
-    return MomentEstimate(np.asarray(x, float), np.asarray(lam, float), window, horizon)
+def moment(x, lam):
+    return MomentEstimate(np.asarray(x, float), np.asarray(lam, float))
 
 
 def parcel_grid_points(m_count, step=0.01):
@@ -222,31 +222,31 @@ def old_estimate_moments(returns, window):
 class TestEstimateMoments:
     def test_identical_sequences(self, rng):
         x = rng.normal(size=300)
-        m = estimate_moments([x, x], window=256, horizon=8)
+        m = estimate_moments([x, x], window=256)
         var = x[-256:].var()
         assert m.covariance[0, 0] == pytest.approx(var, rel=1e-12)
         assert m.covariance[0, 1] == pytest.approx(var, rel=1e-12)
 
     def test_negation_antisymmetry(self, rng):
         x = rng.normal(size=300)
-        m = estimate_moments([x, -x], window=256, horizon=8)
+        m = estimate_moments([x, -x], window=256)
         assert m.covariance[0, 1] == pytest.approx(-m.covariance[0, 0], abs=1e-12)
 
     def test_independent_streams_decorrelate(self, rng):
         a = rng.normal(size=10_000)
         b = rng.normal(size=10_000)
-        m = estimate_moments([a, b], window=10_000, horizon=8)
+        m = estimate_moments([a, b], window=10_000)
         corr = m.covariance[0, 1] / math.sqrt(m.covariance[0, 0] * m.covariance[1, 1])
         assert abs(corr) < 0.05
 
     def test_population_normalization(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        m = estimate_moments([x], window=4, horizon=1)
+        m = estimate_moments([x], window=4)
         assert m.covariance[0, 0] == pytest.approx(x.var(), abs=1e-15)  # 1/T, not 1/(T-1)
 
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
-            estimate_moments([np.ones(10)], window=20, horizon=1)
+            estimate_moments([np.ones(10)], window=20)
 
     @given(
         m_count=st.integers(1, 4),
@@ -264,20 +264,20 @@ class TestEstimateMoments:
         for i in range(m_count):
             if flat[i]:  # a zero-variance stream
                 stack[:, i] = scale
-        m = estimate_moments(stack, window=window, horizon=3)
+        m = estimate_moments(stack, window=window)
         for k in range(n_windows):
-            alone = estimate_moments(list(stack[k]), window=window, horizon=3)
+            alone = estimate_moments(list(stack[k]), window=window)
             x, lam = old_estimate_moments(stack[k], window)
             assert np.array_equal(alone.mean_returns, x) and np.array_equal(alone.covariance, lam)
             row = m.row(k)
             assert np.array_equal(row.mean_returns, alone.mean_returns)
             assert np.array_equal(row.covariance, alone.covariance)
-            assert (row.window, row.horizon, row.n_instruments) == (window, 3, m_count)
+            assert row.n_instruments == m_count
             assert not row.mean_returns.flags.writeable and not row.covariance.flags.writeable
 
     def test_leaves_caller_arrays_writable(self):
         x, lam = np.array([0.1, 0.2]), np.eye(2) * 0.01
-        m = MomentEstimate(x, lam, 16, 1)
+        m = MomentEstimate(x, lam)
         x[0], lam[0, 0] = 0.3, 0.02
         assert m.mean_returns.tolist() == [0.1, 0.2] and m.covariance[0, 0] == 0.01
         assert not m.mean_returns.flags.writeable and not m.covariance.flags.writeable
@@ -287,9 +287,9 @@ class TestEstimateMoments:
         stack = rng.normal(size=(3, 2, 16))
         stack[bad, 1, 5] = np.nan
         with pytest.raises(DegenerateWindow):
-            estimate_moments(stack[bad], window=16, horizon=1)
+            estimate_moments(stack[bad], window=16)
         with pytest.raises(DegenerateWindow):
-            estimate_moments(stack, window=16, horizon=1)
+            estimate_moments(stack, window=16)
 
     @pytest.mark.parametrize("lam, message", [
         ([[1.0, 0.5], [0.0, 1.0]], "not symmetric"),
@@ -302,8 +302,21 @@ class TestEstimateMoments:
         with pytest.raises(NotPSD, match=message):
             moment([[0.1, 0.1]] * 3, [good, lam, good])
 
+    def test_not_psd_window_named(self):
+        # each window is held to -1e-10 (1 + its own max|diag|): window 0's
+        # eigenvalue -1.5e-8 passes at diagonal 1000, window 3's -2.5e-10 fails at 1
+        lam = np.stack([np.eye(2)] * 5)
+        lam[0] = 1000.0 * np.eye(2) + (1000.0 + 1.5e-8) * np.array([[0.0, -1.0], [-1.0, 0.0]])
+        lam[3] = [[1.0, -1.0 - 2.5e-10], [-1.0 - 2.5e-10, 1.0]]
+        with pytest.raises(NotPSD, match="^covariance of window 3 has eigenvalue -2.5"):
+            MomentEstimate(np.zeros((5, 2)), lam)
+        with pytest.raises(NotPSD, match="^covariance of window 0 has eigenvalue -2.5"):
+            MomentEstimate(np.zeros(2), lam[3])
+        lam[3] = [[1.0, -1.0 - 1.5e-10], [-1.0 - 1.5e-10, 1.0]]
+        MomentEstimate(np.zeros((5, 2)), lam)
+
     def test_optimizer_takes_one_window(self, rng):
-        m = estimate_moments(0.01 * rng.normal(size=(3, 2, 32)), window=32, horizon=1)
+        m = estimate_moments(0.01 * rng.normal(size=(3, 2, 32)), window=32)
         with pytest.raises(ValueError, match="one window"):
             optimize_parcel(m, 0.25)
         assert optimize_parcel(m.row(1), 0.25).weights.n.shape == (2,)
@@ -340,7 +353,8 @@ class TestObjective:
         assert _probability(0.0, 1.0, 0.0) == 0.5
 
     def test_negative_variance(self):
-        m = moment([0.1, 0.1], [[1.0, -2.0], [-2.0, 1.0]])
+        # an eigenvalue of -1e-10 passes the PSD check as rounding, but gives n'Lambda n below -1e-12
+        m = moment([0.1, 0.1], [[1.0, -1.0 - 1e-10], [-1.0 - 1e-10, 1.0]])
         with pytest.raises(NegativeVariance):
             objective_P([0.5, 0.5], m, 0.25)
 
@@ -431,9 +445,9 @@ class TestOptimizer:
         assert np.allclose(res.weights.n, 1 / 3, atol=0)
 
     def test_not_psd(self):
-        m = moment([0.1, 0.1], [[1.0, -2.0], [-2.0, 1.0]])
+        # MomentEstimate checks every window once, so optimize_parcel never sees this one
         with pytest.raises(NotPSD):
-            optimize_parcel(m, 0.25)
+            moment([0.1, 0.1], [[1.0, -2.0], [-2.0, 1.0]])
 
     def test_random_instances_against_grid(self):
         rng = np.random.default_rng(77)
@@ -491,7 +505,7 @@ def parcel_windows():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nsw.backtest, "optimize_parcel", record)
         for theta in (0.1, 0.25, 0.5):
-            sources = [nsw.backtest.TraceSource(t) for t in traces]
+            sources = [nsw.backtest.TraceSource(t, "NSW") for t in traces]
             nsw.backtest.run_parcel_backtest(sources, series, theta=theta, rebalance_len=16, horizon=8)
     return calls
 

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsw import signals
-from nsw.errors import KS_REJECT, MESSAGES, PASS, REASONS, DegenerateWindow, GridMismatch, NonIntegrable, NotWarmedUp
+from nsw.errors import (KS_REJECT, MESSAGES, PASS, REASONS, DegenerateWindow, GridMismatch, NonIntegrable,
+                        NonPositivePrice, NotWarmedUp)
 from nsw.sde_fit import fit_model, fit_windows
 from nsw.signals import Action, Signal, SignalConfig, SignalEngine, SignalTrace, decide, write_signals
 from nsw.stationary import DensityStack, convolution_p_s, ks_quasistationarity, ks_statistic, stationary_density
@@ -111,7 +112,7 @@ def window_density(cfg, rows, t):
     degenerate window or the non-normalizable density."""
     try:
         fit = fit_model(rows[t - cfg.calib_len + 1 : t + 1], degree=cfg.degree)
-        return stationary_density(fit, mode=1, span=cfg.grid_span, n_grid=cfg.n_grid), PASS
+        return stationary_density(fit, span=cfg.grid_span, n_grid=cfg.n_grid), PASS
     except (DegenerateWindow, NonIntegrable) as exc:
         return None, MESSAGES.index(str(exc))
 
@@ -552,6 +553,45 @@ class TestEngine:
         trace = small_engine(density_mode="convolution").run(series)
         write_signals(trace, path)
         assert path.read_bytes() == csv_signals(trace)
+
+
+class TestPriceBound:
+    """Prices at or above ``MAX_PRICE`` = 2**500 are rejected where they enter
+    the engine; below it, prices scaled by 2**k decide as the unscaled ones."""
+
+    @pytest.mark.parametrize("n, seed, cfg, feed, scales", [
+        (5000, 1, REFERENCE_ENGINE["cfg"], "run", (1, 64, 400, 490)),
+        (1200, 1001, SignalConfig(shift_len=64, density_mode="convolution"), "step", (300,)),
+    ])
+    def test_high_scale_decides_as_unscaled(self, n, seed, cfg, feed, scales):
+        prices = make_ou_price_series(n, seed=seed, **REFERENCE_SYNTH).prices
+
+        def decided(k):
+            eng, scaled = SignalEngine(cfg), np.ldexp(prices, k)
+            trace = eng.run(series_from_prices(scaled)) if feed == "run" else stream(eng, scaled)
+            return trace, eng.reason_counts.tolist()
+
+        ref, ref_counts = decided(0)
+        for k in scales:
+            trace, counts = decided(k)
+            assert counts == ref_counts, k
+            assert np.array_equal(trace.codes, ref.codes) and np.array_equal(trace.p_s, ref.p_s), k
+            assert np.array_equal(trace.dy1, np.ldexp(ref.dy1, k)), k
+
+    def test_extend_rejects_bound(self):
+        eng = small_engine()
+        eng.extend(np.nextafter(signals.MAX_PRICE, 0.0))
+        with pytest.raises(NonPositivePrice, match=r"row 2: .* is not in \(0, 2\*\*500\)"):
+            eng.extend(signals.MAX_PRICE)
+        assert eng.n_bars == 1
+
+    def test_run_rejects_before_warm_up(self):
+        prices = make_ou_price_series(400, seed=9, rate=0.05, vol=0.02).prices.copy()
+        prices[300] = 2.0**500
+        eng = small_engine()
+        with pytest.raises(NonPositivePrice, match=r"row 301: .* is not in \(0, 2\*\*500\)"):
+            eng.run(series_from_prices(prices))
+        assert_same_state(eng, small_engine())
 
 
 SPLITS = sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2

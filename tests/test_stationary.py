@@ -14,7 +14,7 @@ from nsw.stationary import (
     convolution_p_s,
     density_convolution,
     ks_quasistationarity,
-    ks_threshold_constant,
+    ks_threshold,
     stationary_densities,
     stationary_density,
 )
@@ -254,11 +254,11 @@ class TestKsGate:
         pts = np.linspace(-0.5, 0.5, 16)
         stat, ok = ks_quasistationarity(d1, d2, pts)
         assert stat >= 0.9 - 1e-6
-        assert stat >= ks_threshold_constant(0.05) / 4.0
+        assert stat >= ks_threshold(16, 0.05)
         assert not ok
 
     def test_constant_value(self):
-        assert ks_threshold_constant(0.05) == pytest.approx(1.358, abs=1e-3)
+        assert 8 * ks_threshold(64, 0.05) == pytest.approx(1.358, abs=1e-3)
 
     def test_too_few_points(self):
         d = gaussian_density(0.0, 1.0, -5.0, 5.0)

@@ -42,7 +42,6 @@ class TestLoadBars:
     def test_named_after_stem_without_synth_prefix(self, tmp_path, name, symbol):
         p = _write(tmp_path, "timestamp,price\n0,1.0\n60,1.1\n", name)
         assert load_bars(p).symbol == symbol
-        assert load_bars(p, symbol="GIVEN").symbol == "GIVEN"
 
     def test_negative_price_row_index(self, tmp_path):
         p = _write(tmp_path, "timestamp,price\n0,1.0\n60,1.1\n120,-1\n180,1.2\n")
@@ -87,7 +86,7 @@ class TestLoadBars:
         series = make_ou_price_series(1000, seed=5, symbol="RT")
         p = tmp_path / "rt.csv"
         write_bars(series, p)
-        back = load_bars(p, symbol="RT")
+        back = load_bars(p)
         assert np.array_equal(back.timestamps, series.timestamps)
         assert np.array_equal(back.prices, series.prices)
         assert back.bar_interval == series.bar_interval
