@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .signals import SignalConfig
+from .timeseries import DEFAULT_BAR_INTERVAL, MAX_PRICE
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class RunConfig(SignalConfig):
     rebalance_len: int = 256  # T1
     horizon: int | None = None  # return lag tau0; None = coarsest wavelet support
     # data / synthesis
-    bar_interval: float = 60.0
+    bar_interval: float = DEFAULT_BAR_INTERVAL
     seed: int = 2009
     n_bars: int = 20000
     ou_rate: float = 0.05
@@ -54,8 +55,8 @@ class RunConfig(SignalConfig):
             raise ConfigError(f"ou_vol must be >= 0 and finite, got {self.ou_vol}")
         if not (math.isfinite(self.ou_rate) and math.isfinite(self.trend)):
             raise ConfigError(f"ou_rate and trend must be finite, got {self.ou_rate}, {self.trend}")
-        if not 0.0 < self.base_price < math.inf:
-            raise ConfigError(f"base_price must be positive and finite, got {self.base_price}")
+        if not 0.0 < self.base_price < MAX_PRICE:
+            raise ConfigError(f"base_price must be in (0, 2**500), got {self.base_price}")
 
     def resolved_horizon(self, filt) -> int:
         """tau0: explicit value, else the coarsest dilated support of the filter."""
@@ -70,21 +71,19 @@ _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": Tru
 
 
 def _coerce(name, raw):
-    field = _FIELDS[name]
+    kind = _FIELDS[name].type  # a string: annotations are postponed
     text = raw.strip()
-    if field.type in ("int", int):
+    if kind.endswith(" | None") and text.lower() in ("none", ""):
+        return None
+    if kind.startswith("int"):
         return int(text)
-    if field.type in ("float", float):
+    if kind.startswith("float"):
         return float(text)
-    if field.type in ("bool", bool):
+    if kind == "bool":
         try:
             return _BOOL_STRINGS[text.lower()]
         except KeyError:
             raise ConfigError(f"{name}: expected a boolean, got {raw!r}") from None
-    if field.type in ("int | None", "float | None"):
-        if text.lower() in ("none", ""):
-            return None
-        return int(text) if field.type.startswith("int") else float(text)
     return text
 
 

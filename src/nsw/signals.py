@@ -27,7 +27,7 @@ from .errors import (CONV_NON_INTEGRABLE, GRID_MISMATCH, KS_REJECT, PASS, REASON
                      NonIntegrable, NonPositivePrice, NotWarmedUp, UnsupportedFamily)
 from .sde_fit import FitStack, fit_windows
 from .stationary import DEFAULT_GRID, DEFAULT_SPAN, convolution_p_s, ks_statistic, ks_threshold, stationary_densities
-from .timeseries import PriceSeries
+from .timeseries import MAX_PRICE, PriceSeries
 from .wavelets import coeff_row, make_wavelet, mode_taps, transform
 
 # windows are synthesized in chunks of about this many density grid nodes (16
@@ -43,9 +43,6 @@ _FIT_WINDOWS = 32
 # CPUs, a split run of 600 bars took 1.21x the one-process time, of 1100 bars
 # 0.72x and of 2200 bars 0.56x
 _MIN_PART = 1024
-# rejected from here up: a fit squares its window's deviations, which overflow
-# from about 1e154 (2**511); below it, prices scaled by 2**k decide alike
-MAX_PRICE = 2.0**500
 
 
 class Action(str, enum.Enum):
@@ -347,9 +344,6 @@ class SignalEngine:
         window's and its displaced window's. Threaded callers, other
         platforms and shorter runs keep one process."""
         prices = series.prices
-        if prices.max() >= MAX_PRICE:  # the series' prices are positive and finite
-            t = int(np.argmax(prices >= MAX_PRICE))
-            raise NonPositivePrice(t + 1, f"price {prices[t]} is not in (0, 2**500)")
         warm_end = min(self.min_history - 1, len(prices))
         while self.n_bars < warm_end:
             self.extend(prices[self.n_bars])

@@ -28,11 +28,14 @@ from .errors import (
 DEFAULT_BAR_INTERVAL = 60.0
 _INT64_BOUND = 2.0**63  # timestamps are stored as int64
 _FLOAT_EXACT = 2.0**53  # floats hold every integer below this exactly
+# every price is in (0, MAX_PRICE): squares of deviations, in a fit or a baseline's
+# band, overflow from about 1e154 (2**511); below it, prices scaled by 2**k decide alike
+MAX_PRICE = 2.0**500
 
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Uniformly spaced, strictly positive, finite price bars for one instrument.
+    """Uniformly spaced price bars in (0, ``MAX_PRICE``) for one instrument.
 
     ``timestamps`` are epoch seconds, strictly increasing with spacing equal
     to ``bar_interval``. Arrays are frozen after construction so instances can
@@ -51,9 +54,9 @@ class PriceSeries:
             raise ParseError(0, "timestamp/price columns have mismatched shapes")
         if len(ts) < 2:
             raise ParseError(len(ts), "need at least 2 bars")
-        bad = np.nonzero(~((px > 0) & (px < math.inf)))[0]
+        bad = np.nonzero(~((px > 0) & (px < MAX_PRICE)))[0]
         if bad.size:
-            raise NonPositivePrice(int(bad[0]) + 1, f"price {px[bad[0]]}")
+            raise NonPositivePrice(int(bad[0]) + 1, f"price {px[bad[0]]} is not in (0, 2**500)")
         steps = np.diff(ts)
         bad = np.nonzero(steps <= 0)[0]
         if bad.size:
@@ -110,8 +113,8 @@ def load_bars(path, gap_policy="reject", bar_interval=None) -> PriceSeries:
                 if field.isdecimal():  # float() may have rounded it: read the digits exactly
                     stamp = int(field)
             t = int(stamp)
-            if not 0 < p < math.inf:
-                raise NonPositivePrice(i, f"price {p}")
+            if not 0 < p < MAX_PRICE:
+                raise NonPositivePrice(i, f"price {p} is not in (0, 2**500)")
             if ts and t <= ts[-1]:
                 raise NonMonotonicTimestamp(i, f"timestamp {t} after {ts[-1]}")
             ts.append(t)
@@ -218,19 +221,19 @@ def make_ou_price_series(
     """Synthetic bars: mean-reverting log-price plus optional linear trend.
 
     log p(t) = log(base_price) + trend*t + x(t) with dx = -rate*x dt + vol dW,
-    one model time unit per bar, timestamps from 0. A path that overflows to
-    inf or underflows to 0 raises ConfigError naming the first such bar, and
+    one model time unit per bar, timestamps from 0. A path that leaves
+    (0, ``MAX_PRICE``) raises ConfigError naming the first such bar, and
     a last timestamp past the int64 range one naming bar_interval and n_bars.
     """
     x = _ou_log_path(n_bars, seed, rate, vol)
     t_idx = np.arange(n_bars)
     with np.errstate(over="ignore", under="ignore"):
         prices = base_price * np.exp(trend * t_idx + x)
-    bad = np.flatnonzero(~((prices > 0) & (prices < math.inf)))
+    bad = np.flatnonzero(~((prices > 0) & (prices < MAX_PRICE)))
     if bad.size:
         raise ConfigError(f"trend={trend:g}, ou_rate={rate:g}, ou_vol={vol:g}, n_bars={n_bars}, "
                           f"base_price={base_price:g}: price {prices[bad[0]]:g} at bar {bad[0]}; use a smaller "
-                          "|trend| or ou_vol, an ou_rate in [0, 2] or fewer bars")
+                          "|trend| or ou_vol, a smaller base_price, an ou_rate in [0, 2] or fewer bars")
     step = int(round(bar_interval))
     if (int(n_bars) - 1) * step >= _INT64_BOUND:  # Python ints: checked before numpy wraps them
         raise ConfigError(

@@ -91,17 +91,20 @@ class TestBacktestCmd:
         assert "row 2" in res.output
 
     def test_price_past_engine_bound_exit_2(self, runner, tmp_path):
-        # synth and load_bars take prices near 1e200; the engine rejects them
-        # before a fit squares their coefficients past the float range
-        bars, out = tmp_path / "s" / "bars_SYN.csv", tmp_path / "o"
+        # neither synth nor load_bars takes a price near 1e200, whose squares
+        # in a fit or a baseline's band are past the float range
+        bars, out = tmp_path / "big.csv", tmp_path / "o"
+        bars.write_text("timestamp,price\n0,1.0\n60,1e200\n120,1.0\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = invoke(runner, ["synth", "--out", str(tmp_path / "s"), "--set", "n_bars=400",
-                                  "--set", "base_price=1e200"])
-            assert res.exit_code == 0
+            res = runner.invoke(main, ["synth", "--out", str(out), "--set", "n_bars=400",
+                                       "--set", "base_price=1e200"])
+            assert res.exit_code == 2
+            assert "base_price must be in (0, 2**500)" in res.output
+            assert not out.exists()
             res = runner.invoke(main, ["backtest", "--data", str(bars), "--out", str(out)])
         assert res.exit_code == 2
-        assert "row 1: price 1e+200" in res.output and "is not in (0, 2**500)" in res.output
+        assert "row 2: price 1e+200 is not in (0, 2**500)" in res.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
@@ -297,9 +300,9 @@ class TestConfigFile:
         assert override.split("=")[0] in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("trend, bad_bar", [(1, 706), (-1, 746)])
+    @pytest.mark.parametrize("trend, bad_bar", [(1, 342), (-1, 746)])
     def test_price_path_out_of_range_exit_2(self, runner, tmp_path, trend, bad_bar):
-        # exp(trend * t) overflows to inf (trend=1) or underflows to 0 (trend=-1)
+        # exp(trend * t) passes 2**500 (trend=1) or underflows to 0 (trend=-1)
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -378,6 +381,34 @@ class TestBadDataWritesNothing:
         if bad == "missing":
             assert f"bar file not found: {path}" in res.output
         assert not out.exists()
+
+
+_RANGE_PATH = make_ou_price_series(600, seed=1)
+_K_MAX = 500 - int(np.frexp(_RANGE_PATH.prices.max())[1])  # the largest k that keeps every price below 2**500
+
+
+class TestPriceRange:
+    """Every command reads the one price range, (0, 2**500): the path scaled by
+    2**k runs below it, down to subnormal prices, and from it up exits 2 at
+    load, before a baseline or a fit squares a price past the float range.
+    The suite turns a RuntimeWarning into an error."""
+
+    @pytest.mark.parametrize("command", ["backtest", "compare", "parcel"])
+    @pytest.mark.parametrize("k", [-1074, 0, _K_MAX, _K_MAX + 1, 509])
+    def test_scaled_path(self, runner, tmp_path, command, k):
+        prices = np.ldexp(_RANGE_PATH.prices, k)
+        bars, out = tmp_path / "bars_S.csv", tmp_path / "o"
+        bars.write_text("timestamp,price\n" + "".join(
+            f"{t},{p!r}\n" for t, p in zip(_RANGE_PATH.timestamps.tolist(), prices.tolist())))
+        res = runner.invoke(main, [command, "--data", str(bars), "--out", str(out), "--set", "shift_len=16"])
+        if k <= _K_MAX:
+            assert res.exit_code == 0, res.output
+            assert (out / "manifest.json").exists()
+        else:
+            assert res.exit_code == 2, res.output
+            row = int(np.argmax(prices >= 2.0**500)) + 1
+            assert f"row {row}: price {prices[row - 1]} is not in (0, 2**500)" in res.output
+            assert not out.exists()
 
 
 class TestManifest:

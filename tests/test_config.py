@@ -46,6 +46,7 @@ def _assert_rejected(values):
     ("base_price", -5.0),
     ("base_price", 0.0),
     ("base_price", math.inf),
+    ("base_price", 2.0**500),  # the largest price a series holds is below it
 ])
 def test_invalid_value_rejected(field, value):
     _assert_rejected({field: value})

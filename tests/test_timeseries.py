@@ -18,7 +18,7 @@ from nsw.errors import (
     ParseError,
 )
 from nsw.signals import SignalConfig, SignalEngine
-from nsw.timeseries import _OU_BLOCK, PriceSeries, load_bars, make_ou_price_series, simulate_sde, write_bars
+from nsw.timeseries import _OU_BLOCK, MAX_PRICE, PriceSeries, load_bars, make_ou_price_series, simulate_sde, write_bars
 
 from conftest import series_from_prices
 
@@ -259,16 +259,17 @@ def old_simulate_sde(drift, diffusion, y0, dt, n_steps, seed):
 
 
 def old_make_ou_price_series(n_bars, seed, rate=0.05, vol=0.01, trend=0.0, base_price=100.0, bar_interval=60.0):
-    """The composition ``make_ou_price_series`` was before its own recursion."""
+    """The composition ``make_ou_price_series`` was before its own recursion,
+    with its price range."""
     x = old_simulate_sde(lambda y: -rate * y, lambda y: vol, [0.0], 1.0, n_bars - 1, seed)[:, 0]
     t_idx = np.arange(n_bars)
     with np.errstate(over="ignore", under="ignore"):
         prices = base_price * np.exp(trend * t_idx + x)
-    bad = np.flatnonzero(~((prices > 0) & (prices < math.inf)))
+    bad = np.flatnonzero(~((prices > 0) & (prices < MAX_PRICE)))
     if bad.size:
         raise ConfigError(f"trend={trend:g}, ou_rate={rate:g}, ou_vol={vol:g}, n_bars={n_bars}, "
                           f"base_price={base_price:g}: price {prices[bad[0]]:g} at bar {bad[0]}; use a smaller "
-                          "|trend| or ou_vol, an ou_rate in [0, 2] or fewer bars")
+                          "|trend| or ou_vol, a smaller base_price, an ou_rate in [0, 2] or fewer bars")
     return t_idx * int(round(bar_interval)), prices
 
 
@@ -358,14 +359,14 @@ def test_ou_series_equals_composition(n_bars, seed, rate, vol, trend, base_price
     (300, dict(vol=math.nan)),  # ConfigError: price nan at bar 1
     (300, dict(rate=math.nan)),
     (300, dict(rate=2, vol=np.float32(0.01))),
-    (2000, dict(trend=1.0)),  # ConfigError: price inf at bar 706
+    (2000, dict(trend=1.0)),  # ConfigError: price 3.3e150 at bar 342
     (2000, dict(trend=-1.0)),  # ConfigError: price 0 at bar 746
 ])
 def test_ou_series_edge_cases_equal_composition(n_bars, kwargs):
     got = outcome(make_ou_price_series, n_bars, 1, **kwargs)
     assert_same_outcome(got, outcome(old_make_ou_price_series, n_bars, 1, **kwargs))
     if kwargs.get("trend"):
-        assert got[0] is ConfigError and f"at bar {706 if kwargs['trend'] > 0 else 746};" in got[1]
+        assert got[0] is ConfigError and f"at bar {342 if kwargs['trend'] > 0 else 746};" in got[1]
 
 
 @pytest.mark.parametrize("bar_interval", [1e18, 1e300, 2.0**63])
