@@ -25,18 +25,15 @@ import numpy as np
 
 from .errors import (CONV_NON_INTEGRABLE, GRID_MISMATCH, KS_REJECT, PASS, REASONS, ConfigError, GridMismatch,
                      NonIntegrable, NonPositivePrice, NotWarmedUp, UnsupportedFamily)
-from .sde_fit import FitStack, fit_windows
+from .sde_fit import fit_windows
 from .stationary import DEFAULT_GRID, DEFAULT_SPAN, convolution_p_s, ks_statistic, ks_threshold, stationary_densities
 from .timeseries import MAX_PRICE, PriceSeries
 from .wavelets import coeff_row, make_wavelet, mode_taps, transform
 
-# windows are synthesized in chunks of about this many density grid nodes (16
-# windows at n_grid=1024): enough to amortize the per-call cost of the stacked
-# kernels, small enough that peak memory stays flat
-_CHUNK_CELLS = 16 * 1024
-# windows are fitted this many at a time: the fit's cost per window still
-# falls past 16 windows, while the density's does not and its memory grows
-_FIT_WINDOWS = 32
+# windows are fitted and synthesized in stacks of about this many density grid
+# nodes (32 windows at n_grid=1024): the fit's cost per window still falls past
+# 16 windows, and a stack shrinks as n_grid grows, so peak memory stays flat
+_STACK_CELLS = 32 * 1024
 # run() decides the first half of a series in a forked child when each half
 # has at least this many bars. The fork and the copy-on-write faults after it
 # cost more than a short half saves: with SignalConfig(shift_len=16), on two
@@ -329,7 +326,7 @@ class SignalEngine:
         The engine takes the series' first ``n_bars`` bars as the ones it has
         already been fed. The batch path: the coefficient rows of the whole
         series come from one ``transform``, and ``_decide`` fits and decides
-        every later bar in chunks; ``reason_counts`` grows by the count of
+        every later bar in stacks; ``reason_counts`` grows by the count of
         its columns' reasons. Signals, ``reason_counts`` and the engine state
         left behind equal those of feeding the same bars through ``extend``
         and ``step``, so a live feed can go on with ``step`` afterwards.
@@ -408,20 +405,16 @@ class SignalEngine:
 
     def _windows(self, rows, base: int, bars):
         """``(bar, DensityStack, row, status)`` of each bar's fit window, in
-        order, fitted in stacks and synthesized in chunks; ``rows[0]`` is bar ``base``."""
+        order, fitted and synthesized in stacks; ``rows[0]`` is bar ``base``."""
         cfg = self.cfg
-        chunk = max(1, _CHUNK_CELLS // cfg.n_grid)
-        for lo in range(0, len(bars), _FIT_WINDOWS):
-            part = bars[lo : lo + _FIT_WINDOWS]
+        size = max(1, _STACK_CELLS // cfg.n_grid)
+        for lo in range(0, len(bars), size):
+            part = bars[lo : lo + size]
             fits = fit_windows(np.array([rows[t - base - cfg.calib_len + 1 : t - base + 1] for t in part]),
                                degree=cfg.degree)
-            for c in range(0, len(part), chunk):
-                sl = slice(c, c + chunk)
-                fits_c = fits if len(part) <= chunk else FitStack(fits.terms, fits.degree, *(
-                    a[sl] for a in (fits.mean, fits.std, fits.drift, fits.diff, fits.floor, fits.status)))
-                dens = stationary_densities(fits_c, span=cfg.grid_span, n_grid=cfg.n_grid)
-                for i, (t, status) in enumerate(zip(part[sl], dens.status.tolist())):
-                    yield t, dens, i, status
+            dens = stationary_densities(fits, span=cfg.grid_span, n_grid=cfg.n_grid)
+            for i, (t, status) in enumerate(zip(part, dens.status.tolist())):
+                yield t, dens, i, status
 
     def _decide(self, rows, base: int, first: int, ring: list) -> np.ndarray:
         """``codes, reasons, p_s, dy1`` of bars ``first .. n - 1``, the rows of
@@ -433,10 +426,8 @@ class SignalEngine:
         nothing else changes. The windows to fit are the displaced ones the
         ring does not hold yet, then one per decided bar. Each window's entry
         goes into the ring at its bar's slot, where it serves as the displaced
-        density ``shift_len`` bars later (which may still be in its chunk),
-        before its bar is decided. A ring entry keeps its whole density chunk
-        alive, so displaced windows, which leave the ring sooner, never share
-        a chunk with decided bars."""
+        density ``shift_len`` bars later (which may still be in its stack),
+        before its bar is decided."""
         cfg = self.cfg
         slots, n = len(ring), base + len(rows)
         mode1 = np.ascontiguousarray(rows[:, 0])  # each gate's sample points are a slice of it
@@ -444,29 +435,29 @@ class SignalEngine:
         codes, reasons, p_s = [CODE_GATED] * len(dy1), [PASS] * len(dy1), [0.5] * len(dy1)
         convolution = cfg.density_mode == "convolution"
         displaced = range(first - cfg.shift_len, min(first, n - cfg.shift_len))
-        for bars in ([t for t in displaced if ring[t % slots][0] != t], range(first, n)):
-            for entry in self._windows(rows, base, bars):
-                t, dens, i, reason = entry
-                ring[t % slots] = entry
-                if t < first:
-                    continue
-                _, d_shift, j, shift_reason = ring[(t - cfg.shift_len) % slots]
-                reason = reason or shift_reason
-                if not reason and convolution:
-                    try:
-                        p = convolution_p_s(dens.grid[i], dens.pdf[i], d_shift.grid[j], d_shift.pdf[j])
-                    except (NonIntegrable, GridMismatch) as exc:
-                        reason = GRID_MISMATCH if isinstance(exc, GridMismatch) else CONV_NON_INTEGRABLE
-                elif not reason:
-                    p = float(dens.p_s[i])
-                k = t - first
-                if not reason:
-                    end = t - base + 1
-                    ks_pass = ks_statistic(mode1[end - cfg.calib_len : end], dens.grid[i], dens.cdf[i],
-                                           d_shift.grid[j], d_shift.cdf[j]) < self._ks_bound
-                    reason = PASS if ks_pass else KS_REJECT
-                    codes[k], p_s[k] = _outcome(dy1[k], p, ks_pass, cfg.alpha1), p
-                reasons[k] = reason
+        bars = [t for t in displaced if ring[t % slots][0] != t] + list(range(first, n))
+        for entry in self._windows(rows, base, bars):
+            t, dens, i, reason = entry
+            ring[t % slots] = entry
+            if t < first:
+                continue
+            _, d_shift, j, shift_reason = ring[(t - cfg.shift_len) % slots]
+            reason = reason or shift_reason
+            if not reason and convolution:
+                try:
+                    p = convolution_p_s(dens.grid[i], dens.pdf[i], d_shift.grid[j], d_shift.pdf[j])
+                except (NonIntegrable, GridMismatch) as exc:
+                    reason = GRID_MISMATCH if isinstance(exc, GridMismatch) else CONV_NON_INTEGRABLE
+            elif not reason:
+                p = float(dens.p_s[i])
+            k = t - first
+            if not reason:
+                end = t - base + 1
+                ks_pass = ks_statistic(mode1[end - cfg.calib_len : end], dens.grid[i], dens.cdf[i],
+                                       d_shift.grid[j], d_shift.cdf[j]) < self._ks_bound
+                reason = PASS if ks_pass else KS_REJECT
+                codes[k], p_s[k] = _outcome(dy1[k], p, ks_pass, cfg.alpha1), p
+            reasons[k] = reason
         return np.array((codes, reasons, p_s, dy1))
 
 

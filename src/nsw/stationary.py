@@ -129,7 +129,7 @@ def stationary_densities(fits: FitStack, span=DEFAULT_SPAN, n_grid=DEFAULT_GRID)
     w = np.empty_like(grid)
     w[:, 0] = 0.0
     np.cumsum(steps, axis=1, out=w[:, 1:])
-    del on_grid, ratio, steps  # freed before _finalize_rows allocates: peak memory per chunk
+    del on_grid, ratio, steps  # freed before _finalize_rows allocates: peak memory per stack
     w -= w.max(axis=1, keepdims=True)
     dens = _finalize_rows(grid, dx, np.exp(w, out=w), status)
     # mass over the outer edge nodes on either side, from the CDF

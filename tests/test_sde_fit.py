@@ -247,7 +247,7 @@ def test_only_ill_conditioned_designs_are_held(n, degree, log_cond, seed):
        n=st.integers(32, 64), degree=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_rows_do_not_depend_on_held_neighbours(kinds, n, degree, seed):
-    # run() fits chunks of windows and step() one window at a time, and they
+    # run() fits stacks of windows and step() one window at a time, and they
     # must agree bit for bit: a window's row cannot depend on which of its
     # neighbours are fitted and which are held
     rng = np.random.default_rng(seed)

@@ -174,23 +174,22 @@ def assert_same_state(a, b):
         assert da is None or reason or (da.p_s[i] == db.p_s[j] and np.array_equal(da.pdf[i], db.pdf[j])), bar
 
 
-# windows per run() fit stack, and per density chunk at the default 1024-node grid
-FIT = signals._FIT_WINDOWS
-CHUNK = signals._CHUNK_CELLS // 1024
+# windows per run() stack at the default 1024-node grid
+STACK = signals._STACK_CELLS // 1024
 
 
-# displacements below a density chunk, so a bar's displaced density can be in
-# its own chunk, and above it
-shift_lens = st.integers(1, CHUNK - 1) | st.integers(CHUNK + 1, 2 * CHUNK)
+# displacements below a stack, so a bar's displaced density can be in its own
+# stack, and above it
+shift_lens = st.integers(1, STACK - 1) | st.integers(STACK + 1, 2 * STACK)
 
 
 @st.composite
 def batch_cases(draw):
     """A small engine config and a series: the edge lengths (shorter than
     the wavelet support, min_history - 1, min_history) or one whose windows
-    straddle several run() fit stacks and density chunks, with a shift_len
-    below or above the chunk, sometimes with a flat stretch that leaves
-    windows rank-deficient or of zero variance."""
+    straddle several run() stacks, with a shift_len below or above the
+    stack, sometimes with a flat stretch that leaves windows rank-deficient
+    or of zero variance."""
     cfg = SignalConfig(
         calib_len=32,
         shift_len=draw(shift_lens),
@@ -200,7 +199,7 @@ def batch_cases(draw):
     )
     eng = SignalEngine(cfg)
     edges = [2, eng.filter.support_at(cfg.levels) - 1, eng.min_history - 1, eng.min_history]
-    n = draw(st.sampled_from(edges) | st.integers(eng.min_history + 1, eng.min_history + 3 * FIT))
+    n = draw(st.sampled_from(edges) | st.integers(eng.min_history + 1, eng.min_history + 3 * STACK))
     prices = make_ou_price_series(n, seed=draw(st.integers(0, 10_000)), rate=0.05, vol=0.02).prices.copy()
     if draw(st.booleans()):
         lo = draw(st.integers(0, n - 1))
@@ -271,13 +270,13 @@ class TestEngine:
         assert full.signals[:overlap] == prefix.signals
 
     @given(rate=st.floats(0.002, 0.2), vol=st.floats(0.002, 0.05), seed=st.integers(0, 10_000),
-           shift_len=shift_lens, n=st.integers(1, 3 * FIT), cut=st.integers(2, 8 + 32 + 2 * CHUNK - 1 + 3 * FIT))
+           shift_len=shift_lens, n=st.integers(1, 3 * STACK), cut=st.integers(2, 8 + 32 + 2 * STACK - 1 + 3 * STACK))
     @settings(max_examples=20, deadline=None)
     def test_causality_prefix_property(self, rate, vol, seed, shift_len, n, cut):
         # a prefix's decisions are the full run's, bit for bit, wherever the
-        # last run() fit stack and density chunk end
+        # last run() stack ends
         cfg = SignalConfig(calib_len=32, shift_len=shift_len)
-        n += SignalEngine(cfg).min_history  # up to min_history + 3 fit stacks
+        n += SignalEngine(cfg).min_history  # up to min_history + 3 stacks
         series = make_ou_price_series(n, seed=seed, rate=rate, vol=vol)
         full = SignalEngine(cfg).run(series)
         prefix = SignalEngine(cfg).run(series_from_prices(series.prices[:min(cut, n)]))
@@ -342,8 +341,8 @@ class TestEngine:
 
     def test_step_fits_only_new_windows(self, monkeypatch):
         # after an extend() warm-up, each of the first shift_len steps fits the
-        # displaced window, which no step decided, and then its own; every
-        # later step finds the displaced density in the ring
+        # displaced window, which no step decided, and its own in one stack;
+        # every later step finds the displaced density in the ring
         cfg = SignalConfig(calib_len=32, shift_len=8, n_grid=256)
         prices = make_ou_price_series(120, seed=6, rate=0.05, vol=0.02).prices
         stacks = []
@@ -361,7 +360,7 @@ class TestEngine:
         for k, price in enumerate(prices[warm:]):
             stacks.clear()
             eng.step(price)
-            assert stacks == ([1, 1] if k < cfg.shift_len else [1]), k
+            assert stacks == ([2] if k < cfg.shift_len else [1]), k
 
         # after run(), the ring holds every displaced density a step needs
         eng = SignalEngine(cfg)
@@ -402,7 +401,7 @@ class TestEngine:
         assert_counts(eng, expected, counts)
         assert_same_state(eng, live)
 
-        # a second run() goes on from bar 150, so its chunks start elsewhere
+        # a second run() goes on from bar 150, so its stacks start elsewhere
         # and the displaced densities come from the ring
         eng = SignalEngine(cfg)
         eng.run(series_from_prices(series.prices[:150]))
@@ -467,6 +466,23 @@ class TestEngine:
 
         short, long = retained(2_000), retained(20_000)
         assert long - short < 4096, (short, long)
+
+    @pytest.mark.parametrize("n_grid, bound", [(1024, 4), (16384, 14)])
+    def test_run_memory_flat_in_grid(self, monkeypatch, n_grid, bound):
+        # a stack holds fewer windows on a finer grid, so a one-process run()
+        # peaks at 2.8 MiB at 1024 nodes and 9.1 MiB at 16384; a fixed
+        # 32-window stack would peak at 37 MiB on the finer grid
+        monkeypatch.setattr(signals, "_can_fork", lambda: False)
+        series = make_ou_price_series(3000, seed=1, **REFERENCE_SYNTH)
+        eng = SignalEngine(SignalConfig(shift_len=16, n_grid=n_grid))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            eng.run(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, peak
 
     def test_trace_columns_build_step_signals(self):
         # run()'s trace keeps codes, p_s and dy1 as read-only columns; its
