@@ -259,7 +259,7 @@ class SignalEngine:
     (these ``degenerate_bars`` are held with gated=True), else ``ks_reject``
     or ``pass``. ``step`` (one bar) and ``run`` (a whole series) decide
     through the same loop, so they return the same signals and counts bit for
-    bit. Only the newest bars a decision reads are kept, so memory stays fixed.
+    bit. Only the bars and density rows a decision reads are kept, so memory stays fixed.
     """
 
     name = "NSW"  # the strategy label of its backtest reports
@@ -274,9 +274,12 @@ class SignalEngine:
         # one (levels,) row per bar, NaN while unsupported; enough rows for
         # the current and the displaced fit window
         self._coeffs = _Trailing(cfg.calib_len + cfg.shift_len + 1, (cfg.levels,))
-        # (bar, its window's DensityStack, row in it, status) in slot bar % (shift_len + 1):
-        # the newest shift_len + 1 densities, enough to reach each decision's displaced one
-        self._densities = [(-1, None, 0, PASS)] * (cfg.shift_len + 1)
+        # the density ring: slot t % (shift_len + 1) holds window t's bar, status and, if 0, its p_s and
+        # grid, cdf and (convolution only) pdf rows; enough to reach each decision's displaced window
+        slots, n_grid = cfg.shift_len + 1, cfg.n_grid
+        self._bar, self._status, self._p_s = np.full(slots, -1), np.zeros(slots, np.uint8), np.zeros(slots)
+        self._grid, self._cdf = np.zeros((slots, n_grid)), np.zeros((slots, n_grid))
+        self._pdf = np.zeros((slots, n_grid)) if cfg.density_mode == "convolution" else None
         self._ks_bound = ks_threshold(cfg.calib_len, cfg.alpha2, cfg.ks_k)  # on a window's mode-1 sample
         self.n_bars = 0
         self.reason_counts = np.zeros(len(REASONS), dtype=np.int64)
@@ -315,8 +318,7 @@ class SignalEngine:
         if not self.ready:
             raise NotWarmedUp(f"have {self.n_bars} bars, need {self.min_history}")
         window = self._coeffs.window(self.cfg.calib_len + self.cfg.shift_len + 1)
-        code, reason, p_s, dy1 = self._decide(window, self.n_bars - len(window), self.n_bars - 1,
-                                              self._densities)[:, 0].tolist()
+        code, reason, p_s, dy1 = self._decide(window, self.n_bars - len(window), self.n_bars - 1)[:, 0].tolist()
         self.reason_counts[int(reason)] += 1
         return _code_signal(int(code), p_s, dy1)
 
@@ -333,9 +335,8 @@ class SignalEngine:
 
         On Linux, with a second CPU in the process's affinity set, no other
         Python thread alive and at least ``_MIN_PART`` decided bars in each
-        half, ``run`` decides the first half in one forked child, on a
-        snapshot of the density ring, while this process decides the second
-        (``_decide_split``). The outputs stay bit
+        half, ``run`` decides the first half in one forked child while this
+        process decides the second (``_decide_split``). The outputs stay bit
         for bit the same: every window's fit and density are the same
         whatever stack computes them, and each decision reads only its own
         window's and its displaced window's. Threaded callers, other
@@ -352,26 +353,23 @@ class SignalEngine:
         self._coeffs.push_all(rows[first:])
         n = self.n_bars = len(prices)
         mid = (first + n) // 2
-        if min(mid - first, n - mid) >= _MIN_PART and _can_fork():
-            codes, reasons, p_s, dy1 = self._decide_split(rows, first, mid)
-        else:
-            codes, reasons, p_s, dy1 = self._decide(rows, 0, first, self._densities)
+        split = min(mid - first, n - mid) >= _MIN_PART and _can_fork()
+        codes, reasons, p_s, dy1 = self._decide_split(rows, first, mid) if split else self._decide(rows, 0, first)
         self.reason_counts += np.bincount(reasons.astype(np.intp), minlength=len(REASONS))
         return SignalTrace(first, codes=codes, p_s=p_s, dy1=dy1)
 
     def _decide_split(self, rows, first: int, mid: int) -> np.ndarray:
-        """``_decide(rows, 0, first, self._densities)``, bars ``first .. mid - 1``
-        decided in a forked child while this process decides the rest.
+        """``_decide(rows, 0, first)``, bars ``first .. mid - 1`` decided in a
+        forked child, on its copy-on-write ring, while this process decides the rest.
 
-        The child decides on ``ring``, a snapshot of the density ring as the
-        run found it, writes its ``(4, mid - first)`` float64 columns into an
+        The child writes its ``(4, mid - first)`` float64 columns into an
         anonymous shared mapping made before the fork, and only then sets the
         mapping's last byte. This process's ``_decide`` from ``mid`` fits the
         displaced windows before ``mid`` itself, so its ring ends where a
-        one-process run leaves it. If the byte is unset once the child is
-        gone, the head is decided here on ``ring``: an error then surfaces as
-        in one process, a head bar's first."""
-        ring, size = list(self._densities), 4 * 8 * (mid - first)  # four float64 rows
+        one-process run leaves it. If the byte is unset once the child is gone,
+        a fresh engine decides the head here, refitting its displaced windows
+        to the same densities: an error surfaces as in one process, a head bar's first."""
+        size = 4 * 8 * (mid - first)  # four float64 rows
         try:
             block = mmap.mmap(-1, size + 1)
             with warnings.catch_warnings():
@@ -380,15 +378,15 @@ class SignalEngine:
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
         except OSError:  # no memory or process to spare: decide every bar here
-            return self._decide(rows, 0, first, self._densities)
+            return self._decide(rows, 0, first)
         if pid == 0:
             try:
-                block[:size] = self._decide(rows[:mid], 0, first, ring).tobytes()
+                block[:size] = self._decide(rows[:mid], 0, first).tobytes()
                 block[size] = 1
             finally:
                 os._exit(0)
         try:
-            tail = self._decide(rows, 0, mid, self._densities)
+            tail = self._decide(rows, 0, mid)
         except Exception as exc:  # a head bar's error, if any, comes first
             tail = exc
         except BaseException:  # an interrupt: stop the child instead of waiting for it
@@ -398,15 +396,16 @@ class SignalEngine:
         finally:
             with contextlib.suppress(ChildProcessError):  # SIGCHLD is ignored: the child reaped itself
                 os.waitpid(pid, 0)
-        head = np.frombuffer(block[:size]).reshape(4, -1) if block[size] else self._decide(rows[:mid], 0, first, ring)
+        head = (np.frombuffer(block[:size]).reshape(4, -1) if block[size]
+                else SignalEngine(self.cfg)._decide(rows[:mid], 0, first))
         if isinstance(tail, Exception):
             raise tail
         return np.concatenate((head, tail), axis=1)
 
     def _windows(self, rows, base: int, bars):
-        """``(bar, DensityStack, row, status)`` of each bar's fit window, in
-        order, fitted and synthesized in stacks; ``rows[0]`` is bar ``base``."""
-        cfg = self.cfg
+        """Fit and synthesize each bar's window in stacks, copy its bar, status and, if 0,
+        rows into its ring slot, and yield the bar, in order; ``rows[0]`` is bar ``base``."""
+        cfg, slots = self.cfg, len(self._bar)
         size = max(1, _STACK_CELLS // cfg.n_grid)
         for lo in range(0, len(bars), size):
             part = bars[lo : lo + size]
@@ -414,47 +413,48 @@ class SignalEngine:
                                degree=cfg.degree)
             dens = stationary_densities(fits, span=cfg.grid_span, n_grid=cfg.n_grid)
             for i, (t, status) in enumerate(zip(part, dens.status.tolist())):
-                yield t, dens, i, status
+                s = t % slots
+                self._bar[s], self._status[s] = t, status
+                if not status:
+                    self._p_s[s], self._grid[s], self._cdf[s] = dens.p_s[i], dens.grid[i], dens.cdf[i]
+                    if self._pdf is not None:
+                        self._pdf[s] = dens.pdf[i]
+                yield t
 
-    def _decide(self, rows, base: int, first: int, ring: list) -> np.ndarray:
+    def _decide(self, rows, base: int, first: int) -> np.ndarray:
         """``codes, reasons, p_s, dy1`` of bars ``first .. n - 1``, the rows of
         one float64 array; ``rows`` are coefficient rows of bars ``base ..
         n - 1``. A bar's reason is its code of ``nsw.errors.REASONS``; a
-        degenerate bar reads gated, with ``p_s = 0.5``.
+        degenerate bar reads gated, with ``p_s = 0.5``. The gate passes only
+        on a KS statistic below the bound: a tie is a ``ks_reject``.
 
-        ``ring`` is a density ring (``_densities`` or a snapshot of it), and
-        nothing else changes. The windows to fit are the displaced ones the
-        ring does not hold yet, then one per decided bar. Each window's entry
-        goes into the ring at its bar's slot, where it serves as the displaced
-        density ``shift_len`` bars later (which may still be in its stack),
-        before its bar is decided."""
-        cfg = self.cfg
-        slots, n = len(ring), base + len(rows)
+        Only the density ring changes. The windows to fit are the displaced
+        ones it does not hold yet, then one per decided bar. Each bar is
+        decided from ring rows alone, once its window's slot is written; the
+        slot serves as the displaced density ``shift_len`` bars later."""
+        cfg, slots, n = self.cfg, len(self._bar), base + len(rows)
         mode1 = np.ascontiguousarray(rows[:, 0])  # each gate's sample points are a slice of it
         dy1 = (mode1[first - base : n - base] - mode1[first - base - 1 : n - base - 1]).tolist()
         codes, reasons, p_s = [CODE_GATED] * len(dy1), [PASS] * len(dy1), [0.5] * len(dy1)
-        convolution = cfg.density_mode == "convolution"
         displaced = range(first - cfg.shift_len, min(first, n - cfg.shift_len))
-        bars = [t for t in displaced if ring[t % slots][0] != t] + list(range(first, n))
-        for entry in self._windows(rows, base, bars):
-            t, dens, i, reason = entry
-            ring[t % slots] = entry
+        bars = [t for t in displaced if self._bar[t % slots] != t] + list(range(first, n))
+        grid, cdf, pdf = self._grid, self._cdf, self._pdf
+        for t in self._windows(rows, base, bars):
             if t < first:
                 continue
-            _, d_shift, j, shift_reason = ring[(t - cfg.shift_len) % slots]
-            reason = reason or shift_reason
-            if not reason and convolution:
+            s, j = t % slots, (t - cfg.shift_len) % slots
+            reason = int(self._status[s] or self._status[j])
+            if not reason and pdf is not None:
                 try:
-                    p = convolution_p_s(dens.grid[i], dens.pdf[i], d_shift.grid[j], d_shift.pdf[j])
+                    p = convolution_p_s(grid[s], pdf[s], grid[j], pdf[j])
                 except (NonIntegrable, GridMismatch) as exc:
                     reason = GRID_MISMATCH if isinstance(exc, GridMismatch) else CONV_NON_INTEGRABLE
             elif not reason:
-                p = float(dens.p_s[i])
+                p = float(self._p_s[s])
             k = t - first
             if not reason:
-                end = t - base + 1
-                ks_pass = ks_statistic(mode1[end - cfg.calib_len : end], dens.grid[i], dens.cdf[i],
-                                       d_shift.grid[j], d_shift.cdf[j]) < self._ks_bound
+                pts = mode1[t - base + 1 - cfg.calib_len : t - base + 1]
+                ks_pass = ks_statistic(pts, grid[s], cdf[s], grid[j], cdf[j]) < self._ks_bound
                 reason = PASS if ks_pass else KS_REJECT
                 codes[k], p_s[k] = _outcome(dy1[k], p, ks_pass, cfg.alpha1), p
             reasons[k] = reason

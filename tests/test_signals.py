@@ -71,6 +71,15 @@ class TestDecide:
         assert decide(0.0, 0.999, True, CFG).kind is Action.HOLD
         assert decide(0.0, 0.001, True, CFG).kind is Action.HOLD
 
+    def test_threshold_ties_hold(self):
+        # both rule inequalities are strict: p_s exactly at 1 - alpha1 (buy) or
+        # alpha1 (sell) holds, and the next float past it trades
+        buy, sell = 1.0 - CFG.alpha1, CFG.alpha1
+        assert decide(-0.3, buy, True, CFG).kind is Action.HOLD
+        assert decide(0.3, sell, True, CFG).kind is Action.HOLD
+        assert decide(-0.3, np.nextafter(buy, 1.0), True, CFG).kind is Action.BUY
+        assert decide(0.3, np.nextafter(sell, 0.0), True, CFG).kind is Action.SELL
+
     def test_buy_requires_falling_coefficient(self):
         # dy1 > 0 (coefficient rising = recent decline) must never buy
         for p_s in (0.96, 0.99, 1.0):
@@ -168,10 +177,12 @@ def assert_same_state(a, b):
     assert np.array_equal(a._prices.window(a._support), b._prices.window(b._support))
     rows = a.cfg.calib_len + a.cfg.shift_len + 1
     assert np.array_equal(a._coeffs.window(rows), b._coeffs.window(rows), equal_nan=True)
-    assert [(bar, reason) for bar, _, _, reason in a._densities] == [(bar, reason) for bar, _, _, reason in b._densities]
-    for (bar, da, i, reason), (_, db, j, _) in zip(a._densities, b._densities):
-        assert (da is None) == (db is None), bar
-        assert da is None or reason or (da.p_s[i] == db.p_s[j] and np.array_equal(da.pdf[i], db.pdf[j])), bar
+    assert np.array_equal(a._bar, b._bar) and np.array_equal(a._status, b._status)
+    held = (a._bar >= 0) & (a._status == 0)  # the slots whose rows were written
+    for col in ("_p_s", "_grid", "_cdf", "_pdf"):
+        got, want = getattr(a, col), getattr(b, col)
+        assert (got is None) == (want is None) == (col == "_pdf" and a.cfg.density_mode == "plain"), col
+        assert got is None or np.array_equal(got[held], want[held]), col
 
 
 # windows per run() stack at the default 1024-node grid
@@ -323,10 +334,10 @@ class TestEngine:
             return fit_windows(windows, *args, **kw)
 
         def recording_ks(pts, grid_now, cdf_now, grid_shifted, cdf_shifted):
-            # the gate of the next tested bar reads its displaced ring entry's grid row
-            _, dens, i, _ = eng._densities[(tested[len(compared)] - 8) % len(eng._densities)]
-            compared.append((dens.p_s[i], dens.pdf[i]))
-            assert np.array_equal(grid_shifted, dens.grid[i]) and np.array_equal(cdf_shifted, dens.cdf[i])
+            # the gate of the next tested bar reads its displaced ring slot's grid and cdf rows
+            j = (tested[len(compared)] - 8) % len(eng._bar)
+            compared.append((eng._p_s[j], eng._cdf[j].copy()))
+            assert np.array_equal(grid_shifted, eng._grid[j]) and np.array_equal(cdf_shifted, eng._cdf[j])
             return ks_statistic(pts, grid_now, cdf_now, grid_shifted, cdf_shifted)
 
         monkeypatch.setattr(signals, "fit_windows", counting_fit)
@@ -336,8 +347,8 @@ class TestEngine:
         assert range(trace.start, trace.start + len(trace.signals)) == decided
 
         assert len(compared) == len(tested)
-        for t, (p_s, pdf) in zip(tested, compared):
-            assert p_s == densities[t - 8].p_s[0] and np.array_equal(pdf, densities[t - 8].pdf[0]), t
+        for t, (p_s, cdf) in zip(tested, compared):
+            assert p_s == densities[t - 8].p_s[0] and np.array_equal(cdf, densities[t - 8].cdf[0]), t
 
     def test_step_fits_only_new_windows(self, monkeypatch):
         # after an extend() warm-up, each of the first shift_len steps fits the
@@ -434,6 +445,60 @@ class TestEngine:
         finally:
             tracemalloc.stop()
         assert retained < 256 * 1024, retained  # 18 densities: ~50 kB; every unclaimed fit: ~4.4 MB
+
+    def test_ks_tie_rejects(self, monkeypatch):
+        # the gate passes only on a statistic below the bound: a tie is a
+        # ks_reject, held gated, and the next float below the bound passes
+        series = make_ou_price_series(300, seed=5, rate=0.05, vol=0.02)
+        counts, traces = {}, {}
+        for name in ("tie", "below"):
+            eng = small_engine()
+            stat = eng._ks_bound if name == "tie" else np.nextafter(eng._ks_bound, 0.0)
+            monkeypatch.setattr(signals, "ks_statistic", lambda *args, stat=stat: stat)
+            traces[name], counts[name] = eng.run(series), eng.reason_counts.tolist()
+        gate_ran = counts["tie"][PASS] + counts["tie"][KS_REJECT]
+        assert gate_ran > 0 and counts["tie"][PASS] == 0 and counts["below"][KS_REJECT] == 0
+        assert counts["below"][PASS] == gate_ran
+        assert (traces["tie"].codes == signals.CODE_GATED).all()
+        assert (traces["below"].codes != signals.CODE_GATED).sum() == gate_ran
+
+    def test_live_feed_memory_bounded(self):
+        # the density ring keeps rows, not the stacks they came from: at the
+        # live_feed config, a 1000-bar step() feed after an extend() warm-up
+        # peaks at 1.75 MiB, the ring's 1.52 MiB included, traced from the
+        # engine's construction; a ring of whole two-row stacks peaked at 3.23
+        prices = make_ou_price_series(1200, seed=1001, **REFERENCE_SYNTH).prices
+        gc.collect()
+        tracemalloc.start()
+        try:
+            eng = SignalEngine(SignalConfig(shift_len=64, density_mode="convolution"))
+            warm = eng.min_history - 1
+            for price in prices[:warm]:
+                eng.extend(price)
+            for price in prices[warm : warm + 1000]:
+                eng.step(price)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * 2**20, peak
+
+    @pytest.mark.parametrize("density_mode, rows", [("plain", 2), ("convolution", 3)])
+    def test_ring_bytes_fixed_by_shape(self, density_mode, rows):
+        # the ring is shift_len + 1 slots of a bar (int64), a status (uint8)
+        # and a p_s, and grid and cdf rows (plus pdf rows for the convolution
+        # density) of n_grid float64 each; run() and step() write into the
+        # same arrays, whatever the stack size
+        cfg = SignalConfig(calib_len=32, shift_len=8, n_grid=256, density_mode=density_mode)
+        eng = SignalEngine(cfg)
+        ring = {col: getattr(eng, col) for col in ("_bar", "_status", "_p_s", "_grid", "_cdf", "_pdf")}
+        assert (ring["_pdf"] is None) == (density_mode == "plain")
+        assert sum(arr.nbytes for arr in ring.values() if arr is not None) == 9 * (8 + 1 + 8 + rows * 256 * 8)
+        prices = make_ou_price_series(400, seed=5, rate=0.05, vol=0.02).prices
+        eng.run(series_from_prices(prices[:300]))
+        for price in prices[300:]:
+            eng.step(price)
+        assert all(getattr(eng, col) is arr for col, arr in ring.items())
+        assert eng._bar.tolist() == [391 + (slot - 391) % 9 for slot in range(9)]  # bars 391-399
 
     @pytest.mark.parametrize("invert_sign", [False, True])
     @pytest.mark.parametrize("wavelet", ["haar", "db2", "db3", "bl1", "bl2", "bl3"])
@@ -683,8 +748,9 @@ class TestSplitRun:
     @pytest.mark.parametrize("status", [0, 3])
     def test_failed_child_is_decided_here(self, forks, monkeypatch, status):
         # a child that exits before handing its half back, with any status,
-        # leaves that half to this process, which decides it on the ring
-        # snapshot: the trace and counts are a one-process run's
+        # leaves that half to a fresh engine in this process, which refits the
+        # head's displaced windows: the trace, counts and ring are a
+        # one-process run's
         series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
         with monkeypatch.context() as m:
             m.setattr(signals, "_can_fork", lambda: False)
@@ -715,7 +781,7 @@ class TestSplitRun:
         # take a minute, instead of waiting for it
         series = make_ou_price_series(2400, seed=3, rate=0.05, vol=0.02)
 
-        def interrupted(self, rows, base, first, ring):
+        def interrupted(self, rows, base, first):
             if os.getpid() == forks[0]:
                 raise KeyboardInterrupt
             time.sleep(60)
