@@ -2,9 +2,10 @@
 
 Profitability is tracked as Z(t) = C(t)/C(t0) with C(t0) = 1: a buy opens a
 full position at the bar's price when flat, a sell closes it, duplicates are
-ignored, and open positions are marked to market. The multi-instrument
-runner re-optimizes parcel weights every rebalance interval from trailing
-log-return moments of the per-instrument equity curves.
+ignored, and open positions are marked to market, all as array operations
+over the fills (no Python step per fill). The multi-instrument runner
+re-optimizes parcel weights every rebalance interval from trailing log-return
+moments of the per-instrument equity curves.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,17 +50,26 @@ class TraceSource:
 
 @dataclass(frozen=True)
 class BacktestReport:
+    """Equity and the fills that acted (bars and prices: a buy, then alternating)
+    as read-only columns; ``trades`` builds their ``Trade`` objects on first read."""
+
     symbol: str
     strategy: str
     equity: np.ndarray
-    trades: tuple
+    fills: np.ndarray
+    fill_prices: np.ndarray
     eligible_bars: int
 
     def __post_init__(self):
-        eq = np.asarray(self.equity, dtype=np.float64)
-        eq.setflags(write=False)
-        object.__setattr__(self, "equity", eq)
-        object.__setattr__(self, "trades", tuple(self.trades))
+        for name, dtype in (("equity", np.float64), ("fills", np.int64), ("fill_prices", np.float64)):
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    @cached_property
+    def trades(self) -> tuple:
+        fills = zip(self.fills.tolist(), self.fill_prices.tolist())
+        return tuple(Trade(t, (Action.BUY, Action.SELL)[k % 2], p) for k, (t, p) in enumerate(fills))
 
     @property
     def final_z(self) -> float:
@@ -66,14 +77,14 @@ class BacktestReport:
 
     @property
     def decision_fraction(self) -> float:
-        return len(self.trades) / self.eligible_bars if self.eligible_bars else 0.0
+        return len(self.fills) / self.eligible_bars if self.eligible_bars else 0.0
 
     def summary(self) -> dict:
         return {
             "symbol": self.symbol,
             "strategy": self.strategy,
             "final_Z": self.final_z,
-            "trades": len(self.trades),
+            "trades": len(self.fills),
             "eligible_bars": self.eligible_bars,
             "decision_fraction": self.decision_fraction,
         }
@@ -87,7 +98,11 @@ def run_backtest(source, series: PriceSeries, cost_bps: float = 0.0, decision_ba
     warm-up and not decision-eligible. ``cost_bps`` in [0, 1e4) shaves each
     fill by cost_bps/1e4, so equity stays positive. When ``decision_band``
     is given, a decision fraction outside it is logged as a warning
-    (diagnostic only).
+    (diagnostic only). Z after each fill is one ``cumprod`` of the fill
+    factors and the curve ``np.repeat`` of each segment's Z, marked to market
+    where long: a walk over the fills' products in their order, bit for bit
+    (the tests keep that walk). No ``Trade`` is built unless
+    ``report.trades`` is read.
     """
     if not 0.0 <= cost_bps < 1e4:
         raise ConfigError(f"cost_bps must be in [0, 10000), got {cost_bps}")
@@ -101,33 +116,25 @@ def run_backtest(source, series: PriceSeries, cost_bps: float = 0.0, decision_ba
     first = max(0, -trace.start)
     codes = trace.codes[first : max(first, n - trace.start)]
     eligible = len(codes) - int(np.count_nonzero(codes == CODE_GATED))
-    fills = np.flatnonzero((codes == CODE_BUY) | (codes == CODE_SELL))
-    # a buy while long or a sell while flat is ignored: of a run of fills of
-    # one kind only the first acts, and a leading sell finds the book flat
-    kinds = codes[fills]
-    acts = fills[np.flatnonzero(np.diff(kinds, prepend=CODE_SELL))]
-    equity = np.empty(n)
-    trades = []
-    flat_z = 1.0
-    entry = None  # price at which the open position was bought
-    since = 0  # first bar whose equity is not written yet
-    for t in (acts + (trace.start + first)).tolist():  # buy, sell, buy, ...
-        if entry is None:
-            equity[since:t] = flat_z
-            entry = prices[t]
-            flat_z *= fee
-            trades.append(Trade(t, Action.BUY, float(prices[t])))
-        else:
-            equity[since:t] = flat_z * prices[since:t] / entry
-            flat_z *= (prices[t] / entry) * fee
-            entry = None
-            trades.append(Trade(t, Action.SELL, float(prices[t])))
-        since = t
-    equity[since:] = flat_z if entry is None else flat_z * prices[since:] / entry
+    orders = np.flatnonzero((codes == CODE_BUY) | (codes == CODE_SELL))
+    # a buy while long or a sell while flat is ignored: of a run of orders of
+    # one kind only the first fills, and a leading sell finds the book flat
+    acts = np.flatnonzero(np.diff(codes[orders], prepend=CODE_SELL))
+    fills = orders[acts] + (trace.start + first)  # bars of a buy, sell, buy, ...
+    fill_prices = prices[fills]
+    # Z from 1 through each fill: a buy pays the fee, a sell books (sell / entry) * fee
+    factors = np.append(1.0, np.full(len(fills), fee))
+    factors[2::2] = (fill_prices[1::2] / fill_prices[:-1:2]) * fee
+    z = np.cumprod(factors)
+    # segment k runs from fill k (bar 0 for k = 0) to the next; odd ones are long: (Z * price) / entry
+    lengths = np.diff(fills, prepend=0, append=n)
+    equity = np.repeat(z, lengths)
+    long = np.repeat(np.arange(len(z)) % 2 == 1, lengths)
+    equity[long] = equity[long] * prices[long] / np.repeat(fill_prices[0::2], lengths[1::2])
     name = source.name
-    report = BacktestReport(series.symbol, name, equity, trades, eligible)
+    report = BacktestReport(series.symbol, name, equity, fills, fill_prices, eligible)
     log.info("%s on %s: final_Z %.4f, %d trades, decision fraction %.4f",
-             name, series.symbol, report.final_z, len(trades), report.decision_fraction)
+             name, series.symbol, report.final_z, len(fills), report.decision_fraction)
     if decision_band is not None:
         lo, hi = decision_band
         if not lo <= report.decision_fraction <= hi:

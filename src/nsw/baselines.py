@@ -8,8 +8,9 @@ buys below mean - width * std and sells above mean + width * std of the last
 with their first value) buys on the bar it rises above its signal line and
 sells on the bar it falls below; Wilder RSI buys on the bar it rises through
 ``lower`` and sells on the bar it falls through ``upper``. Bands, channels and
-signals are whole-series array operations; the EMA and RSI recurrences run
-bar by bar. Parameters are tuned by exhaustive in-sample grid search on final
+signals are whole-series array operations (bands in blocks of windows, never
+a copy of every window); the EMA and RSI recurrences run bar by bar.
+Parameters are tuned by exhaustive in-sample grid search on final
 profitability, which deliberately hands the baselines a hindsight advantage
 the causal model never gets.
 """
@@ -27,6 +28,7 @@ from .signals import CODE_BUY, CODE_HOLD, CODE_SELL, SignalTrace
 from .timeseries import PriceSeries
 
 KINDS = ("pc", "bb", "macd", "rsi")
+_BAND_CELLS = 8192  # window values per band block: 64 KiB, below glibc's 128 KiB mmap threshold
 
 
 @dataclass(frozen=True, order=True)
@@ -92,13 +94,14 @@ def _band_stats(prices, lookback: int):
     std); NaN before a full window."""
     p = np.asarray(prices, dtype=np.float64)
     mean, sd = np.full((2, len(p)), np.nan)
-    if len(p) >= lookback:
-        # a contiguous copy makes each row reduce as its 1-D window would, so
-        # bands are bit-equal to w.mean() and w.std() whatever loop order
-        # numpy would pick for the view's overlapping strides
-        w = np.ascontiguousarray(sliding_window_view(p, lookback))
-        mean[lookback - 1 :] = w.mean(axis=1)
-        sd[lookback - 1 :] = w.std(axis=1)
+    rows = max(1, _BAND_CELLS // lookback)
+    for lo in range(0, len(p) - lookback + 1, rows):
+        # a contiguous copy of each block makes every row reduce as its 1-D
+        # window would, so bands are bit-equal to w.mean() and w.std()
+        # whatever loop order numpy would pick for the view's overlapping strides
+        w = np.ascontiguousarray(sliding_window_view(p[lo : lo + rows + lookback - 1], lookback))
+        out = slice(lo + lookback - 1, lo + lookback - 1 + len(w))
+        mean[out], sd[out] = w.mean(axis=1), w.std(axis=1)
     return mean, sd
 
 

@@ -139,7 +139,7 @@ def backtest(config_path, overrides, out, data_path):
         "signals.csv": lambda path: write_signals(trace, path),
     })
     click.echo(f"final_Z {report.final_z:.4f} over {len(series)} bars "
-               f"({len(report.trades)} trades, decision fraction {report.decision_fraction:.4f})")
+               f"({len(report.fills)} trades, decision fraction {report.decision_fraction:.4f})")
 
 
 @main.command(cls=_Command)

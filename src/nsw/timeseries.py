@@ -57,16 +57,15 @@ class PriceSeries:
         bad = np.nonzero(~((px > 0) & (px < MAX_PRICE)))[0]
         if bad.size:
             raise NonPositivePrice(int(bad[0]) + 1, f"price {px[bad[0]]} is not in (0, 2**500)")
+        # one scan, the first bad step in row order: one that does not advance (tested
+        # apart, as an interval below 0.5 s rounds to 0 s), else one off the bar interval
         steps = np.diff(ts)
-        bad = np.nonzero(steps <= 0)[0]
+        bad = np.flatnonzero((steps != int(round(self.bar_interval))) | (steps <= 0))
         if bad.size:
-            raise NonMonotonicTimestamp(int(bad[0]) + 2, f"timestamp {ts[bad[0] + 1]}")
-        bad = np.nonzero(steps != int(round(self.bar_interval)))[0]
-        if bad.size:
-            raise NonUniformSpacing(
-                int(bad[0]) + 2,
-                f"gap of {steps[bad[0]]}s where {self.bar_interval}s bars expected",
-            )
+            k = int(bad[0])
+            if steps[k] <= 0:
+                raise NonMonotonicTimestamp(k + 2, f"timestamp {ts[k + 1]}")
+            raise NonUniformSpacing(k + 2, f"gap of {steps[k]}s where {self.bar_interval}s bars expected")
         ts.setflags(write=False)
         px.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)

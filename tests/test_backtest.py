@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nsw.backtest
@@ -83,7 +83,7 @@ def per_bar_equity(trace, prices, cost_bps=0.0):
     return equity, trades
 
 
-def old_run_backtest(trace, prices, cost_bps=0.0):
+def per_signal_walk(trace, prices, cost_bps=0.0):
     """The per-Signal walk run_backtest replaced: (equity, trades, eligible_bars).
 
     Every signal of the trace within the series is visited; a buy while long
@@ -118,6 +118,57 @@ def old_run_backtest(trace, prices, cost_bps=0.0):
         since = t
     equity[since:] = flat_z if entry is None else flat_z * prices[since:] / entry
     return equity, trades, eligible
+
+
+def old_run_backtest(source, series, cost_bps=0.0):
+    """The per-fill loop run_backtest replaced, one Trade built per fill:
+    (equity, final_z, trades, eligible_bars, decision_fraction)."""
+    trace = source.run(series)
+    prices = series.prices
+    n = len(prices)
+    fee = 1.0 - cost_bps / 1e4
+    first = max(0, -trace.start)
+    codes = trace.codes[first : max(first, n - trace.start)]
+    eligible = len(codes) - int(np.count_nonzero(codes == CODE_GATED))
+    fills = np.flatnonzero((codes == CODE_BUY) | (codes == CODE_SELL))
+    kinds = codes[fills]
+    acts = fills[np.flatnonzero(np.diff(kinds, prepend=CODE_SELL))]
+    equity = np.empty(n)
+    trades = []
+    flat_z = 1.0
+    entry = None  # price at which the open position was bought
+    since = 0  # first bar whose equity is not written yet
+    for t in (acts + (trace.start + first)).tolist():  # buy, sell, buy, ...
+        if entry is None:
+            equity[since:t] = flat_z
+            entry = prices[t]
+            flat_z *= fee
+            trades.append(Trade(t, Action.BUY, float(prices[t])))
+        else:
+            equity[since:t] = flat_z * prices[since:t] / entry
+            flat_z *= (prices[t] / entry) * fee
+            entry = None
+            trades.append(Trade(t, Action.SELL, float(prices[t])))
+        since = t
+    equity[since:] = flat_z if entry is None else flat_z * prices[since:] / entry
+    return equity, float(equity[-1]), tuple(trades), eligible, len(trades) / eligible if eligible else 0.0
+
+
+@st.composite
+def fill_cases(draw):
+    """Prices over several decades and a code trace of runs of one code, so
+    it has leading sells, repeated buys and sells and gated bars; it starts
+    before bar 0, at it or after it, and may end with a fill on the last bar.
+    The fee is none, a typical one or the largest, 9999 bps."""
+    n = draw(st.integers(2, 60))
+    prices = np.exp(np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))))
+    start = draw(st.integers(-20, n + 2))
+    runs = draw(st.lists(st.tuples(st.sampled_from([CODE_HOLD, CODE_BUY, CODE_SELL, CODE_GATED]),
+                                   st.integers(1, 5)), max_size=25))
+    codes = np.array([c for c, k in runs for _ in range(k)], dtype=np.uint8)
+    if len(codes) and 0 <= n - 1 - start < len(codes):
+        codes[n - 1 - start] = draw(st.sampled_from([codes[n - 1 - start], CODE_BUY, CODE_SELL]))
+    return prices, start, codes, draw(st.sampled_from([0.0, 5.0, 9999.0]))
 
 
 @st.composite
@@ -241,13 +292,55 @@ class TestRunBacktest:
         prices, start, codes, cost_bps = case
         series = series_from_prices(prices)
         signals = [OUTCOME_SIGNALS[c] for c in codes.tolist()]
-        equity, trades, eligible = old_run_backtest(SignalTrace(start, signals), prices, cost_bps)
+        equity, trades, eligible = per_signal_walk(SignalTrace(start, signals), prices, cost_bps)
         # the same outcomes as a code array and as the engine's Signal list
         for trace in (SignalTrace(start, codes=codes), SignalTrace(start, signals)):
             report = run_backtest(TraceSource(trace, "scripted"), series, cost_bps=cost_bps)
             assert np.array_equal(report.equity, equity)
             assert report.trades == tuple(trades)
             assert report.eligible_bars == eligible
+
+    @given(case=fill_cases())
+    @example(case=(np.array([1.0, 2.0, 4.0]), 0, np.array([CODE_SELL, CODE_BUY, CODE_SELL], np.uint8), 5.0))
+    @example(case=(np.array([1.0, 2.0, 4.0, 3.0]), -2,
+                   np.array([CODE_HOLD, CODE_BUY, CODE_BUY, CODE_GATED, CODE_SELL, CODE_BUY], np.uint8), 9999.0))
+    @example(case=(np.array([1.0, 2.0]), 1, np.array([CODE_BUY], np.uint8), 0.0))
+    @settings(max_examples=400, deadline=None)
+    def test_columns_equal_per_fill_loop(self, case):
+        prices, start, codes, cost_bps = case
+        series = series_from_prices(prices)
+        source = TraceSource(SignalTrace(start, codes=codes), "scripted")
+        report = run_backtest(source, series, cost_bps=cost_bps)
+        equity, final_z, trades, eligible, fraction = old_run_backtest(source, series, cost_bps)
+        assert np.array_equal(report.equity, equity)
+        assert (report.final_z, report.trades, report.eligible_bars, report.decision_fraction) == (
+            final_z, trades, eligible, fraction)
+        assert report.fills.tolist() == [tr.t for tr in trades]
+        assert report.fill_prices.tolist() == [tr.price for tr in trades]
+
+    def test_report_columns_read_only_and_trades_cached(self):
+        series = series_from_prices([1.0, 1.2, 1.4, 1.1])
+        report = run_backtest(scripted(series, {0: Action.BUY, 2: Action.SELL, 3: Action.BUY}), series)
+        for col in (report.equity, report.fills, report.fill_prices):
+            assert not col.flags.writeable
+        assert report.fills.tolist() == [0, 2, 3] and report.fill_prices.tolist() == [1.0, 1.4, 1.1]
+        assert report.trades is report.trades
+        assert report.trades == (Trade(0, Action.BUY, 1.0), Trade(2, Action.SELL, 1.4), Trade(3, Action.BUY, 1.1))
+
+    def test_tuning_builds_no_trades(self, monkeypatch):
+        # a tuning run's report is read for its final Z only: no config's
+        # Trade objects are built, the winner's only when its trades are read
+        built = []
+
+        def counted(*args):
+            built.append(args[0])
+            return Trade(*args)
+
+        monkeypatch.setattr(nsw.backtest, "Trade", counted)
+        series = make_ou_price_series(3000, seed=4, rate=0.02, vol=0.01)
+        best, report = nsw.baselines.tune_baseline(nsw.baselines.default_grid("bb"), series)
+        assert len(report.fills) > 0 and built == []
+        assert [tr.t for tr in report.trades] == built == report.fills.tolist()
 
     def test_code_trace_signals_are_its_list(self):
         codes = np.array([CODE_BUY, CODE_HOLD, CODE_GATED, CODE_SELL], dtype=np.uint8)

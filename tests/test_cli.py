@@ -363,6 +363,9 @@ class TestBadDataWritesNothing:
         ("missing", "bar file not found: "),
         ("negative", "row 2: price -1.0"),
         ("spacing", "bar_interval is 60s"),
+        # a gap at row 3, then a step back at row 4: the loader's per-row
+        # order check reports row 4, ahead of the series' spacing check
+        ("order", "row 4: timestamp 120 after 180"),
     ])
     def test_exit_2_and_no_out_dir(self, runner, tmp_path, command, bad, message):
         good = tmp_path / "good.csv"
@@ -370,6 +373,8 @@ class TestBadDataWritesNothing:
         path = tmp_path / f"{bad}.csv"
         if bad == "negative":
             path.write_text("timestamp,price\n0,1.0\n60,-1.0\n120,1.0\n")
+        elif bad == "order":
+            path.write_text("timestamp,price\n0,1.0\n60,1.0\n180,1.0\n120,1.0\n")
         elif bad == "spacing":
             write_bars(make_ou_price_series(300, seed=2, bar_interval=30.0), path)
         out = tmp_path / "o"

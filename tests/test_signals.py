@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsw import signals
-from nsw.errors import (KS_REJECT, MESSAGES, PASS, REASONS, DegenerateWindow, GridMismatch, NonIntegrable,
-                        NonPositivePrice, NotWarmedUp)
+from nsw.errors import (CONV_NON_INTEGRABLE, GRID_MISMATCH, ILL_CONDITIONED, KS_REJECT, MESSAGES, PASS, REASONS,
+                        ZERO_VARIANCE, DegenerateWindow, GridMismatch, NonIntegrable, NonPositivePrice, NotWarmedUp)
 from nsw.sde_fit import fit_model, fit_windows
 from nsw.signals import Action, Signal, SignalConfig, SignalEngine, SignalTrace, decide, write_signals
 from nsw.stationary import DensityStack, convolution_p_s, ks_quasistationarity, ks_statistic, stationary_density
@@ -394,6 +394,36 @@ class TestEngine:
             assert trace.signals == expected.signals  # kind, gated, p_s and dy1, exactly
             assert_counts(eng, trace, counts)
         assert_same_state(batch, live)
+
+    @pytest.mark.parametrize("case, pairs, conv_fails", [
+        (flat_stretch_case, {(ZERO_VARIANCE, ILL_CONDITIONED), (ILL_CONDITIONED, ZERO_VARIANCE)}, False),
+        (two_slope_case, set(), True),
+    ])
+    def test_reason_precedence(self, case, pairs, conv_fails):
+        # a bar's reason is its window's failure, else its displaced window's,
+        # else the convolution density's; the flat stretch has bars whose two
+        # windows fail with different reasons, in both orders, so a run's
+        # counts read the same either way and only each step()'s reason shows
+        # the order; the two slopes' convolution fails on bars whose windows pass
+        cfg, series = case()
+        eng = SignalEngine(cfg)
+        rows = transform(series.prices, eng.filter, cfg.levels, cfg.invert_sign)
+        for p in series.prices[: eng.min_history - 1]:
+            eng.extend(p)
+        seen, conv_failed = set(), 0
+        for t in range(eng.min_history - 1, len(series)):
+            before = eng.reason_counts.copy()
+            eng.step(series.prices[t])
+            (reason,) = np.flatnonzero(eng.reason_counts != before)
+            own, displaced = window_density(cfg, rows, t)[1], window_density(cfg, rows, t - cfg.shift_len)[1]
+            if own and displaced and own != displaced:
+                seen.add((own, displaced))
+            if own or displaced:
+                assert reason == (own or displaced), t
+            else:
+                assert reason in (PASS, KS_REJECT, CONV_NON_INTEGRABLE, GRID_MISMATCH), t
+                conv_failed += reason in (CONV_NON_INTEGRABLE, GRID_MISMATCH)
+        assert seen == pairs and (conv_failed > 0) == conv_fails
 
     @pytest.mark.parametrize("density_mode", ["plain", "convolution"])
     def test_run_then_step_continues_stream(self, density_mode):

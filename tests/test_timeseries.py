@@ -151,6 +151,25 @@ class TestPriceSeries:
         with pytest.raises(NonPositivePrice):
             series_from_prices([1.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("timestamps, error, row", [
+        ([0, 60, 60, 120], NonMonotonicTimestamp, 3),  # repeated
+        ([0, 60, 120, 90, 150], NonMonotonicTimestamp, 4),  # decreasing
+        ([0, 60, 180, 240], NonUniformSpacing, 3),  # a gap
+        # the first bad step in row order, whichever its kind
+        ([0, 60, 180, 120, 180], NonUniformSpacing, 3),
+        ([0, 60, 60, 240, 300], NonMonotonicTimestamp, 3),
+    ])
+    def test_step_faults_name_first_row(self, timestamps, error, row):
+        with pytest.raises(error) as exc:
+            PriceSeries("X", np.array(timestamps), np.ones(len(timestamps)), bar_interval=60.0)
+        assert exc.value.row == row
+
+    def test_zero_step_rejected_at_sub_second_interval(self):
+        # an interval that rounds to 0 s does not make equal timestamps uniform
+        with pytest.raises(NonMonotonicTimestamp) as exc:
+            make_ou_price_series(5, seed=1, bar_interval=0.3)
+        assert exc.value.row == 2
+
 
 def _via_price_series(tmp_path, bad):
     series_from_prices([1.0, bad, 2.0])
