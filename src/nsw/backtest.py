@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, MisalignedSeries, NonPositiveEquity
 from .portfolio import estimate_moments, log_returns, optimize_parcel
 from .signals import CODE_BUY, CODE_GATED, CODE_SELL, Action
-from .timeseries import PriceSeries
+from .timeseries import PriceSeries, read_only
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +48,7 @@ class TraceSource:
         return self.trace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BacktestReport:
     """Equity and the fills that acted (bars and prices: a buy, then alternating)
     as read-only columns; ``trades`` builds their ``Trade`` objects on first read."""
@@ -62,9 +62,7 @@ class BacktestReport:
 
     def __post_init__(self):
         for name, dtype in (("equity", np.float64), ("fills", np.int64), ("fill_prices", np.float64)):
-            col = np.asarray(getattr(self, name), dtype=dtype)
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
 
     @cached_property
     def trades(self) -> tuple:
@@ -145,7 +143,7 @@ def run_backtest(source, series: PriceSeries, cost_bps: float = 0.0, decision_ba
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightRecord:
     t: int
     n: np.ndarray
@@ -153,7 +151,7 @@ class WeightRecord:
     p_theta: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParcelReport:
     symbols: tuple
     equity: np.ndarray
@@ -219,7 +217,7 @@ def run_parcel_backtest(
         ref_bar = t
         result = optimize_parcel(moments.row(k), theta)
         weights = result.weights.n
-        trajectory.append(WeightRecord(t, weights.copy(), result.weights.slack, result.p_theta))
+        trajectory.append(WeightRecord(t, weights, result.weights.slack, result.p_theta))
     return ParcelReport(
         symbols=tuple(s.symbol for s in series_list),
         equity=parcel,
@@ -247,7 +245,7 @@ REFERENCE_RESULTS = {
 STRATEGY_COLUMNS = ("PC", "BB", "MACD", "RSI", "NSW")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonTable:
     instruments: tuple
     columns: tuple

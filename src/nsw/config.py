@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .signals import SignalConfig
-from .timeseries import DEFAULT_BAR_INTERVAL, MAX_PRICE
+from .timeseries import DEFAULT_BAR_INTERVAL, MAX_PRICE, bar_step
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ class RunConfig(SignalConfig):
             raise ConfigError("rebalance_len and n_bars must be >= 2")
         if self.horizon is not None and self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if not (self.bar_interval > 0.0 and float(self.bar_interval).is_integer()):  # timestamps are whole seconds
-            raise ConfigError(f"bar_interval must be a positive whole number of seconds, got {self.bar_interval}")
+        bar_step(self.bar_interval)  # timestamps are whole seconds
         if not 0.0 <= self.cost_bps < 1e4:  # a fee of 100% or more leaves no equity
             raise ConfigError(f"cost_bps must be in [0, 10000), got {self.cost_bps}")
         if self.seed < 0:

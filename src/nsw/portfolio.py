@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPSD, TooShort, WindowTooShort
+from .timeseries import read_only
 
 log = logging.getLogger(__name__)
 
 MAX_ITERS = 20000  # ascent iteration cap of optimize_parcel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentEstimate:
     """Windowed mean log returns (..., M) and their covariances (..., M, M),
     1/window normalization; leading axes index windows, and a single window
@@ -34,8 +35,7 @@ class MomentEstimate:
     covariance: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.mean_returns, dtype=np.float64)  # copies: the caller's arrays stay writable
-        lam = np.array(self.covariance, dtype=np.float64)
+        x, lam = read_only(self.mean_returns, np.float64), read_only(self.covariance, np.float64)
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(lam)):
             raise DegenerateWindow("non-finite moment estimates")
         if np.any(np.abs(lam - lam.mT) > 1e-12):
@@ -47,8 +47,6 @@ class MomentEstimate:
         failing = np.flatnonzero(eig_min < -1e-10 * (1.0 + np.abs(diag).max(axis=-1)))
         if failing.size:
             raise NotPSD(f"covariance of window {failing[0]} has eigenvalue {eig_min.flat[failing[0]]}")
-        x.setflags(write=False)
-        lam.setflags(write=False)
         object.__setattr__(self, "mean_returns", x)
         object.__setattr__(self, "covariance", lam)
 
@@ -64,7 +62,7 @@ class MomentEstimate:
         return one
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParcelWeights:
     """Nonnegative instrument fractions with sum <= 1; the rest sits in cash.
 
@@ -85,9 +83,7 @@ class ParcelWeights:
         total = _total(w)
         if total > 1.0:
             w = [a / total for a in w]
-        n = np.array(w).reshape(given.shape)
-        n.setflags(write=False)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", read_only(w, np.float64).reshape(given.shape))
 
     @property
     def slack(self) -> float:
@@ -212,7 +208,7 @@ def _residual(w, g) -> float:
     return math.sqrt(s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParcelResult:
     weights: ParcelWeights
     p_theta: float

@@ -72,7 +72,7 @@ def _design(z, terms) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitStack:
     """Fits of B windows of one shape; index i of each array belongs to window i.
 

@@ -346,7 +346,7 @@ class SignalEngine:
         while self.n_bars < warm_end:
             self.extend(prices[self.n_bars])
         first = self.n_bars
-        if first == len(prices):
+        if first >= len(prices):
             return SignalTrace(first)
         rows = transform(prices, self.filter, self.cfg.levels, self.cfg.invert_sign)
         self._prices.push_all(prices[first:])

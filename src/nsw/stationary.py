@@ -29,7 +29,7 @@ _EDGE_FRACTION = 0.05
 _EDGE_MASS_LIMIT = 0.01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityStack:
     """B gridded densities: row i of ``grid``/``pdf``/``cdf`` and ``p_s[i]``
     belong to window i; ``status[i]`` (uint8) is 0, or why it has no density:

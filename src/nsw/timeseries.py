@@ -33,13 +33,28 @@ _FLOAT_EXACT = 2.0**53  # floats hold every integer below this exactly
 MAX_PRICE = 2.0**500
 
 
-@dataclass(frozen=True)
+def read_only(value, dtype) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``value``: how a record keeps an array,
+    so the caller's array stays writable and later writes miss the record."""
+    out = np.array(value, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def bar_step(bar_interval) -> int:
+    """The timestamp step of ``bar_interval``, which must be a positive whole number of seconds."""
+    if not (bar_interval > 0.0 and float(bar_interval).is_integer()):
+        raise ConfigError(f"bar_interval must be a positive whole number of seconds, got {bar_interval}")
+    return int(bar_interval)
+
+
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Uniformly spaced price bars in (0, ``MAX_PRICE``) for one instrument.
 
     ``timestamps`` are epoch seconds, strictly increasing with spacing equal
-    to ``bar_interval``. Arrays are frozen after construction so instances can
-    be shared freely between threads.
+    to ``bar_interval``, a positive whole number of seconds. The columns are
+    read-only copies, so instances can be shared freely between threads.
     """
 
     symbol: str
@@ -48,8 +63,8 @@ class PriceSeries:
     bar_interval: float = DEFAULT_BAR_INTERVAL
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.int64)
-        px = np.asarray(self.prices, dtype=np.float64)
+        ts = read_only(self.timestamps, np.int64)
+        px = read_only(self.prices, np.float64)
         if ts.ndim != 1 or px.ndim != 1 or len(ts) != len(px):
             raise ParseError(0, "timestamp/price columns have mismatched shapes")
         if len(ts) < 2:
@@ -57,17 +72,14 @@ class PriceSeries:
         bad = np.nonzero(~((px > 0) & (px < MAX_PRICE)))[0]
         if bad.size:
             raise NonPositivePrice(int(bad[0]) + 1, f"price {px[bad[0]]} is not in (0, 2**500)")
-        # one scan, the first bad step in row order: one that does not advance (tested
-        # apart, as an interval below 0.5 s rounds to 0 s), else one off the bar interval
+        # one scan, the first bad step in row order: one that does not advance, else one off the bar interval
         steps = np.diff(ts)
-        bad = np.flatnonzero((steps != int(round(self.bar_interval))) | (steps <= 0))
+        bad = np.flatnonzero(steps != bar_step(self.bar_interval))
         if bad.size:
             k = int(bad[0])
             if steps[k] <= 0:
                 raise NonMonotonicTimestamp(k + 2, f"timestamp {ts[k + 1]}")
             raise NonUniformSpacing(k + 2, f"gap of {steps[k]}s where {self.bar_interval}s bars expected")
-        ts.setflags(write=False)
-        px.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "prices", px)
 
@@ -78,14 +90,16 @@ class PriceSeries:
 def load_bars(path, gap_policy="reject", bar_interval=None) -> PriceSeries:
     """Read a delimited bar file (header row, ``timestamp,price`` columns).
 
-    ``gap_policy`` is ``reject`` (default) or ``forward_fill`` which
-    re-inserts missing bars at the last seen price. The bar spacing is the
-    smallest timestamp step in the file; a given ``bar_interval`` that
+    ``gap_policy`` is ``reject`` (default) or ``forward_fill``, which re-inserts missing bars
+    at the last seen price; any other raises ConfigError before the file is read. The bar
+    spacing is the smallest timestamp step in the file; a given ``bar_interval`` that
     differs from it raises ConfigError. Row numbers in errors are 1-based
     data rows (header excluded). The series is named after the file's stem
     without the ``bars_`` prefix that ``nsw synth`` writes:
     ``bars_S1.csv`` loads as ``S1``, ``SYN-A.csv`` as ``SYN-A``.
     """
+    if gap_policy not in ("reject", "forward_fill"):
+        raise ConfigError(f"gap_policy must be reject|forward_fill, got {gap_policy!r}")
     if not os.path.exists(path):
         raise MissingFile(f"bar file not found: {path}")
     with open(path, newline="") as fh:
@@ -125,8 +139,6 @@ def load_bars(path, gap_policy="reject", bar_interval=None) -> PriceSeries:
         raise ConfigError(f"{path}: bars are {interval}s apart, bar_interval is {bar_interval:g}s")
     if gap_policy == "forward_fill":
         ts, px = _forward_fill(ts, px, interval)
-    elif gap_policy != "reject":
-        raise ParseError(0, f"unknown gap_policy {gap_policy!r}")
     stem = os.path.splitext(os.path.basename(path))[0]
     name = stem.removeprefix("bars_") or stem
     return PriceSeries(symbol=name, timestamps=np.array(ts), prices=np.array(px), bar_interval=float(interval))
@@ -220,10 +232,11 @@ def make_ou_price_series(
     """Synthetic bars: mean-reverting log-price plus optional linear trend.
 
     log p(t) = log(base_price) + trend*t + x(t) with dx = -rate*x dt + vol dW,
-    one model time unit per bar, timestamps from 0. A path that leaves
-    (0, ``MAX_PRICE``) raises ConfigError naming the first such bar, and
-    a last timestamp past the int64 range one naming bar_interval and n_bars.
+    one model time unit per bar, timestamps from 0. ConfigError names a bad
+    ``bar_interval`` (``bar_step``), the first bar of a path that leaves
+    (0, ``MAX_PRICE``), or bar_interval and n_bars for a last timestamp past int64.
     """
+    step = bar_step(bar_interval)
     x = _ou_log_path(n_bars, seed, rate, vol)
     t_idx = np.arange(n_bars)
     with np.errstate(over="ignore", under="ignore"):
@@ -233,7 +246,6 @@ def make_ou_price_series(
         raise ConfigError(f"trend={trend:g}, ou_rate={rate:g}, ou_vol={vol:g}, n_bars={n_bars}, "
                           f"base_price={base_price:g}: price {prices[bad[0]]:g} at bar {bad[0]}; use a smaller "
                           "|trend| or ou_vol, a smaller base_price, an ou_rate in [0, 2] or fewer bars")
-    step = int(round(bar_interval))
     if (int(n_bars) - 1) * step >= _INT64_BOUND:  # Python ints: checked before numpy wraps them
         raise ConfigError(
             f"bar_interval={bar_interval:g}, n_bars={n_bars}: the last timestamp is past the int64 range; "

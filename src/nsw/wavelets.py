@@ -18,21 +18,19 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SeriesTooShort, UnsupportedFamily
-from .timeseries import PriceSeries
+from .timeseries import PriceSeries, read_only
 
 _N_FFT = 2**15  # frequency samples of the Battle-Lemarie construction
 _TRUNC = 1e-6  # Battle-Lemarie taps below this are cut from the tails
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletFilter:
     name: str
     taps: np.ndarray
 
     def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.float64)
-        taps.setflags(write=False)
-        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "taps", read_only(self.taps, np.float64))
 
     def dilated(self, level: int) -> np.ndarray:
         """Taps at dyadic dilation ``level``: each tap repeated 2**level times,

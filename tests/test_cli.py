@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from nsw.cli import main
+from nsw.errors import DegenerateWindow
 from nsw.timeseries import load_bars, make_ou_price_series, write_bars
 
 
@@ -82,6 +83,17 @@ class TestBacktestCmd:
     def test_missing_file_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["backtest", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+
+    def test_runtime_failure_exit_1(self, runner, tmp_path, monkeypatch):
+        # a model error, not the caller's: exit 1 with its message, and no run directory
+        def fail(*args, **kwargs):
+            raise DegenerateWindow("no usable window")
+        monkeypatch.setattr("nsw.cli.load_bars", fail)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["backtest", "--data", str(tmp_path / "b.csv"), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "error: no usable window" in res.output
+        assert not out.exists()
 
     def test_nan_price_exit_2(self, runner, tmp_path):
         bars = tmp_path / "nan.csv"

@@ -61,6 +61,12 @@ def test_invalid_combination_rejected(values):
     _assert_rejected(values)
 
 
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_theta_bounds_accepted(theta):
+    # P(theta) is defined on the closed interval [0, 1]
+    assert RunConfig(theta=theta).theta == apply_overrides(RunConfig(), [f"theta={theta}"]).theta == theta
+
+
 def test_run_config_is_the_engine_config():
     assert isinstance(RunConfig(), SignalConfig)
     # one shift_len default, 64, for the engine and the CLI alike

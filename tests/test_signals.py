@@ -451,6 +451,20 @@ class TestEngine:
         assert rest.signals == expected.signals[150 - expected.start :]
         assert_same_state(eng, live)
 
+    def test_run_of_a_fed_prefix_decides_nothing(self):
+        # run() takes a series' first n_bars bars as fed: a series no longer
+        # than the fed bars has none left to decide, and leaves the engine as it was
+        cfg = SignalConfig(calib_len=32, shift_len=8)
+        prices = make_ou_price_series(201, seed=5, rate=0.05, vol=0.02).prices
+        eng, twin = SignalEngine(cfg), SignalEngine(cfg)
+        for engine in (eng, twin):
+            stream(engine, prices[:200])
+        trace = eng.run(series_from_prices(prices[:150]))
+        assert trace.start == 200 and len(trace.codes) == 0
+        assert_same_state(eng, twin)
+        assert eng.step(prices[200]) == twin.step(prices[200])
+        assert_same_state(eng, twin)
+
     def test_alternating_feed_memory_bounded(self):
         # deciding every other bar with an odd shift_len leaves each decided
         # bar's density without a displaced lookup; none of them may pile up

@@ -17,6 +17,7 @@ from nsw.errors import (
     NonUniformSpacing,
     ParseError,
 )
+from nsw.config import RunConfig
 from nsw.signals import SignalConfig, SignalEngine
 from nsw.timeseries import _OU_BLOCK, MAX_PRICE, PriceSeries, load_bars, make_ou_price_series, simulate_sde, write_bars
 
@@ -51,6 +52,13 @@ class TestLoadBars:
 
     def test_non_monotonic_row_index(self, tmp_path):
         p = _write(tmp_path, "timestamp,price\n0,1.0\n60,1.1\n30,1.2\n")
+        with pytest.raises(NonMonotonicTimestamp) as exc:
+            load_bars(p)
+        assert exc.value.row == 3
+
+    def test_repeated_row_index(self, tmp_path):
+        # a repeated timestamp is a data row at fault, not a 0 s bar interval
+        p = _write(tmp_path, "timestamp,price\n0,1.0\n60,1.1\n60,1.2\n120,1.3\n")
         with pytest.raises(NonMonotonicTimestamp) as exc:
             load_bars(p)
         assert exc.value.row == 3
@@ -138,6 +146,13 @@ class TestLoadBars:
         with pytest.raises(ParseError, match=f"^row 0: {message}$"):
             load_bars(_write(tmp_path, header + "\n0,1.0\n60,1.1\n" if header else ""))
 
+    def test_gap_policy_checked_before_reading(self, tmp_path):
+        p = _write(tmp_path, "timestamp,price\n0,oops\n60,1.1\n")
+        with pytest.raises(ParseError, match="^row 1"):
+            load_bars(p)
+        with pytest.raises(ConfigError, match="gap_policy.*'fill'"):
+            load_bars(p, gap_policy="fill")
+
     @pytest.mark.parametrize("stamp", ["inf", "-inf", "nan", "1e300", "9.3e18", "-9.3e18"])
     def test_timestamp_outside_int64(self, tmp_path, stamp):
         p = _write(tmp_path, f"timestamp,price\n0,1.0\n{stamp},1.1\n")
@@ -165,10 +180,19 @@ class TestPriceSeries:
         assert exc.value.row == row
 
     def test_zero_step_rejected_at_sub_second_interval(self):
-        # an interval that rounds to 0 s does not make equal timestamps uniform
-        with pytest.raises(NonMonotonicTimestamp) as exc:
+        # an interval that would round to a 0 s step is a bad argument, not a bad data row
+        with pytest.raises(ConfigError, match="bar_interval"):
             make_ou_price_series(5, seed=1, bar_interval=0.3)
-        assert exc.value.row == 2
+
+    @pytest.mark.parametrize("bar_interval", [0.3, 0, -60, math.nan, math.inf, 1.5])
+    @pytest.mark.parametrize("entry", [
+        lambda bar_interval: make_ou_price_series(5, seed=1, bar_interval=bar_interval),
+        lambda bar_interval: PriceSeries("X", np.arange(3) * 2, np.ones(3), bar_interval=bar_interval),
+        lambda bar_interval: RunConfig(bar_interval=bar_interval),
+    ], ids=["make_ou_price_series", "PriceSeries", "RunConfig"])
+    def test_bar_interval_must_be_positive_whole_seconds(self, entry, bar_interval):
+        with pytest.raises(ConfigError, match="^bar_interval must be a positive whole number of seconds"):
+            entry(bar_interval)
 
 
 def _via_price_series(tmp_path, bad):

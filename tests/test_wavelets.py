@@ -66,6 +66,13 @@ class TestFilters:
         assert abs(f.taps.sum()) < 1e-10
         assert abs((f.taps**2).sum() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("name", ["haar", "db2", "db3"])
+    def test_alternating_tap_sum_is_sqrt2(self, name):
+        # taps g[k] = (-1)**k h[N - 1 - k] of a scaling filter h summing to sqrt(2),
+        # the sign convention that gives Haar's [1, -1] / sqrt(2)
+        taps = make_wavelet(name).taps
+        assert math.isclose(taps @ (-1.0) ** np.arange(len(taps)), math.sqrt(2.0), rel_tol=1e-12)
+
     def test_db2_has_four_taps(self):
         assert len(make_wavelet("db2").taps) == 4
 
