@@ -3,14 +3,12 @@
 Each mutant replaces one text, found exactly once in its file, in a
 temporary copy of the repository, and runs ``pytest -x`` on its test files
 there. A mutant is killed when the tests fail. Every must-kill mutant has to
-be killed; an equivalent one changes no output, so its reason is printed and
-it runs only under ``--all``. A surviving must-kill mutant is mended by a
-new test, never by narrowing the mutant.
+be killed; an equivalent one changes no output, so it is never run and only
+its reason is printed. A surviving must-kill mutant is mended by a new test,
+never by narrowing the mutant.
 
     python scripts/mutants.py               # run every must-kill mutant
-    python scripts/mutants.py --list        # print the mutants, run none
-    python scripts/mutants.py --all         # run the equivalent ones too
-    python scripts/mutants.py NAME ...      # run the named mutants
+    python scripts/mutants.py NAME ...      # rerun the named ones, as after a mending test
 
 Exits 1 if a must-kill mutant survives.
 """
@@ -137,8 +135,6 @@ def run(mutant: Mutant) -> str | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--list", action="store_true", help="print the mutants and run none")
-    parser.add_argument("--all", action="store_true", help="also run the equivalent mutants")
     args = parser.parse_args(argv)
     unknown = set(args.names) - {m.name for m in MUTANTS}
     if unknown:
@@ -147,14 +143,14 @@ def main(argv=None) -> int:
     survivors = []
     for m in chosen:
         label = f"{m.name:24s} {m.path}"
-        if args.list or (m.equivalent and not args.all and not args.names):
-            print(f"{'equivalent' if m.equivalent else 'must-kill':10s} {label}  {m.equivalent}".rstrip())
+        if m.equivalent:
+            print(f"{'equivalent':10s} {label}  {m.equivalent}")
             continue
         start = time.perf_counter()
         killed = run(m)
-        outcome = "killed" if killed else ("survived" if m.equivalent else "SURVIVED")
-        print(f"{outcome:10s} {label}  {time.perf_counter() - start:.1f} s  {killed or ''}".rstrip(), flush=True)
-        if not killed and not m.equivalent:
+        print(f"{'killed' if killed else 'SURVIVED':10s} {label}  {time.perf_counter() - start:.1f} s  {killed or ''}"
+              .rstrip(), flush=True)
+        if not killed:
             survivors.append(m.name)
     if survivors:
         print(f"must-kill mutants survived: {', '.join(survivors)}")

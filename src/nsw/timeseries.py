@@ -141,7 +141,7 @@ def load_bars(path, gap_policy="reject", bar_interval=None) -> PriceSeries:
         ts, px = _forward_fill(ts, px, interval)
     stem = os.path.splitext(os.path.basename(path))[0]
     name = stem.removeprefix("bars_") or stem
-    return PriceSeries(symbol=name, timestamps=np.array(ts), prices=np.array(px), bar_interval=float(interval))
+    return PriceSeries(symbol=name, timestamps=ts, prices=px, bar_interval=float(interval))
 
 
 def _forward_fill(ts, px, interval):
