@@ -51,8 +51,8 @@ MUTANTS = (
     Mutant("sell_tie_trades", "src/nsw/signals.py", "p_s < alpha1:", "p_s <= alpha1:", ("tests/test_signals.py",)),
     Mutant("ks_tie_passes", "src/nsw/signals.py", "cdf[j]) < self._ks_bound", "cdf[j]) <= self._ks_bound",
            ("tests/test_signals.py",)),
-    Mutant("displaced_reason_first", "src/nsw/signals.py", "int(self._status[s] or self._status[j])",
-           "int(self._status[j] or self._status[s])", ("tests/test_signals.py",)),
+    Mutant("displaced_reason_first", "src/nsw/signals.py", "int(status or self._status[j])",
+           "int(self._status[j] or status)", ("tests/test_signals.py",)),
     Mutant("qr_cond_limit", "src/nsw/sde_fit.py", "_QR_COND_LIMIT = 1e7", "_QR_COND_LIMIT = 1e8",
            ("tests/test_kernel_oracles.py",)),
     Mutant("edge_mass_limit", "src/nsw/stationary.py", "_EDGE_MASS_LIMIT = 0.01", "_EDGE_MASS_LIMIT = 0.02",
@@ -82,6 +82,12 @@ MUTANTS = (
     Mutant("model_error_exit_2", "src/nsw/cli.py", "sys.exit(1)", "sys.exit(2)", ("tests/test_cli.py",)),
     Mutant("config_error_exit_1", "src/nsw/errors.py", "class ConfigError(UsageError, ValueError):",
            "class ConfigError(NswError, ValueError):", ("tests/test_cli.py",)),
+    Mutant("ks_k_accepts_inf", "src/nsw/signals.py", "not 0.0 < self.ks_k < math.inf:", "not 0.0 < self.ks_k:",
+           ("tests/test_config.py", "tests/test_cli.py")),
+    Mutant("fractional_stamp_read", "src/nsw/timeseries.py", "t = int(stamp) if stamp.is_integer() else None",
+           "t = int(stamp)", ("tests/test_timeseries.py",)),
+    Mutant("p_s_row_shifted", "src/nsw/signals.py", "float(dens.p_s[i])", "float(dens.p_s[i - 1])",
+           ("tests/test_signals.py",)),
     Mutant("edge_fraction", "src/nsw/stationary.py", "_EDGE_FRACTION = 0.05", "_EDGE_FRACTION = 0.04",
            ("tests/test_stationary.py", "tests/test_signals.py"),
            equivalent="inert on the tested series: 41 edge nodes flag the windows 51 do (ROADMAP item 9)"),

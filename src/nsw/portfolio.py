@@ -22,6 +22,7 @@ from .timeseries import read_only
 log = logging.getLogger(__name__)
 
 MAX_ITERS = 20000  # ascent iteration cap of optimize_parcel
+TOL = 1e-6  # optimize_parcel converges once its gradient-mapping residual is below this
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,12 +218,12 @@ class ParcelResult:
     converged: bool
 
 
-def optimize_parcel(m: MomentEstimate, theta: float, tol=1e-6) -> ParcelResult:
+def optimize_parcel(m: MomentEstimate, theta: float) -> ParcelResult:
     """Projected gradient ascent of P(theta) from the equal-weight start.
 
     Backtracking keeps every accepted step non-decreasing in the objective;
     termination is on the unit-step gradient-mapping residual
-    ||project(n + grad) - n|| < tol. If ``MAX_ITERS`` is hit the best
+    ||project(n + grad) - n|| < ``TOL``. If ``MAX_ITERS`` is hit the best
     iterate comes back flagged.
 
     P is scale-free along rays (Z and sigma are both homogeneous of degree
@@ -264,7 +265,7 @@ def optimize_parcel(m: MomentEstimate, theta: float, tol=1e-6) -> ParcelResult:
     for iters in range(1, MAX_ITERS + 1):
         g = _gradient(z, sigma, lam_w, x, theta)
         residual = _residual(w, g)
-        if residual < tol:
+        if residual < TOL:
             converged = True
             break
         s = step

@@ -27,7 +27,7 @@ from .errors import (CONV_NON_INTEGRABLE, GRID_MISMATCH, KS_REJECT, PASS, REASON
                      NonIntegrable, NonPositivePrice, NotWarmedUp, UnsupportedFamily)
 from .sde_fit import fit_windows
 from .stationary import DEFAULT_GRID, DEFAULT_SPAN, convolution_p_s, ks_statistic, ks_threshold, stationary_densities
-from .timeseries import MAX_PRICE, PriceSeries
+from .timeseries import MAX_PRICE, PriceSeries, read_only
 from .wavelets import coeff_row, make_wavelet, mode_taps, transform
 
 # windows are fitted and synthesized in stacks of about this many density grid
@@ -105,8 +105,8 @@ class SignalConfig:
             raise ConfigError(f"n_grid must be >= 2, got {self.n_grid}")
         if not 0.0 < self.grid_span < math.inf:
             raise ConfigError(f"grid_span must be positive and finite, got {self.grid_span}")
-        if self.ks_k is not None and not self.ks_k > 0.0:
-            raise ConfigError(f"ks_k must be > 0, got {self.ks_k}")
+        if self.ks_k is not None and not 0.0 < self.ks_k < math.inf:
+            raise ConfigError(f"ks_k must be positive and finite, got {self.ks_k}")
         try:
             make_wavelet(self.wavelet)
         except UnsupportedFamily as exc:
@@ -172,19 +172,18 @@ class SignalTrace:
         elif (p_s is None) != (dy1 is None):
             raise ValueError("give p_s and dy1 together")
         given = np.asarray(codes)
-        self._codes = given.astype(np.uint8)
+        self._codes = read_only(given, np.uint8)
         bad = given[(self._codes != given) | (self._codes > CODE_GATED)]
         if bad.size:
             raise ValueError(f"outcome code {bad[0].item()} is not one of 0-3")
         n = len(self._codes)
         if p_s is None:
-            self._p_s = self._dy1 = np.full(n, math.nan)
+            self._p_s = self._dy1 = read_only(np.full(n, math.nan), np.float64)
         else:
-            self._p_s, self._dy1 = np.array(p_s, dtype=np.float64), np.array(dy1, dtype=np.float64)
+            self._p_s, self._dy1 = read_only(p_s, np.float64), read_only(dy1, np.float64)
         for col in (self._codes, self._p_s, self._dy1):
             if col.shape != (n,):
                 raise ValueError(f"{n} codes but a column of shape {col.shape}")
-            col.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, SignalTrace):
@@ -274,10 +273,10 @@ class SignalEngine:
         # one (levels,) row per bar, NaN while unsupported; enough rows for
         # the current and the displaced fit window
         self._coeffs = _Trailing(cfg.calib_len + cfg.shift_len + 1, (cfg.levels,))
-        # the density ring: slot t % (shift_len + 1) holds window t's bar, status and, if 0, its p_s and
-        # grid, cdf and (convolution only) pdf rows; enough to reach each decision's displaced window
+        # the density ring: slot t % (shift_len + 1) holds window t's bar, status and, if 0, its grid,
+        # cdf and (convolution only) pdf rows; enough to reach each decision's displaced window
         slots, n_grid = cfg.shift_len + 1, cfg.n_grid
-        self._bar, self._status, self._p_s = np.full(slots, -1), np.zeros(slots, np.uint8), np.zeros(slots)
+        self._bar, self._status = np.full(slots, -1), np.zeros(slots, np.uint8)
         self._grid, self._cdf = np.zeros((slots, n_grid)), np.zeros((slots, n_grid))
         self._pdf = np.zeros((slots, n_grid)) if cfg.density_mode == "convolution" else None
         self._ks_bound = ks_threshold(cfg.calib_len, cfg.alpha2, cfg.ks_k)  # on a window's mode-1 sample
@@ -403,8 +402,8 @@ class SignalEngine:
         return np.concatenate((head, tail), axis=1)
 
     def _windows(self, rows, base: int, bars):
-        """Fit and synthesize each bar's window in stacks, copy its bar, status and, if 0,
-        rows into its ring slot, and yield the bar, in order; ``rows[0]`` is bar ``base``."""
+        """Fit and synthesize each bar's window in stacks, copy its bar, status and, if 0, rows into
+        its ring slot, and yield the bar, status and ``p_s``, in order; ``rows[0]`` is bar ``base``."""
         cfg, slots = self.cfg, len(self._bar)
         size = max(1, _STACK_CELLS // cfg.n_grid)
         for lo in range(0, len(bars), size):
@@ -416,10 +415,10 @@ class SignalEngine:
                 s = t % slots
                 self._bar[s], self._status[s] = t, status
                 if not status:
-                    self._p_s[s], self._grid[s], self._cdf[s] = dens.p_s[i], dens.grid[i], dens.cdf[i]
+                    self._grid[s], self._cdf[s] = dens.grid[i], dens.cdf[i]
                     if self._pdf is not None:
                         self._pdf[s] = dens.pdf[i]
-                yield t
+                yield t, status, float(dens.p_s[i])
 
     def _decide(self, rows, base: int, first: int) -> np.ndarray:
         """``codes, reasons, p_s, dy1`` of bars ``first .. n - 1``, the rows of
@@ -430,8 +429,8 @@ class SignalEngine:
 
         Only the density ring changes. The windows to fit are the displaced
         ones it does not hold yet, then one per decided bar. Each bar is
-        decided from ring rows alone, once its window's slot is written; the
-        slot serves as the displaced density ``shift_len`` bars later."""
+        decided from its window's status and ``p_s`` and ring rows, once its
+        slot is written; the slot serves as the displaced density ``shift_len`` bars later."""
         cfg, slots, n = self.cfg, len(self._bar), base + len(rows)
         mode1 = np.ascontiguousarray(rows[:, 0])  # each gate's sample points are a slice of it
         dy1 = (mode1[first - base : n - base] - mode1[first - base - 1 : n - base - 1]).tolist()
@@ -439,18 +438,16 @@ class SignalEngine:
         displaced = range(first - cfg.shift_len, min(first, n - cfg.shift_len))
         bars = [t for t in displaced if self._bar[t % slots] != t] + list(range(first, n))
         grid, cdf, pdf = self._grid, self._cdf, self._pdf
-        for t in self._windows(rows, base, bars):
+        for t, status, p in self._windows(rows, base, bars):
             if t < first:
                 continue
             s, j = t % slots, (t - cfg.shift_len) % slots
-            reason = int(self._status[s] or self._status[j])
+            reason = int(status or self._status[j])
             if not reason and pdf is not None:
                 try:
                     p = convolution_p_s(grid[s], pdf[s], grid[j], pdf[j])
                 except (NonIntegrable, GridMismatch) as exc:
                     reason = GRID_MISMATCH if isinstance(exc, GridMismatch) else CONV_NON_INTEGRABLE
-            elif not reason:
-                p = float(self._p_s[s])
             k = t - first
             if not reason:
                 pts = mode1[t - base + 1 - cfg.calib_len : t - base + 1]

@@ -26,8 +26,7 @@ from .errors import (
 )
 
 DEFAULT_BAR_INTERVAL = 60.0
-_INT64_BOUND = 2.0**63  # timestamps are stored as int64
-_FLOAT_EXACT = 2.0**53  # floats hold every integer below this exactly
+_INT64_BOUND = 2**63  # timestamps are stored as int64
 # every price is in (0, MAX_PRICE): squares of deviations, in a fit or a baseline's
 # band, overflow from about 1e154 (2**511); below it, prices scaled by 2**k decide alike
 MAX_PRICE = 2.0**500
@@ -114,18 +113,18 @@ def load_bars(path, gap_policy="reject", bar_interval=None) -> PriceSeries:
         for i, rec in enumerate(filter(None, reader), start=1):  # blank lines are skipped
             try:
                 field = rec[t_col]
-                stamp = float(field)
+                try:
+                    t = int(field)  # exact for any number of digits
+                except ValueError:  # a float form (60.0, 1.2e2) only when it is a whole number
+                    stamp = float(field)
+                    t = int(stamp) if stamp.is_integer() else None
                 p = float(rec[p_col])
             except IndexError:
                 raise ParseError(i, f"{len(rec)} fields, too few for the header") from None
             except ValueError as exc:
                 raise ParseError(i, str(exc)) from exc
-            if not -_FLOAT_EXACT < stamp < _FLOAT_EXACT:
-                if not -_INT64_BOUND <= stamp < _INT64_BOUND:
-                    raise ParseError(i, f"timestamp {stamp} is not a finite int64")
-                if field.isdecimal():  # float() may have rounded it: read the digits exactly
-                    stamp = int(field)
-            t = int(stamp)
+            if t is None or not -_INT64_BOUND <= t < _INT64_BOUND:
+                raise ParseError(i, f"timestamp {field} is not a whole number of seconds in the int64 range")
             if not 0 < p < MAX_PRICE:
                 raise NonPositivePrice(i, f"price {p} is not in (0, 2**500)")
             if ts and t <= ts[-1]:

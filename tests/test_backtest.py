@@ -456,7 +456,7 @@ def make_aligned(prices_list):
     return [series_from_prices(p, symbol=f"S{i}") for i, p in enumerate(prices_list)]
 
 
-def old_run_parcel_backtest(reports, theta, rebalance_len, horizon, tol=1e-6):
+def old_run_parcel_backtest(reports, theta, rebalance_len, horizon):
     """The per-bar parcel loop run_parcel_backtest replaced: logs of the whole
     equity prefix at each rebalance, parcel equity one bar at a time.
     Returns (equity, [(t, weights)])."""
@@ -477,7 +477,7 @@ def old_run_parcel_backtest(reports, theta, rebalance_len, horizon, tol=1e-6):
             ref_bar = t
             returns = [log_returns(z[i, : t + 1], horizon) for i in range(m_count)]
             moments = estimate_moments(returns, rebalance_len)
-            result = optimize_parcel(moments, theta, tol=tol)
+            result = optimize_parcel(moments, theta)
             weights = result.weights.n
             trajectory.append((t, weights.copy()))
         growth = z[:, t] / z[:, ref_bar]

@@ -293,7 +293,7 @@ class TestConfigFile:
         res = runner.invoke(main, ["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("override", ["levels=4", "wavelet=morlet", "grid_span=0", "ks_k=nan"])
+    @pytest.mark.parametrize("override", ["levels=4", "wavelet=morlet", "grid_span=0", "ks_k=nan", "ks_k=inf"])
     def test_unusable_engine_config_exit_2(self, runner, tmp_path, override):
         # rejected before any data is read or written
         bars = tmp_path / "c.csv"

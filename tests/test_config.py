@@ -34,6 +34,7 @@ def _assert_rejected(values):
     ("ks_k", -1.0),
     ("ks_k", 0.0),
     ("ks_k", math.nan),
+    ("ks_k", math.inf),  # this one passed every gate instead
     # synthesis fields, rejected before make_ou_price_series runs
     ("seed", -1),
     ("ou_vol", -0.01),

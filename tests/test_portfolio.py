@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import nsw.backtest
+import nsw.portfolio
 from nsw.errors import DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPSD, TooShort, WindowTooShort
 from nsw.portfolio import (
     MomentEstimate,
@@ -182,9 +183,9 @@ def old_degenerate_parcel(m: MomentEstimate, theta: float) -> ParcelResult:
     )
 
 
-def assert_matches_oracle(m, theta, tol=1e-6, p_tol=1e-14):
-    new = optimize_parcel(m, theta, tol=tol)
-    old = old_optimize_parcel(m, theta, tol=tol)
+def assert_matches_oracle(m, theta, p_tol=1e-14):
+    new = optimize_parcel(m, theta)
+    old = old_optimize_parcel(m, theta)
     assert (new.iterations, new.converged) == (old.iterations, old.converged)
     assert np.abs(new.weights.n - old.weights.n).max() <= 1e-12
     assert abs(new.p_theta - old.p_theta) <= p_tol
@@ -399,7 +400,7 @@ class TestProjection:
 class TestOptimizer:
     def test_single_asset_full_investment(self):
         m = moment([0.1], [[0.04]])
-        res = optimize_parcel(m, 0.25, tol=1e-8)
+        res = optimize_parcel(m, 0.25)
         assert res.weights.n[0] == pytest.approx(1.0, abs=1e-6)
         assert res.converged
 
@@ -411,7 +412,7 @@ class TestOptimizer:
 
     def test_two_asset_example_vs_grid(self):
         m = moment([0.10, 0.02], np.diag([0.04, 0.0004]))
-        res = optimize_parcel(m, 0.25, tol=1e-8)
+        res = optimize_parcel(m, 0.25)
         best_p, maximizers = parcel_grid_search(m, 0.25)
         assert res.p_theta >= best_p - 1e-6
         dists = [np.abs(canonical_weights(w, best_p) - res.weights.n).max() for w in maximizers]
@@ -428,9 +429,10 @@ class TestOptimizer:
             start = objective_P(np.full(3, 1 / 3), m, 0.25)
             assert res.p_theta >= start - 1e-12
 
-    def test_kkt_residual_small(self):
+    def test_kkt_residual_small(self, monkeypatch):
+        monkeypatch.setattr(nsw.portfolio, "TOL", 1e-7)
         m = moment([0.08, 0.03], [[0.02, 0.004], [0.004, 0.01]])
-        res = optimize_parcel(m, 0.25, tol=1e-7)
+        res = optimize_parcel(m, 0.25)
         assert res.kkt_residual < 1e-7
 
     def test_all_negative_means_goes_to_cash(self):
@@ -458,7 +460,7 @@ class TestOptimizer:
                 x = np.abs(rng.normal(0.03, 0.03, size=m_count)) + 0.005
                 m = moment(x, lam)
                 for theta in (0.1, 0.5):
-                    res = optimize_parcel(m, theta, tol=1e-7)
+                    res = optimize_parcel(m, theta)
                     best_p, maximizers = parcel_grid_search(m, theta)
                     assert res.p_theta >= best_p - 1e-6
                     dists = [np.abs(canonical_weights(w, best_p) - res.weights.n).max() for w in maximizers]
@@ -467,8 +469,8 @@ class TestOptimizer:
     def test_argmax_scale_invariant(self):
         x = np.array([0.06, 0.02])
         lam = np.array([[0.01, 0.002], [0.002, 0.02]])
-        a = optimize_parcel(moment(x, lam), 0.25, tol=1e-8)
-        b = optimize_parcel(moment(3.0 * x, 9.0 * lam), 0.25, tol=1e-8)
+        a = optimize_parcel(moment(x, lam), 0.25)
+        b = optimize_parcel(moment(3.0 * x, 9.0 * lam), 0.25)
         assert np.abs(a.weights.n - b.weights.n).max() < 1e-6
 
     def test_feasibility_always(self):
@@ -498,9 +500,9 @@ def parcel_windows():
     traces = [SignalEngine(SignalConfig(shift_len=16)).run(s) for s in series]
     calls = []
 
-    def record(m, theta, tol=1e-6):
+    def record(m, theta):
         calls.append((m, theta))
-        return optimize_parcel(m, theta, tol=tol)
+        return optimize_parcel(m, theta)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nsw.backtest, "optimize_parcel", record)

@@ -179,7 +179,7 @@ def assert_same_state(a, b):
     assert np.array_equal(a._coeffs.window(rows), b._coeffs.window(rows), equal_nan=True)
     assert np.array_equal(a._bar, b._bar) and np.array_equal(a._status, b._status)
     held = (a._bar >= 0) & (a._status == 0)  # the slots whose rows were written
-    for col in ("_p_s", "_grid", "_cdf", "_pdf"):
+    for col in ("_grid", "_cdf", "_pdf"):
         got, want = getattr(a, col), getattr(b, col)
         assert (got is None) == (want is None) == (col == "_pdf" and a.cfg.density_mode == "plain"), col
         assert got is None or np.array_equal(got[held], want[held]), col
@@ -336,7 +336,7 @@ class TestEngine:
         def recording_ks(pts, grid_now, cdf_now, grid_shifted, cdf_shifted):
             # the gate of the next tested bar reads its displaced ring slot's grid and cdf rows
             j = (tested[len(compared)] - 8) % len(eng._bar)
-            compared.append((eng._p_s[j], eng._cdf[j].copy()))
+            compared.append(eng._cdf[j].copy())
             assert np.array_equal(grid_shifted, eng._grid[j]) and np.array_equal(cdf_shifted, eng._cdf[j])
             return ks_statistic(pts, grid_now, cdf_now, grid_shifted, cdf_shifted)
 
@@ -347,8 +347,8 @@ class TestEngine:
         assert range(trace.start, trace.start + len(trace.signals)) == decided
 
         assert len(compared) == len(tested)
-        for t, (p_s, cdf) in zip(tested, compared):
-            assert p_s == densities[t - 8].p_s[0] and np.array_equal(cdf, densities[t - 8].cdf[0]), t
+        for t, cdf in zip(tested, compared):
+            assert np.array_equal(cdf, densities[t - 8].cdf[0]), t
 
     def test_step_fits_only_new_windows(self, monkeypatch):
         # after an extend() warm-up, each of the first shift_len steps fits the
@@ -528,15 +528,15 @@ class TestEngine:
 
     @pytest.mark.parametrize("density_mode, rows", [("plain", 2), ("convolution", 3)])
     def test_ring_bytes_fixed_by_shape(self, density_mode, rows):
-        # the ring is shift_len + 1 slots of a bar (int64), a status (uint8)
-        # and a p_s, and grid and cdf rows (plus pdf rows for the convolution
+        # the ring is shift_len + 1 slots of a bar (int64) and a status
+        # (uint8), and grid and cdf rows (plus pdf rows for the convolution
         # density) of n_grid float64 each; run() and step() write into the
         # same arrays, whatever the stack size
         cfg = SignalConfig(calib_len=32, shift_len=8, n_grid=256, density_mode=density_mode)
         eng = SignalEngine(cfg)
-        ring = {col: getattr(eng, col) for col in ("_bar", "_status", "_p_s", "_grid", "_cdf", "_pdf")}
+        ring = {col: getattr(eng, col) for col in ("_bar", "_status", "_grid", "_cdf", "_pdf")}
         assert (ring["_pdf"] is None) == (density_mode == "plain")
-        assert sum(arr.nbytes for arr in ring.values() if arr is not None) == 9 * (8 + 1 + 8 + rows * 256 * 8)
+        assert sum(arr.nbytes for arr in ring.values() if arr is not None) == 9 * (8 + 1 + rows * 256 * 8)
         prices = make_ou_price_series(400, seed=5, rate=0.05, vol=0.02).prices
         eng.run(series_from_prices(prices[:300]))
         for price in prices[300:]:

@@ -112,6 +112,20 @@ class TestLoadBars:
         s = load_bars(_write(tmp_path, "timestamp,price\n60.0,1.0\n1.2e2,1.1\n1_8_0,1.2\n"))
         assert s.timestamps.tolist() == [60, 120, 180]
 
+    def test_fractional_timestamp_rejected(self, tmp_path):
+        # int() of the float dropped the fraction: the file loaded as [0, 60, 120, 180]
+        p = _write(tmp_path, "timestamp,price\n0,1.0\n60.7,1.1\n120.2,1.2\n180.9,1.3\n")
+        with pytest.raises(ParseError, match="^row 2: timestamp 60.7 is not a whole number"):
+            load_bars(p)
+
+    def test_negative_timestamps_past_2_53_read_exactly(self, tmp_path):
+        # a float parse rounded -(2**53 + 1) to -2**53, so the first step read 59 s
+        first = -(2**53 + 1)
+        rows = "".join(f"{first + 60 * k},1.0\n" for k in range(4))
+        s = load_bars(_write(tmp_path, "timestamp,price\n" + rows))
+        assert s.timestamps.tolist() == [first + 60 * k for k in range(4)]
+        assert s.bar_interval == 60
+
     def test_file_equals_row_writer(self, tmp_path):
         series = make_ou_price_series(500, seed=4, bar_interval=2**52 + 1)
         write_bars(series, tmp_path / "bars.csv")
