@@ -88,6 +88,36 @@ MUTANTS = (
            "t = int(stamp)", ("tests/test_timeseries.py",)),
     Mutant("p_s_row_shifted", "src/nsw/signals.py", "float(dens.p_s[i])", "float(dens.p_s[i - 1])",
            ("tests/test_signals.py",)),
+    Mutant("trace_keeps_signals", "src/nsw/signals.py", "            signals = tuple(signals)  #",
+           "            self._signals = signals = tuple(signals)  #", ("tests/test_backtest.py",)),
+    Mutant("signal_unslotted", "src/nsw/signals.py", "@dataclass(frozen=True, slots=True)\nclass Signal:",
+           "@dataclass(frozen=True, slots=False)\nclass Signal:", ("tests/test_backtest.py",)),
+    Mutant("parcel_theta_unbounded", "src/nsw/backtest.py", "if not 0.0 <= theta <= 1.0:", "if not 0.0 <= theta:",
+           ("tests/test_backtest.py",)),
+    Mutant("parcel_rebalance_one", "src/nsw/backtest.py", "if rebalance_len < 2:", "if rebalance_len < 1:",
+           ("tests/test_backtest.py",)),
+    Mutant("parcel_horizon_zero", "src/nsw/backtest.py", "if horizon < 1:", "if horizon < 0:",
+           ("tests/test_backtest.py",)),
+    Mutant("returns_horizon_zero", "src/nsw/portfolio.py", "if horizon < 1:", "if horizon < 0:",
+           ("tests/test_portfolio.py",)),
+    Mutant("moments_window_zero", "src/nsw/portfolio.py", "if window < 1:", "if window < 0:",
+           ("tests/test_portfolio.py",)),
+    Mutant("ascent_plateau_rejected", "src/nsw/portfolio.py", "if p_cand >= p and cand != w:",
+           "if p_cand > p and cand != w:", ("tests/test_portfolio.py",)),
+    Mutant("ascent_step_capped", "src/nsw/portfolio.py", "step = min(s * 2.0, 1e6)", "step = min(s * 2.0, 1.0)",
+           ("tests/test_portfolio.py",)),
+    Mutant("ascent_no_rescale", "src/nsw/portfolio.py", "if p > 0.5 + 1e-12 and total > 0:",
+           "if p > 0.5 + 1e-12 and total > 1:", ("tests/test_portfolio.py",)),
+    Mutant("channel_includes_current", "src/nsw/baselines.py", "sliding_window_view(p[:-1], lookback)",
+           "sliding_window_view(p[1:], lookback)", ("tests/test_baselines.py",)),
+    Mutant("band_tie_trades", "src/nsw/baselines.py", "p < mean - width * sd, p > mean + width * sd",
+           "p <= mean - width * sd, p >= mean + width * sd", ("tests/test_baselines.py",)),
+    Mutant("tune_tie_to_last", "src/nsw/baselines.py", "if report.final_z > best_z:",
+           "if report.final_z >= best_z:", ("tests/test_baselines.py",)),
+    Mutant("cli_parcel_fee_dropped", "src/nsw/cli.py", "        cost_bps=cfg.cost_bps,\n    )", "    )",
+           ("tests/test_cli.py",)),
+    Mutant("manifest_inputs_dropped", "src/nsw/cli.py", '"inputs": [str(p) for p in inputs],', '"inputs": [],',
+           ("tests/test_cli.py",)),
     Mutant("edge_fraction", "src/nsw/stationary.py", "_EDGE_FRACTION = 0.05", "_EDGE_FRACTION = 0.04",
            ("tests/test_stationary.py", "tests/test_signals.py"),
            equivalent="inert on the tested series: 41 edge nodes flag the windows 51 do (ROADMAP item 9)"),

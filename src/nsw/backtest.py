@@ -178,7 +178,15 @@ def run_parcel_backtest(
     using only already-realized returns) moments are re-estimated and the
     parcel re-optimized from the 1/M start. Parcel equity compounds
     sum(n_i * instrument growth) + slack per segment; slack earns nothing.
+    ``RunConfig``'s ranges are checked before any accounting: theta in
+    [0, 1], ``rebalance_len`` >= 2 and ``horizon`` >= 1.
     """
+    if not 0.0 <= theta <= 1.0:
+        raise ConfigError(f"theta must be in [0, 1], got {theta}")
+    if rebalance_len < 2:
+        raise ConfigError(f"rebalance_len must be >= 2, got {rebalance_len}")
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if len(sources) != len(series_list) or not sources:
         raise MisalignedSeries("need one signal source per series")
     n = len(series_list[0])
@@ -313,22 +321,21 @@ def compare_strategies(series_list, engine_factory, cost_bps=0.0) -> ComparisonT
 
 
 def write_equity(report, path) -> None:
-    """Equity curve as ``t,Z`` rows, written as one text (csv.writer's rows:
-    no field needs quoting, lines end in CRLF)."""
-    rows = [f"{t},{z!r}\r\n" for t, z in enumerate(report.equity.tolist())]
+    """Equity curve as ``t,Z`` rows, streamed like ``write_bars`` (csv.writer's
+    rows: no field needs quoting, lines end in CRLF)."""
     with open(path, "w", newline="") as fh:
-        fh.write("t,Z\r\n" + "".join(rows))
+        fh.write("t,Z\r\n")
+        fh.writelines(f"{t},{z!r}\r\n" for t, z in enumerate(report.equity.tolist()))
 
 
 def write_weights(parcel: ParcelReport, path) -> None:
-    """Weight trajectory log: ``t,n_1..n_M,slack,P_theta``, written as one
-    text like ``write_equity``."""
+    """Weight trajectory log: ``t,n_1..n_M,slack,P_theta``, streamed like
+    ``write_equity``."""
     head = ["t", *(f"n_{i + 1}" for i in range(len(parcel.symbols))), "slack", "P_theta"]
-    rows = [",".join(head)]
-    for rec in parcel.weight_trajectory:
-        rows.append(",".join([str(rec.t), *map(repr, rec.n.tolist()), repr(rec.slack), repr(rec.p_theta)]))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(rows) + "\r\n")
+        fh.write(",".join(head) + "\r\n")
+        fh.writelines(",".join([str(rec.t), *map(repr, rec.n.tolist()), repr(rec.slack), repr(rec.p_theta)]) + "\r\n"
+                      for rec in parcel.weight_trajectory)
 
 
 def write_report_json(report: BacktestReport, path) -> None:

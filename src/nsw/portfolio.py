@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPSD, TooShort, WindowTooShort
+from .errors import ConfigError, DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPSD, TooShort, WindowTooShort
 from .timeseries import read_only
 
 log = logging.getLogger(__name__)
@@ -94,10 +94,12 @@ class ParcelWeights:
 def log_returns(equity, horizon: int) -> np.ndarray:
     """x(t) = ln(equity[t + horizon] / equity[t]) along the last axis, so an
     (M, n) stack of curves gives M streams; output is horizon shorter."""
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     e = np.asarray(equity, dtype=np.float64)
     if np.any(e <= 0):
         raise NonPositiveEquity(f"equity must stay positive, min {e.min()}")
-    if horizon < 1 or e.shape[-1] <= horizon:
+    if e.shape[-1] <= horizon:
         raise TooShort(f"need more than {horizon} points, got {e.shape[-1]}")
     return np.log(e[..., horizon:] / e[..., :-horizon])
 
@@ -108,8 +110,10 @@ def estimate_moments(returns, window: int) -> MomentEstimate:
     The last ``window`` values of every stream are used, so T must be at
     least ``window``; leading axes index windows, and each window's estimate
     is the same whatever stack it is computed in. The covariance uses the
-    1/window normalization of a windowed time average.
+    1/window normalization of a windowed time average; ``window`` >= 1.
     """
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     r = np.asarray(returns, dtype=np.float64)
     if r.shape[-1] < window:
         raise WindowTooShort(f"streams have {r.shape[-1]} < {window} returns")

@@ -1,6 +1,8 @@
 import csv
+import gc
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,15 +355,48 @@ class TestRunBacktest:
         assert trace == SignalTrace(2, list(trace.signals))
 
     def test_trace_keeps_what_it_was_built_from(self):
-        signals = [Signal(Action.BUY, 0.5, 0.0), Signal(Action.HOLD, 0.5, 0.0, gated=True)]
+        given = (Signal(Action.BUY, 0.97, -0.0), Signal(Action.HOLD, 0.5, 1e-300, gated=True),
+                 Signal(Action.SELL, 0.0, 3.0))
+        signals = list(given)
         codes = np.array([CODE_SELL, CODE_HOLD], dtype=np.uint8)
         by_signals, by_codes = SignalTrace(0, signals), SignalTrace(0, codes=codes)
         signals.append(Signal(Action.SELL, 0.5, 0.0))
         signals[0] = Signal(Action.HOLD, 0.5, 0.0)
         codes[0] = CODE_BUY
-        assert by_signals.signals == (Signal(Action.BUY, 0.5, 0.0), Signal(Action.HOLD, 0.5, 0.0, gated=True))
-        assert by_signals.codes.tolist() == [CODE_BUY, CODE_GATED]
+        # .signals is rebuilt from the columns once, field for field the given
+        # Signals (-0.0 keeps its sign), but not those objects: none is kept
+        read = by_signals.signals
+        assert isinstance(read, tuple) and by_signals.signals is read
+        assert read == given
+        for a, b in zip(read, given, strict=True):
+            assert a is not b
+            assert (a.kind, a.gated, type(a.p_s), type(a.dy1)) == (b.kind, b.gated, float, float)
+            assert (math.copysign(1.0, a.p_s), math.copysign(1.0, a.dy1)) == (
+                math.copysign(1.0, b.p_s), math.copysign(1.0, b.dy1))
+        assert by_signals.codes.tolist() == [CODE_BUY, CODE_GATED, CODE_SELL]
         assert by_codes.codes.tolist() == [CODE_SELL, CODE_HOLD]
+
+    def test_trace_holds_its_columns_only(self):
+        # once the caller drops its Signals, a trace built from them holds its
+        # codes, p_s and dy1 columns: 17 bytes per bar, not the Signals
+        n = 20_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            signals = [Signal((Action.HOLD, Action.BUY, Action.SELL)[t % 3], t / n, -t / n) for t in range(n)]
+            trace = SignalTrace(0, signals)
+            del signals
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.codes) == n
+        assert held / n <= 24
+
+    def test_signal_is_slotted(self):
+        # a Signal keeps its four fields in slots, with no per-object __dict__
+        assert not hasattr(Signal(Action.BUY, 0.5, 0.0), "__dict__")
 
     def test_trace_reads_are_fixed(self):
         for trace in (SignalTrace(0, [Signal(Action.BUY, 0.5, 0.0)]), SignalTrace(0, codes=[CODE_BUY])):
@@ -451,6 +486,21 @@ class TestRunBacktest:
                 w.writerow([t, repr(float(val))])
         assert (tmp_path / "eq.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    def test_equity_writer_streams(self, tmp_path):
+        # the rows go out as they are formatted: a 200,000-bar curve peaks at
+        # about 6 MiB (the curve as a list of floats), where the whole text took 26
+        equity = np.cumprod(1.0 + np.random.default_rng(1).normal(0.0, 1e-3, 200_000))
+        report = nsw.backtest.BacktestReport("S", "scripted", equity, np.zeros(0, np.int64), np.zeros(0), 0)
+        tracemalloc.start()
+        try:
+            write_equity(report, tmp_path / "eq.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        lines = (tmp_path / "eq.csv").read_bytes().split(b"\r\n")
+        assert len(lines) == 200_002 and lines[-2] == f"199999,{equity[-1].item()!r}".encode()
+
 
 def make_aligned(prices_list):
     return [series_from_prices(p, symbol=f"S{i}") for i, p in enumerate(prices_list)]
@@ -539,6 +589,24 @@ class TestParcel:
         b = series_from_prices([1.0, 1.1, 1.2, 1.3])
         with pytest.raises(MisalignedSeries):
             run_parcel_backtest([scripted(a, {}), scripted(b, {})], [a, b], 0.25, 8, 2)
+
+    @pytest.mark.parametrize("theta, rebalance_len, horizon, name", [
+        (2.0, 400, 1, "theta"), (-1.0, 400, 1, "theta"), (math.nan, 16, 1, "theta"),
+        (0.25, -5, 1, "rebalance_len"), (0.25, 0, 1, "rebalance_len"), (0.25, 1, 1, "rebalance_len"),
+        (0.25, 16, 0, "horizon"), (0.25, 400, -2, "horizon"),
+    ])
+    def test_arguments_checked_before_accounting(self, theta, rebalance_len, horizon, name):
+        # RunConfig's ranges: theta in [0, 1], rebalance_len >= 2, horizon >= 1;
+        # a value outside them names itself before any source runs
+        class Unrun:
+            name = "unrun"
+
+            def run(self, series):
+                raise AssertionError("a source ran before the arguments were checked")
+
+        series_list = make_aligned([[1.0] * 300, [2.0] * 300])
+        with pytest.raises(ConfigError, match=name):
+            run_parcel_backtest([Unrun(), Unrun()], series_list, theta, rebalance_len, horizon)
 
     def test_weights_writer(self, tmp_path):
         series_list = make_aligned([[1.0 + 0.02 * t for t in range(50)]] * 2)

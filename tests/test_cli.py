@@ -162,17 +162,20 @@ class TestBacktestCmd:
 
 
 class TestParcelCmd:
-    def test_single_instrument_reduces_to_backtest(self, runner, tmp_path):
+    @pytest.mark.parametrize("cost_bps", ["0", "25"])
+    def test_single_instrument_reduces_to_backtest(self, runner, tmp_path, cost_bps):
+        # with a fee too: parcel charges each fill the cost_bps that backtest does
         series = make_ou_price_series(1500, seed=1, rate=0.003, vol=0.01, trend=0.001, symbol="UP")
         bars = tmp_path / "up.csv"
         write_bars(series, bars)
-        overrides = ["--set", "shift_len=16", "--set", "theta=0.01"]
+        overrides = ["--set", "shift_len=16", "--set", "theta=0.01", "--set", f"cost_bps={cost_bps}"]
         bt_out, pc_out = tmp_path / "bt", tmp_path / "pc"
         assert invoke(runner, ["backtest", "--data", str(bars), "--out", str(bt_out)] + overrides).exit_code == 0
         assert invoke(runner, ["parcel", "--data", str(bars), "--out", str(pc_out)] + overrides).exit_code == 0
-        single = json.loads((bt_out / "report.json").read_text())["final_Z"]
+        single = json.loads((bt_out / "report.json").read_text())
         parcel = json.loads((pc_out / "report.json").read_text())["final_Z"]
-        assert abs(single - parcel) < 1e-9
+        assert single["trades"] > 0
+        assert abs(single["final_Z"] - parcel) < 1e-9
 
     def test_three_instruments_equal_start(self, runner, tmp_path):
         paths = []
@@ -443,3 +446,5 @@ class TestManifest:
             manifest = json.loads((out / "manifest.json").read_text())
             written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
             assert sorted(manifest["outputs"]) == sorted(str(out / name) for name in written), command
+            # the inputs are the bar files the command read, in the order given
+            assert manifest["inputs"] == [a for a in args if a.endswith(".csv")], command

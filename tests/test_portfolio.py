@@ -10,7 +10,8 @@ from scipy.special import ndtr
 
 import nsw.backtest
 import nsw.portfolio
-from nsw.errors import DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPSD, TooShort, WindowTooShort
+from nsw.errors import (ConfigError, DegenerateWindow, NegativeVariance, NonPositiveEquity, NotPSD, TooShort,
+                        WindowTooShort)
 from nsw.portfolio import (
     MomentEstimate,
     ParcelResult,
@@ -210,6 +211,11 @@ class TestLogReturns:
         with pytest.raises(TooShort):
             log_returns([1.0, 1.1], 5)
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, horizon):
+        with pytest.raises(ConfigError, match="horizon"):
+            log_returns(np.ones(300), horizon)
+
 
 def old_estimate_moments(returns, window):
     """The per-window estimate the stacked kernel replaced: (means, covariance)."""
@@ -248,6 +254,11 @@ class TestEstimateMoments:
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
             estimate_moments([np.ones(10)], window=20)
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_rejected(self, window, rng):
+        with pytest.raises(ConfigError, match="window"):
+            estimate_moments(rng.normal(size=(2, 30)), window)
 
     @given(
         m_count=st.integers(1, 4),
@@ -559,6 +570,15 @@ class TestFloatAscent:
     def test_zero_variance_pick_matches_oracle(self, x, best):
         res = assert_matches_oracle(moment(x, np.zeros((3, 3))), 0.25)
         assert np.array_equal(res.weights.n, best)
+
+    def test_plateau_step_accepted(self):
+        # at the equal-weight start P is 1.0 exactly, a float plateau, while the
+        # gradient-mapping residual is above TOL: a step that keeps P equal is
+        # accepted, so the ascent converges instead of stopping where it began
+        m = MomentEstimate(np.array([1.000000001e-06, -1e-06]), np.diag([4e-33, 4e-33]))
+        result = assert_matches_oracle(m, 0.25)
+        assert result.p_theta == 1.0 and result.converged and result.iterations == 2
+        assert result.weights.n.tolist() != [0.5, 0.5]
 
     def test_tiny_variance_raises_named_error(self):
         # sigma is 8e-111 at the start, so sigma**3 underflows to 0
